@@ -66,13 +66,11 @@ from .constructions import (
 )
 from .ranks import (
     InclusionMatrix,
-    KneserGraphView,
     OrderedKneserView,
     binomial_mod_p,
     build_inclusion_matrix,
     cover_size_lower_bound,
     kneser_adjacency,
-    kneser_graph,
     kneser_rank_lower_bound,
     wilson_rank,
 )

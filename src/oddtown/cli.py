@@ -208,7 +208,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.n is None:
         raise UsageError("search needs --n or --m")
-    out = search.min_mod2_cover(args.k, args.t, args.n, budget=args.budget, cap=args.cap)
+    search.check_search_args(args.k, args.t, args.n, args.cap)
+    incumbent = search.best_constructive_cover(args.k, args.t, args.n)
+    out = search.min_mod2_cover(
+        args.k, args.t, args.n, budget=args.budget, cap=args.cap, incumbent=incumbent
+    )
     if out.exact:
         if out.cover is not None and len(out.cover) == out.value and args.out:
             fileio.save_cover(out.cover, args.out)
@@ -235,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oddtown",
         description="verify, construct, convert, and search parity set systems and covers",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for exhaustive phases")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="verify an object file")
@@ -300,9 +303,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.threads < 1:
-        print("error: --threads must be at least 1")
-        return EXIT_USAGE
     try:
         return args.func(args)
     except UsageError as exc:

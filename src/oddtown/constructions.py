@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .covers import GpCover, KPartiteProduct, Mod2Cover, tuple_to_cover
-from .ranks import binomial_mod_p
+from .ranks import binomial_mod_p, subsets_colex
 from .setsystems import SetFamily, SubsetBits, TupleSystem, verify_bollobas_tuple
 
 
@@ -138,12 +138,6 @@ def admissible_n(t: int, n: int) -> Admissibility:
     return Admissibility(not failures, tuple(failures))
 
 
-def _subsets_colex(n: int, k: int) -> list[int]:
-    """Bitmasks of the k-subsets of [n] in colexicographic order."""
-    masks = [sum(1 << (e - 1) for e in c) for c in combinations(range(1, n + 1), k)]
-    return sorted(masks)
-
-
 def build_kt_oddtown_family(t: int, n: int) -> SetFamily:
     """n sets over the (t-1)-subsets of [n]: the i-th collects the subsets containing i.
 
@@ -155,7 +149,7 @@ def build_kt_oddtown_family(t: int, n: int) -> SetFamily:
         detail = ", ".join(f"C({top},{bot}) even (d={d})" for d, top, bot in adm.failures)
         raise ValueError(f"inadmissible n={n} for t={t}: {detail}")
     ground = comb(n, t - 1)
-    subsets = _subsets_colex(n, t - 1)
+    subsets = subsets_colex(n, t - 1)
     sets = []
     for i in range(1, n + 1):
         bits = 0

@@ -53,15 +53,6 @@ class KPartiteProduct:
     def covers_cell(self, idx: Sequence[int]) -> bool:
         return all(idx[j] in self.parts[j] for j in range(len(self.parts)))
 
-    def cell_mask(self, cells: Sequence[tuple[int, ...]]) -> int:
-        """Bitmask over the given cell enumeration of the cells this product covers."""
-        mask = 0
-        for pos, idx in enumerate(cells):
-            if self.covers_cell(idx):
-                mask |= 1 << pos
-        return mask
-
-
 @dataclass(frozen=True)
 class Mod2Cover:
     """Candidate modulo-2 cover of the target with >= t distinct indices."""

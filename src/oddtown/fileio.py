@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Union
 
 from .covers import GpCover, KPartiteProduct, Mod2Cover
-from .setsystems import SetFamily, SubsetBits, TupleSystem, VerifyReport
+from .setsystems import SetFamily, SubsetBits, TupleSystem
 
 PathLike = Union[str, Path]
 
@@ -156,7 +156,3 @@ def load_gp_cover(path: PathLike) -> GpCover:
         return GpCover(k, n, products)
     except ValueError as exc:
         raise FileFormatError(f"products: {exc}") from exc
-
-
-def report_to_json(report: VerifyReport) -> str:
-    return json.dumps(report.to_dict())

@@ -31,10 +31,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 @dataclass(frozen=True)
 class Gf2Matrix:
     """Binary matrix, row-major, one bit per entry (bit j of data[i] = entry (i,j))."""
@@ -184,12 +180,6 @@ def rank_gfp(m: GfpMatrix) -> int:
         if rank == m.rows:
             break
     return rank
-
-
-def gf2_from_gfp(m: GfpMatrix) -> Gf2Matrix:
-    if m.p != 2:
-        raise ValueError("conversion requires p = 2")
-    return Gf2Matrix.from_rows(m.data)
 
 
 def is_linearly_independent(vectors: Sequence) -> bool:

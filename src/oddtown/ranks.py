@@ -83,17 +83,6 @@ def kneser_adjacency(n: int, k: int) -> Gf2Matrix:
 
 
 @dataclass(frozen=True)
-class KneserGraphView:
-    n: int
-    k: int
-    adjacency: Gf2Matrix
-
-
-def kneser_graph(n: int, k: int) -> KneserGraphView:
-    return KneserGraphView(n, k, kneser_adjacency(n, k))
-
-
-@dataclass(frozen=True)
 class OrderedKneserView:
     """Ordered distinct k-tuples over [n], adjacent when their sets are disjoint."""
 

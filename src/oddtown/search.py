@@ -3,7 +3,10 @@
 The search is a per-weight-level exhaustion: levels are proven empty in
 ascending order (by depth-first branch and bound, or by a vectorized
 meet-in-the-middle pass when the cell grid fits in 64 bits), and the first
-level holding a solution yields the witness.  An algebraic presolve certifies
+level holding a solution yields the witness.  The meet-in-the-middle pass has
+one kernel: one side's sums held as a sorted set (a hashed-slot screen in
+front of ``searchsorted``), and the other side's sums streamed against it in
+blocks, keeping the smallest common value.  An algebraic presolve certifies
 levels below the maximum rank of the target's coordinate unfoldings, since
 each product unfolds to a rank-one matrix.  Every certificate that backs a
 reported value is recorded on the outcome.
@@ -64,17 +67,22 @@ class SearchInstance:
         return len(self.columns)
 
 
-def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> SearchInstance:
+def check_search_args(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> None:
+    """Reject parameters outside the search's domain or a catalog above ``cap``."""
     if not (2 <= t <= k):
         raise ValueError("need 2 <= t <= k")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    n_subsets = (1 << n) - 1
-    size = n_subsets**k
+    size = ((1 << n) - 1) ** k
     if size > cap:
         raise CapExceededError(
             f"catalog for k={k}, n={n} has {size} products, above the cap {cap}"
         )
+
+
+def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> SearchInstance:
+    check_search_args(k, t, n, cap)
+    n_subsets = (1 << n) - 1
     cells = tuple(all_cells(n, k))
     # Bitmask over cells of "coordinate j takes a value in subset s".
     coord_subset_mask = []
@@ -190,9 +198,45 @@ def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
 
 
 def _np_membership(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mask of the queries that occur in the ascending array ``sorted_vals``."""
+    if sorted_vals.size == 0:
+        return np.zeros(queries.shape, dtype=bool)
     pos = np.searchsorted(sorted_vals, queries)
     pos = np.minimum(pos, len(sorted_vals) - 1)
     return sorted_vals[pos] == queries
+
+
+_FIB = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, for multiplicative hashing
+
+
+class _SortedSet:
+    """Exact membership in a fixed set of uint64 values.
+
+    A table of hashed slots (about 1/16 full up to 2^20 values, then capped at
+    2^24 slots) turns most absent queries away with one gather;
+    ``searchsorted`` on the sorted values settles the rest.
+    """
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.sorted = np.sort(values)
+        bits = min(24, max(10, (16 * self.sorted.size).bit_length()))
+        self._shift = np.uint64(64 - bits)
+        self._slots = np.zeros(1 << bits, dtype=bool)
+        self._slots[self._slot(self.sorted)] = True
+
+    def _slot(self, values: np.ndarray) -> np.ndarray:
+        return (values * _FIB) >> self._shift
+
+    def contains(self, queries: np.ndarray) -> np.ndarray:
+        mask = self._slots[self._slot(queries)]
+        maybe = np.flatnonzero(mask)
+        mask[maybe] = _np_membership(self.sorted, queries[maybe])
+        return mask
+
+    def min_common(self, queries: np.ndarray) -> Optional[int]:
+        """Smallest query value in the set, or None when there is none."""
+        hits = queries[self.contains(queries)]
+        return int(hits.min()) if hits.size else None
 
 
 class _LevelTooHard(Exception):
@@ -210,7 +254,12 @@ def _exhaust_level(
 
     Small levels run the exact lexicographic DFS; larger ones fall back to a
     vectorized meet-in-the-middle pass (possible while the grid fits in 64
-    bits and w <= 4).  Raises _LevelTooHard when neither route is feasible.
+    bits and w <= 5).  Every such pass tests sums against one side held in a
+    ``_SortedSet``: the columns at w = 3, the pair sums (shifted by the target
+    at w = 5) at w = 4 and 5.  At w = 4 and 5 the smallest common value is
+    re-derived into its lexicographically first pair/triple supports.  At
+    w = 5 the triple sums are generated and tested one block per least index,
+    never all at once.  Raises _LevelTooHard when neither route is feasible.
     Levels must be exhausted in ascending order: the vectorized paths rule out
     index collisions by appealing to the emptiness of lower levels.
     """
@@ -228,14 +277,13 @@ def _exhaust_level(
         raise _LevelTooHard(f"level {w} with {m} columns is out of reach")
 
     cols_u = np.array(cols, dtype=np.uint64)
-    order = np.argsort(cols_u, kind="stable")
-    sorted_u = cols_u[order]
     b_u = np.uint64(b)
 
     if w == 3:
+        col_set = _SortedSet(cols_u)
         for i in range(m - 2):
             block = cols_u[i + 1 :] ^ (cols_u[i] ^ b_u)
-            hits = np.nonzero(_np_membership(sorted_u, block))[0]
+            hits = np.flatnonzero(col_set.contains(block))
             for h in hits:
                 j = i + 1 + int(h)
                 l_val = int(cols_u[j]) ^ int(cols_u[i]) ^ b
@@ -244,7 +292,8 @@ def _exhaust_level(
                         return (i, j, l)
         return None
 
-    # w in (4, 5): pairwise sums against pairwise or triple sums shifted by b.
+    # w in (4, 5): the smallest value common to the pair sums shifted by b and
+    # the pair (w=4) or triple (w=5) sums.
     total = m * (m - 1) // 2
     pair_vals = np.empty(total, dtype=np.uint64)
     pos = 0
@@ -271,11 +320,10 @@ def _exhaust_level(
         raise InternalCheckError("triple-sum witness vanished on re-derivation")
 
     if w == 4:
-        common = np.intersect1d(np.sort(pair_vals), pair_vals ^ b_u)
+        v = _SortedSet(pair_vals).min_common(pair_vals ^ b_u)
         del pair_vals
-        if common.size == 0:
+        if v is None:
             return None
-        v = int(common[0])
         i1, j1 = lex_pair(v)
         i2, j2 = lex_pair(v ^ b)
         support = tuple(sorted({i1, j1, i2, j2}))
@@ -283,19 +331,20 @@ def _exhaust_level(
             raise InternalCheckError("pair supports collided despite refuted lower levels")
         return support
 
-    # w == 5
-    triple_vals = np.empty(comb(m, 3), dtype=np.uint64)
-    pos = 0
+    # w == 5: the triple sums with least index i are the pair sums of the later
+    # columns shifted by column i, so they are tested one block at a time and
+    # never held all at once.
+    shifted_pairs = _SortedSet(pair_vals ^ b_u)
+    v = None
+    later = 0  # pair_vals[later:] are the pairs with least index i + 1 or more
     for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            cnt = m - 1 - j
-            triple_vals[pos : pos + cnt] = cols_u[j + 1 :] ^ (cols_u[i] ^ cols_u[j])
-            pos += cnt
-    common = np.intersect1d(np.sort(triple_vals), pair_vals ^ b_u)
-    del pair_vals, triple_vals
-    if common.size == 0:
+        later += m - 1 - i
+        block_min = shifted_pairs.min_common(pair_vals[later:] ^ cols_u[i])
+        if block_min is not None and (v is None or block_min < v):
+            v = block_min
+    del pair_vals, shifted_pairs
+    if v is None:
         return None
-    v = int(common[0])
     i1, j1 = lex_pair(v ^ b)
     i2, j2, l2 = lex_triple(v)
     support = tuple(sorted({i1, j1, i2, j2, l2}))

@@ -138,9 +138,6 @@ class Violation:
     observed: int
     expected: str
 
-    def to_dict(self) -> dict:
-        return {"indices": list(self.indices), "observed": self.observed, "expected": self.expected}
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -150,13 +147,6 @@ class VerifyReport:
 
     def __bool__(self) -> bool:
         return self.valid
-
-    def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "violations": [v.to_dict() for v in self.violations],
-            "truncated": self.truncated,
-        }
 
 
 class _Collector:

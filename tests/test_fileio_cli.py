@@ -140,6 +140,21 @@ class TestCli:
         assert main(["search", "--k", "2", "--t", "2", "--n", "4"]) == 0
         assert "exact k=2 t=2 n=4 f=4" in capsys.readouterr().out
 
+    def test_search_seeded_by_construction(self, capsys):
+        # the rank bound 6 meets build_cover_22(6), so no level is searched
+        assert main(["search", "--k", "2", "--t", "2", "--n", "6"]) == 0
+        assert capsys.readouterr().out == "exact k=2 t=2 n=6 f=6 rank-bound=6\n"
+
+    def test_search_witness_bytes(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        assert main(["search", "--k", "3", "--t", "3", "--n", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "exact k=3 t=3 n=3 f=5 rank-bound=3\n"
+        assert out.read_bytes() == (
+            b'{"n": 3, "k": 3, "t": 3, "products": [[[1], [1, 2, 3], [2, 3]], '
+            b'[[2], [3], [1, 3]], [[1, 2], [1, 3], [3]], [[3], [2], [1, 2]], '
+            b'[[1, 3], [1, 2], [2]]]}\n'
+        )
+
     def test_search_exact_b(self, capsys):
         assert main(["search", "--k", "2", "--t", "2", "--m", "3"]) == 0
         assert "exact-b k=2 t=2 m=3 b=3" in capsys.readouterr().out
@@ -184,7 +199,9 @@ class TestCli:
 
     def test_usage_errors(self, capsys):
         assert main(["search", "--k", "2", "--t", "2"]) == 2  # neither --n nor --m
-        assert main(["--threads", "0", "rank", "--n", "3", "--k", "1", "--l", "2", "--p", "2"]) == 2
+        # --threads was removed: it is rejected like any unknown flag
+        assert main(["rank", "--n", "3", "--k", "1", "--l", "2", "--p", "2", "--threads", "1"]) == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
         assert main(["bogus"]) == 2
 
     def test_internal_inconsistency_exit_code(self, tmp_path, monkeypatch, capsys):

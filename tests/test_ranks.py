@@ -8,7 +8,6 @@ from oddtown import (
     build_inclusion_matrix,
     cover_size_lower_bound,
     kneser_adjacency,
-    kneser_graph,
     kneser_rank_lower_bound,
     rank_gf2,
     rank_gfp,
@@ -140,9 +139,8 @@ class TestKneserViews:
                 mv = sum(1 << (e - 1) for e in v)
                 assert ordered_adj.entry(a, bidx) == adj.entry(pos[mu], pos[mv])
 
-    def test_kneser_graph_view(self):
-        view = kneser_graph(5, 2)
-        assert rank_gf2(view.adjacency) == 6
+    def test_kneser_adjacency_rank(self):
+        assert rank_gf2(kneser_adjacency(5, 2)) == 6
 
 
 class TestCoverSizeLowerBound:

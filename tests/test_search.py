@@ -1,6 +1,9 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddtown import (
     CapExceededError,
@@ -10,14 +13,27 @@ from oddtown import (
     min_mod2_cover,
     verify_mod2_cover,
 )
+from oddtown import search
+from oddtown.gf2 import _search_weight_level
 from oddtown.search import (
     ERRATUM_22,
+    SearchInstance,
+    _exhaust_level,
+    _np_membership,
+    _SortedSet,
     best_constructive_cover,
     bounds_table,
     flattening_rank_bound,
     format_table,
     machine_rows,
 )
+
+
+def support_of(out):
+    inst = build_search_instance(out.k, out.t, out.n)
+    return tuple(
+        inst.column_parts.index(tuple(part.bits for part in p.parts)) for p in out.cover.products
+    )
 
 
 def brute_force_min_cover(instance, max_weight):
@@ -105,9 +121,24 @@ class TestMinMod2Cover:
             min_mod2_cover(3, 3, 2, incumbent=build_cover_33(3))
 
     def test_triple_value(self):
-        out = min_mod2_cover(3, 3, 3, budget=6)
+        out = min_mod2_cover(3, 3, 3)
         assert out.exact and out.value == 5
         assert verify_mod2_cover(out.cover).valid
+        # the w=5 meet-in-the-middle witness, pinned
+        assert support_of(out) == (47, 74, 129, 156, 211)
+        assert out.levels_exhausted == (3, 4)
+
+    def test_triple_n4_interval(self):
+        # w=3 and w=4 are refuted by meet-in-the-middle; w=5 is out of reach
+        out = min_mod2_cover(3, 3, 4)
+        assert out.status == "interval"
+        assert out.lower == 5 and out.upper is None
+        assert out.levels_exhausted == (3, 4)
+
+    def test_pair_k3_n4_interval(self):
+        out = min_mod2_cover(3, 2, 4)
+        assert out.status == "interval"
+        assert out.lower == 5 and out.levels_exhausted == (4, 4)
 
     def test_witness_is_lex_min_without_symmetry(self):
         out = min_mod2_cover(2, 2, 3, symmetry=False)
@@ -125,6 +156,112 @@ class TestMinMod2Cover:
                 best = sup
                 break
         assert tuple(support) == best
+
+
+def _xor(cols, support):
+    acc = 0
+    for j in support:
+        acc ^= cols[j]
+    return acc
+
+
+def _mitm_level(cols, b, w):
+    """``_exhaust_level`` forced onto the meet-in-the-middle route."""
+    inst = SearchInstance(0, 0, 0, ((),) * 20, ((),) * len(cols), tuple(cols), b)
+    value_index = {}
+    for j, c in enumerate(cols):
+        value_index.setdefault(c, []).append(j)
+    old_cap = search._DFS_NODE_CAP
+    search._DFS_NODE_CAP = 0
+    try:
+        return _exhaust_level(inst, w, None, value_index, [])
+    finally:
+        search._DFS_NODE_CAP = old_cap
+
+
+def _level_reference(cols, b, w):
+    """The level pass by plain enumeration: at w=3 the lexicographically first
+    support (the DFS engine's answer); at w=4 and 5 the smallest value shared by
+    the pair (w=4) or triple (w=5) sums and the pair sums shifted by b, joined
+    from the lexicographically first supports of both sums."""
+    if w == 3:
+        return _search_weight_level(cols, b, 3)
+    first = {}
+    for size in (2, w - 2):
+        for sup in combinations(range(len(cols)), size):
+            first.setdefault((size, _xor(cols, sup)), sup)
+    common = [v for (size, v) in first if size == w - 2 and (2, v ^ b) in first]
+    if not common:
+        return None
+    v = min(common)
+    return tuple(sorted(first[(w - 2, v)] + first[(2, v ^ b)]))
+
+
+uint64s = st.lists(st.integers(0, 2**64 - 1), max_size=40)
+small_uint64s = st.lists(st.integers(0, 7), min_size=1, max_size=12)  # forces duplicates and hits
+
+
+class TestMeetInTheMiddle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(uint64s, small_uint64s), st.one_of(uint64s, small_uint64s))
+    def test_min_common_matches_intersect1d(self, a, b):
+        a = np.array(a, dtype=np.uint64)
+        b = np.array(b, dtype=np.uint64)
+        common = np.intersect1d(a, b)
+        want = int(common[0]) if common.size else None
+        assert _SortedSet(a).min_common(b) == want
+        assert _SortedSet(a).contains(b).tolist() == np.isin(b, a).tolist()
+
+    def test_min_common_edge_cases(self):
+        def u(*xs):
+            return np.array(xs, dtype=np.uint64)
+
+        assert _SortedSet(u(5)).min_common(u(5)) == 5
+        assert _SortedSet(u(5)).min_common(u(4)) is None
+        assert _SortedSet(u(9, 3, 3, 1)).min_common(u(9, 9, 3, 3)) == 3
+        assert _SortedSet(u(2**64 - 1)).min_common(u(0, 2**64 - 1)) == 2**64 - 1
+        assert _SortedSet(u()).min_common(u(1, 2)) is None
+        assert _SortedSet(u(1, 2)).min_common(u()) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 2**16 - 1), min_size=6, max_size=10, unique=True),
+        st.sampled_from([3, 4, 5]),
+        st.data(),
+    )
+    def test_level_pass_matches_reference(self, cols, w, data):
+        def index_sets(size):
+            return st.sets(st.sampled_from(range(len(cols))), min_size=size, max_size=size)
+
+        # plant a zero-sum 4-set, so that a filled level often has two supports
+        *rest, last = sorted(data.draw(index_sets(4)))
+        cols[last] = _xor(cols, rest)
+        if cols[last] == 0 or len(set(cols)) < len(cols):
+            return
+        if data.draw(st.booleans()):
+            b = _xor(cols, data.draw(index_sets(w)))
+        else:
+            b = data.draw(st.integers(1, 2**16 - 1))
+        # the vectorized passes need every lower level to be empty
+        if b == 0 or any(_search_weight_level(cols, b, lower) for lower in range(1, w)):
+            return
+        assert _mitm_level(cols, b, w) == _level_reference(cols, b, w)
+
+    @pytest.mark.parametrize("cols,b,want", [
+        # a pass that skips the last triple block picks the other support
+        ([37, 105, 83, 216, 30, 52, 153, 175], 255, (0, 3, 5, 6, 7)),
+        # a pass that skips the first pairs of each triple block does too
+        ([233, 40, 194, 231, 115, 142, 10, 162], 116, (1, 2, 3, 4, 6)),
+    ])
+    def test_level_pass_block_edges(self, cols, b, want):
+        # each level has several supports; the smallest common value picks one
+        assert _level_reference(cols, b, 5) == want
+        assert _mitm_level(cols, b, 5) == want
+
+    def test_membership_empty_sorted_side(self):
+        empty = np.array([], dtype=np.uint64)
+        got = _np_membership(empty, np.array([0, 7], dtype=np.uint64))
+        assert got.dtype == bool and got.tolist() == [False, False]
 
 
 class TestExactB:
