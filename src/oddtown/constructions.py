@@ -13,6 +13,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .covers import GpCover, KPartiteProduct, Mod2Cover, tuple_to_cover
+from .gf2 import Gf2Matrix
 from .ranks import binomial_mod_p, subsets_colex
 from .setsystems import SetFamily, SubsetBits, TupleSystem, verify_bollobas_tuple
 
@@ -149,15 +150,8 @@ def build_kt_oddtown_family(t: int, n: int) -> SetFamily:
         detail = ", ".join(f"C({top},{bot}) even (d={d})" for d, top, bot in adm.failures)
         raise ValueError(f"inadmissible n={n} for t={t}: {detail}")
     ground = comb(n, t - 1)
-    subsets = subsets_colex(n, t - 1)
-    sets = []
-    for i in range(1, n + 1):
-        bits = 0
-        for pos, mask in enumerate(subsets):
-            if (mask >> (i - 1)) & 1:
-                bits |= 1 << pos
-        sets.append(SubsetBits(ground, bits))
-    return SetFamily(ground, tuple(sets))
+    columns = Gf2Matrix.from_bitrows(subsets_colex(n, t - 1), n).column_masks()
+    return SetFamily(ground, tuple(SubsetBits(ground, bits) for bits in columns))
 
 
 def _pattern_products(pattern: PatternPartition, n: int) -> Iterator[KPartiteProduct]:

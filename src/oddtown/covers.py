@@ -3,6 +3,11 @@ and the structural conversions between covers, set tuples, and biclique covers.
 
 A cover is an ordered multiset of products; parity verification counts
 multiplicity.  Cells of the target grid are 1-based k-tuples over [n].
+
+Cover verification, the parity difference of two covers and the biclique
+check are callers of the parity scan in ``setsystems``: a cover is scanned
+through its transposition (A_{j,i} = the products whose j-th part holds i),
+which is the set tuple that ``cover_to_tuple`` returns.
 """
 
 from __future__ import annotations
@@ -10,15 +15,21 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import perm
 from typing import Iterable, Optional, Sequence
 
-from .gf2 import InternalCheckError
+from .gf2 import Gf2Matrix, InternalCheckError
+from .ranks import OrderedKneserView
 from .setsystems import (
     DEFAULT_VIOLATION_CAP,
     SubsetBits,
     TupleSystem,
     VerifyReport,
+    _check_scan_size,
     _Collector,
+    _distinct_target,
+    _parity_scan,
+    _scan_report,
 )
 
 
@@ -126,26 +137,6 @@ def all_cells(n: int, k: int) -> list[tuple[int, ...]]:
     return list(product(range(1, n + 1), repeat=k))
 
 
-def coordinate_value_masks(n: int, k: int, cells: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """masks[j][v] = bitmask over cell positions where coordinate j equals v."""
-    masks = [[0] * (n + 1) for _ in range(k)]
-    for pos, idx in enumerate(cells):
-        bit = 1 << pos
-        for j in range(k):
-            masks[j][idx[j]] |= bit
-    return masks
-
-
-def product_cell_mask(p: KPartiteProduct, masks: Sequence[Sequence[int]]) -> int:
-    acc = -1
-    for j, part in enumerate(p.parts):
-        coord = 0
-        for v in part.elements():
-            coord |= masks[j][v]
-        acc &= coord
-    return acc
-
-
 def distinct_index_count(idx: Sequence[int], n: int) -> int:
     """Number of distinct entries of a k-tuple over [n]."""
     for v in idx:
@@ -168,12 +159,11 @@ def coverage_parity(cover: Mod2Cover, idx: Sequence[int]) -> int:
     return count & 1
 
 
-def _parity_mask(cover: Mod2Cover, cells: Sequence[tuple[int, ...]]) -> int:
-    masks = coordinate_value_masks(cover.n, cover.k, cells)
-    acc = 0
-    for p in cover.products:
-        acc ^= product_cell_mask(p, masks)
-    return acc
+def _cover_rows(products: Sequence[KPartiteProduct], k: int, n: int) -> list[list[int]]:
+    """The transposition of the products: row j, index i is the bitmask of the
+    products whose j-th part contains i + 1."""
+    return [Gf2Matrix.from_bitrows([p.parts[j].bits for p in products], n).column_masks()
+            for j in range(k)]
 
 
 def target_mask(n: int, k: int, t: int, cells: Sequence[tuple[int, ...]]) -> int:
@@ -186,27 +176,21 @@ def target_mask(n: int, k: int, t: int, cells: Sequence[tuple[int, ...]]) -> int
 
 def verify_mod2_cover(cover: Mod2Cover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Exhaustive parity check over all n^k cells: edges odd, non-edges even."""
-    cells = all_cells(cover.n, cover.k)
-    got = _parity_mask(cover, cells)
-    want = target_mask(cover.n, cover.k, cover.t, cells)
-    diff = got ^ want
-    col = _Collector(max_violations)
-    if diff:
-        for pos, idx in enumerate(cells):
-            if (diff >> pos) & 1:
-                observed = (got >> pos) & 1
-                expected = "odd coverage" if (want >> pos) & 1 else "even coverage"
-                if not col.add(idx, observed, expected):
-                    break
-    return col.report()
+    rows = _cover_rows(cover.products, cover.k, cover.n)
+    mismatches = _parity_scan(rows, _distinct_target(cover.n, cover.t))
+    return _scan_report(mismatches, max_violations, "coverage")
 
 
 def parity_functions_equal(a: Mod2Cover, b: Mod2Cover) -> bool:
-    """True iff two covers of the same grid have identical coverage parity."""
+    """True iff two covers of the same grid have identical coverage parity.
+
+    The parity of the concatenated cover is the XOR of the two, so the covers
+    agree exactly when it is even on every cell.
+    """
     if (a.k, a.n) != (b.k, b.n):
         return False
-    cells = all_cells(a.n, a.k)
-    return _parity_mask(a, cells) == _parity_mask(b, cells)
+    rows = _cover_rows(a.products + b.products, a.k, a.n)
+    return next(_parity_scan(rows, lambda prefix: 0), None) is None
 
 
 def verify_exact_gp_cover(cover: GpCover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
@@ -235,17 +219,11 @@ def cover_to_tuple(cover: Mod2Cover) -> TupleSystem:
     input verifies as a cover.
     """
     m_products = len(cover.products)
-    families = []
-    for j in range(cover.k):
-        fam = []
-        for i in range(1, cover.n + 1):
-            bits = 0
-            for s, p in enumerate(cover.products):
-                if i in p.parts[j]:
-                    bits |= 1 << s
-            fam.append(SubsetBits(m_products, bits))
-        families.append(tuple(fam))
-    return TupleSystem(cover.k, cover.t, cover.n, m_products, tuple(families))
+    families = tuple(
+        tuple(SubsetBits(m_products, bits) for bits in row)
+        for row in _cover_rows(cover.products, cover.k, cover.n)
+    )
+    return TupleSystem(cover.k, cover.t, cover.n, m_products, families)
 
 
 def tuple_to_cover(system: TupleSystem) -> Mod2Cover:
@@ -255,26 +233,19 @@ def tuple_to_cover(system: TupleSystem) -> Mod2Cover:
     an empty part; such products cover nothing and are dropped with a warning,
     which leaves the coverage parity untouched.
     """
+    columns = [Gf2Matrix.from_bitrows([s.bits for s in fam], system.ground_size).column_masks()
+               for fam in system.families]
     products = []
-    for g in range(1, system.ground_size + 1):
-        parts = []
-        empty_at = None
-        for j in range(system.k):
-            bits = 0
-            for i in range(system.m):
-                if g in system.families[j][i]:
-                    bits |= 1 << i
-            if bits == 0:
-                empty_at = j + 1
-                break
-            parts.append(SubsetBits(system.m, bits))
-        if empty_at is not None:
+    for g in range(system.ground_size):
+        parts = [col[g] for col in columns]
+        if 0 in parts:
             warnings.warn(
-                f"ground element {g} gives an empty part in coordinate {empty_at}; product dropped",
+                f"ground element {g + 1} gives an empty part in coordinate {parts.index(0) + 1}; "
+                "product dropped",
                 stacklevel=2,
             )
             continue
-        products.append(KPartiteProduct(tuple(parts)))
+        products.append(KPartiteProduct(tuple(SubsetBits(system.m, bits) for bits in parts)))
     return Mod2Cover(system.k, system.t, system.m, tuple(products))
 
 
@@ -318,23 +289,20 @@ def verify_ok_biclique_cover(
     v is in R; pairs whose underlying sets intersect (including u = v) must end
     up with even coverage.
     """
-    vertices = sorted(
-        v for v in permutations(range(1, cover.n + 1), cover.k)
+    _check_scan_size(perm(cover.n, cover.k), 2)
+    graph = OrderedKneserView(cover.n, cover.k)
+    vertices = graph.vertices  # lexicographic
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [[0] * len(vertices), [0] * len(vertices)]  # per vertex: the bicliques holding it
+    for b, sides in enumerate(cover.bicliques):
+        for row, side in zip(rows, sides):
+            for v in side:
+                row[index[v]] |= 1 << b
+    disjoint = graph.adjacency().data
+    return _scan_report(
+        _parity_scan(rows, lambda prefix: disjoint[prefix[0]]), max_violations, "coverage",
+        where=lambda idx: vertices[idx[0]] + vertices[idx[1]], full_count=True,
     )
-    col = _Collector(max_violations)
-    left_sets = [frozenset(l) for l, _ in cover.bicliques]
-    right_sets = [frozenset(r) for _, r in cover.bicliques]
-    for u in vertices:
-        for v in vertices:
-            count = sum(1 for i in range(len(cover.bicliques)) if u in left_sets[i] and v in right_sets[i])
-            disjoint = not (set(u) & set(v))
-            if disjoint and count % 2 == 0:
-                if not col.add(u + v, count, "odd coverage"):
-                    return col.report()
-            if not disjoint and count % 2 == 1:
-                if not col.add(u + v, count, "even coverage"):
-                    return col.report()
-    return col.report()
 
 
 def permute_gp_cover(cover: GpCover) -> Mod2Cover:

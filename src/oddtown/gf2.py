@@ -278,6 +278,18 @@ def _consistent(col_masks: Sequence[int], nrows: int, b_mask: int) -> bool:
     return _rank_bitrows(rows, ncols + 1) == _rank_bitrows(base, ncols)
 
 
+def _level_tables(col_masks: Sequence[int]) -> tuple[dict[int, list[int]], list[int]]:
+    """The level search's lookups: column indices by mask, ascending, and the
+    largest column weight from each index on."""
+    value_index: dict[int, list[int]] = {}
+    for j, cm in enumerate(col_masks):
+        value_index.setdefault(cm, []).append(j)
+    suffix = [0] * (len(col_masks) + 1)
+    for j in range(len(col_masks) - 1, -1, -1):
+        suffix[j] = max(suffix[j + 1], col_masks[j].bit_count())
+    return value_index, suffix
+
+
 def _search_weight_level(
     col_masks: Sequence[int],
     b_mask: int,
@@ -293,14 +305,8 @@ def _search_weight_level(
     m = len(col_masks)
     if weight == 0:
         return () if b_mask == 0 else None
-    if value_index is None:
-        value_index = {}
-        for j, cm in enumerate(col_masks):
-            value_index.setdefault(cm, []).append(j)
-    if suffix_max_pop is None:
-        suffix_max_pop = [0] * (m + 1)
-        for j in range(m - 1, -1, -1):
-            suffix_max_pop[j] = max(suffix_max_pop[j + 1], col_masks[j].bit_count())
+    if value_index is None or suffix_max_pop is None:
+        value_index, suffix_max_pop = _level_tables(col_masks)
 
     firsts = range(m) if first_columns is None else sorted(first_columns)
 
@@ -369,12 +375,7 @@ def min_weight_solution(
     col_masks = a.column_masks()
     if not _consistent(col_masks, a.rows, b_mask):
         return MinWeightResult("infeasible", None, None, 0)
-    value_index: dict[int, list[int]] = {}
-    for j, cm in enumerate(col_masks):
-        value_index.setdefault(cm, []).append(j)
-    suffix = [0] * (len(col_masks) + 1)
-    for j in range(len(col_masks) - 1, -1, -1):
-        suffix[j] = max(suffix[j + 1], col_masks[j].bit_count())
+    value_index, suffix = _level_tables(col_masks)
     for w in range(max_weight + 1):
         support = _search_weight_level(
             col_masks, b_mask, w, first_columns, value_index, suffix

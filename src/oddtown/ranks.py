@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb
+from operator import or_
 
 from .gf2 import Gf2Matrix, GfpMatrix, InternalCheckError, is_prime, rank_gf2, rank_gfp
 
@@ -95,15 +97,13 @@ class OrderedKneserView:
 
     def adjacency(self) -> Gf2Matrix:
         verts = self.vertices
-        rows = []
-        for u in verts:
-            su = set(u)
-            bits = 0
-            for j, v in enumerate(verts):
-                if not (su & set(v)):
-                    bits |= 1 << j
-            rows.append(bits)
-        return Gf2Matrix(len(verts), len(verts), tuple(rows))
+        holders = [0] * (self.n + 1)  # per element: the vertices containing it
+        for j, v in enumerate(verts):
+            for e in v:
+                holders[e] |= 1 << j
+        full = (1 << len(verts)) - 1
+        rows = tuple(full ^ reduce(or_, (holders[e] for e in u), 0) for u in verts)
+        return Gf2Matrix(len(verts), len(verts), rows)
 
 
 def wilson_rank(n: int, k: int, l: int, p: int) -> int:

@@ -15,9 +15,10 @@ reported value is recorded on the outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .covers import (
     target_mask,
     verify_mod2_cover,
 )
-from .gf2 import Gf2Matrix, InternalCheckError, rank_gf2, _search_weight_level
+from .gf2 import Gf2Matrix, InternalCheckError, rank_gf2, _level_tables, _search_weight_level
 from .ranks import cover_size_lower_bound
 from .setsystems import SubsetBits
 
@@ -84,19 +85,14 @@ def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> Sea
     check_search_args(k, t, n, cap)
     n_subsets = (1 << n) - 1
     cells = tuple(all_cells(n, k))
-    # Bitmask over cells of "coordinate j takes a value in subset s".
+    # Bitmask over cells of "coordinate j takes a value in subset s", s >= 1.
     coord_subset_mask = []
     for j in range(k):
-        per_subset = {}
-        value_masks = [0] * (n + 1)
-        for pos, idx in enumerate(cells):
-            value_masks[idx[j]] |= 1 << pos
+        value_masks = Gf2Matrix.from_bitrows([1 << (idx[j] - 1) for idx in cells], n).column_masks()
+        per_subset = [0]
         for s in range(1, n_subsets + 1):
-            acc = 0
-            for v in range(1, n + 1):
-                if (s >> (v - 1)) & 1:
-                    acc |= value_masks[v]
-            per_subset[s] = acc
+            low = s & -s
+            per_subset.append(per_subset[s ^ low] | value_masks[low.bit_length() - 1])
         coord_subset_mask.append(per_subset)
     column_parts = []
     columns = []
@@ -157,6 +153,12 @@ def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
     """Columns that are the least index of their orbit under value permutations
     (and coordinate permutations when t = k); None when the group is too large
     to be worth it (n > _SYMMETRY_MAX_N).
+
+    Restricting the first (least) column of a DFS support to these never
+    changes the witness: if the lex-min support S started at a column j0 that
+    is not orbit-canonical, some symmetry σ would give σ(j0) < j0, and σ(S),
+    also a solution since σ fixes the target, would be lexicographically
+    smaller than S.
     """
     n, k = instance.n, instance.k
     if n > _SYMMETRY_MAX_N or n == 0:
@@ -246,13 +248,15 @@ class _LevelTooHard(Exception):
 def _exhaust_level(
     instance: SearchInstance,
     w: int,
-    first_columns: Optional[Sequence[int]],
+    first_columns: Callable[[], Optional[Sequence[int]]],
     value_index: dict[int, list[int]],
     suffix_max_pop: list[int],
 ) -> Optional[tuple[int, ...]]:
     """Support of weight w, or None if the level is empty.
 
-    Small levels run the exact lexicographic DFS; larger ones fall back to a
+    Small levels run the exact lexicographic DFS, restricted to the first
+    columns that ``first_columns()`` gives (it is called on DFS levels only,
+    as the orbit computation is wasted on the others); larger ones fall back to a
     vectorized meet-in-the-middle pass (possible while the grid fits in 64
     bits and w <= 5).  Every such pass tests sums against one side held in a
     ``_SortedSet``: the columns at w = 3, the pair sums (shifted by the target
@@ -270,7 +274,7 @@ def _exhaust_level(
         return () if b == 0 else None
     est = comb(m, min(w, m) - 1) if w <= m else 0
     if w <= m and est <= _DFS_NODE_CAP:
-        return _search_weight_level(cols, b, w, first_columns, value_index, suffix_max_pop)
+        return _search_weight_level(cols, b, w, first_columns(), value_index, suffix_max_pop)
     if w > m:
         return None
     if len(instance.cells) > 64 or w > 5 or (w == 5 and comb(m, 3) > 8_000_000):
@@ -424,21 +428,13 @@ def min_mod2_cover(
     best_cover = incumbent
 
     start = max(1, rank_bound)
-    first_columns: Optional[Sequence[int]] = None
-    symmetry_ready = False
-    value_index: dict[int, list[int]] = {}
-    for j, cm in enumerate(instance.columns):
-        value_index.setdefault(cm, []).append(j)
-    suffix = [0] * (instance.num_columns + 1)
-    for j in range(instance.num_columns - 1, -1, -1):
-        suffix[j] = max(suffix[j + 1], instance.columns[j].bit_count())
+    # Orbit-canonical first columns, built on the first level that runs DFS.
+    first_columns = cache(lambda: _canonical_first_columns(instance) if symmetry else None)
+    value_index, suffix = _level_tables(instance.columns)
 
     exhausted: Optional[tuple[int, int]] = None
     w = start
     while w <= budget and (upper is None or w < upper):
-        if symmetry and not symmetry_ready:
-            first_columns = _canonical_first_columns(instance)
-            symmetry_ready = True
         try:
             support = _exhaust_level(instance, w, first_columns, value_index, suffix)
         except _LevelTooHard:

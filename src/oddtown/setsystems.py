@@ -3,17 +3,22 @@
 All verifiers are exhaustive and report violation witnesses as 1-based index
 tuples together with the observed size/parity and the expected condition.
 Duplicate sets inside a family are legal; everything is checked by index.
+
+The grid verifiers (tuples here; covers, parity differences and bicliques in
+``covers``) share one parity scan over the m^k index tuples of k rows of
+bitmasks, refused above ``MAX_SCAN_CELLS`` tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gf2
 
 DEFAULT_VIOLATION_CAP = 16
+MAX_SCAN_CELLS = 10**8  # largest index grid a parity scan walks; larger ones raise ValueError
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,65 @@ class _Collector:
         return VerifyReport(not self.items, tuple(self.items), self.truncated)
 
 
+def _check_scan_size(m: int, k: int) -> None:
+    if m**k > MAX_SCAN_CELLS:
+        raise ValueError(f"{m}^{k} index tuples exceed the scan limit of {MAX_SCAN_CELLS}")
+
+
+def _parity_scan(
+    rows: Sequence[Sequence[int]], odd: Callable[[tuple[int, ...]], int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Index tuples whose intersection parity misses the target, in lexicographic order.
+
+    ``rows[j][i]`` is the bitmask A_{j,i}; the k rows share one length m.
+    ``odd(prefix)`` is the bitmask over the last index of the tuples, extending
+    the 0-based ``prefix`` of the first k-1 indices, whose intersection must
+    be odd.  Yields each mismatching 0-based tuple with its intersection size.
+    The prefix intersection is shared by a whole last row, and no list of the
+    m^k tuples is built; grids above ``MAX_SCAN_CELLS`` raise ValueError.
+    """
+    *lead, last = rows
+    _check_scan_size(len(last), len(rows))
+
+    def walk(prefix, acc):
+        if len(prefix) < len(lead):
+            for i, a in enumerate(lead[len(prefix)]):
+                yield from walk(prefix + (i,), acc & a)
+            return
+        want = odd(prefix)
+        for i, f in enumerate(last):
+            count = (acc & f).bit_count()
+            if (count ^ (want >> i)) & 1:
+                yield prefix + (i,), count
+
+    return walk((), -1)
+
+
+def _distinct_target(m: int, t: int, flip: bool = False) -> Callable[[tuple[int, ...]], int]:
+    """``odd`` for the (k,t) grid: at least t distinct indices (fewer, with ``flip``)."""
+    full = (1 << m) - 1
+
+    def odd(prefix: tuple[int, ...]) -> int:
+        seen = set(prefix)
+        need = t - len(seen)  # new values the last index must bring
+        want = full if need <= 0 else full ^ sum(1 << i for i in seen) if need == 1 else 0
+        return want ^ full if flip else want
+
+    return odd
+
+
+def _scan_report(mismatches, cap: int, noun: str, where=None, full_count=False) -> VerifyReport:
+    """Violations of a parity scan's mismatches: 1-based indices (or ``where(idx)``),
+    the observed parity (or the full count), and the other parity as expected."""
+    col = _Collector(cap)
+    for idx, count in mismatches:
+        indices = tuple(i + 1 for i in idx) if where is None else where(idx)
+        expected = f"{'even' if count & 1 else 'odd'} {noun}"
+        if not col.add(indices, count if full_count else count & 1, expected):
+            break
+    return col.report()
+
+
 def intersection_parity(sets: Sequence[SubsetBits]) -> int:
     """Parity of the size of the intersection of a nonempty list of subsets."""
     if not sets:
@@ -212,20 +276,11 @@ def verify_skew_oddtown(
         raise ValueError(f"family lengths differ: {len(a)} vs {len(b)}")
     if a.ground_size != b.ground_size:
         raise ValueError("families live on different ground sets")
-    col = _Collector(max_violations)
-    m = len(a)
-    for i in range(m):
-        for j in range(m):
-            if i > j and not strict_symmetric:
-                continue
-            size = (a.sets[i].bits & b.sets[j].bits).bit_count()
-            if i == j and size % 2 == 0:
-                if not col.add((i + 1, j + 1), size, "odd intersection"):
-                    return col.report()
-            elif i != j and size % 2 == 1:
-                if not col.add((i + 1, j + 1), size, "even intersection"):
-                    return col.report()
-    return col.report()
+    rows = [[s.bits for s in a.sets], [s.bits for s in b.sets]]
+    mismatches = _parity_scan(rows, lambda prefix: 1 << prefix[0])
+    if not strict_symmetric:
+        mismatches = (mm for mm in mismatches if mm[0][0] <= mm[0][1])
+    return _scan_report(mismatches, max_violations, "intersection", full_count=True)
 
 
 def verify_kt_oddtown(
@@ -263,25 +318,9 @@ def verify_bollobas_tuple(
     fewer than t of the indices are distinct.  ``complemented=True`` checks the
     opposite parity convention (odd exactly when fewer than t are distinct).
     """
-    col = _Collector(max_violations)
-    full = (1 << system.ground_size) - 1
-    for idx in product(range(system.m), repeat=system.k):
-        acc = full
-        for j in range(system.k):
-            acc &= system.families[j][idx[j]].bits
-        parity = acc.bit_count() & 1
-        want_even = len(set(idx)) < system.t
-        if complemented:
-            want_even = not want_even
-        if (parity == 0) != want_even:
-            ok = col.add(
-                tuple(i + 1 for i in idx),
-                parity,
-                "even intersection" if want_even else "odd intersection",
-            )
-            if not ok:
-                return col.report()
-    return col.report()
+    rows = [[s.bits for s in fam] for fam in system.families]
+    odd = _distinct_target(system.m, system.t, complemented)
+    return _scan_report(_parity_scan(rows, odd), max_violations, "intersection")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddtown import (
     GpCover,
     KPartiteProduct,
     Mod2Cover,
+    OkBicliqueCover,
     SubsetBits,
     build_b22_pair,
     build_cover_33,
@@ -25,6 +28,7 @@ from oddtown import (
     verify_ok_biclique_cover,
 )
 from oddtown.covers import parity_functions_equal
+from oddtown.setsystems import VerifyReport, Violation
 
 
 def prod(n, *parts):
@@ -314,3 +318,112 @@ class TestRestriction:
             smaller = restrict_cover(c, c.n - 1)
             assert smaller.n == c.n - 1
             assert verify_mod2_cover(smaller).valid
+
+
+# --- cross-checks of the parity scan against per-cell references -------------
+
+
+def products_of(k, n):
+    part = st.integers(1, (1 << n) - 1).map(lambda bits: SubsetBits(n, bits))
+    return st.tuples(*[part] * k).map(KPartiteProduct)
+
+
+@st.composite
+def small_covers(draw, ks=(2, 3, 4), t_equals_k=False):
+    k = draw(st.sampled_from(ks))
+    t = k if t_equals_k else draw(st.integers(2, k))
+    n = draw(st.integers(1, 4))
+    return Mod2Cover(k, t, n, tuple(draw(st.lists(products_of(k, n), max_size=10))))
+
+
+def reference_cover_report(cover, cap):
+    """verify_mod2_cover by one coverage_parity call per cell, in lex order."""
+    found = []
+    for idx in product(range(1, cover.n + 1), repeat=cover.k):
+        got = coverage_parity(cover, idx)
+        want = int(is_target_edge(idx, cover.t, cover.n))
+        if got != want:
+            found.append(Violation(idx, got, "odd coverage" if want else "even coverage"))
+            if len(found) >= cap:
+                return VerifyReport(False, tuple(found), True)
+    return VerifyReport(not found, tuple(found), False)
+
+
+def reference_biclique_report(ok, cap):
+    """verify_ok_biclique_cover by counting the bicliques at each vertex pair."""
+    vertices = list(permutations(range(1, ok.n + 1), ok.k))
+    found = []
+    for u in vertices:
+        for v in vertices:
+            count = sum(1 for left, right in ok.bicliques if u in left and v in right)
+            odd = not set(u) & set(v)
+            if count % 2 != odd:
+                found.append(Violation(u + v, count, "odd coverage" if odd else "even coverage"))
+                if len(found) >= cap:
+                    return VerifyReport(False, tuple(found), True)
+    return VerifyReport(not found, tuple(found), False)
+
+
+class TestParityScanCrossChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(small_covers(), st.integers(1, 5))
+    def test_cover_route_matches_per_cell(self, cover, cap):
+        assert verify_mod2_cover(cover, cap) == reference_cover_report(cover, cap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_covers(), st.integers(1, 5))
+    def test_tuple_route_flags_same_tuples(self, cover, cap):
+        by_cover = verify_mod2_cover(cover, cap)
+        by_tuple = verify_bollobas_tuple(cover_to_tuple(cover), max_violations=cap)
+        assert by_tuple.valid == by_cover.valid and by_tuple.truncated == by_cover.truncated
+        rename = {"odd coverage": "odd intersection", "even coverage": "even intersection"}
+        assert by_tuple.violations == tuple(
+            Violation(v.indices, v.observed, rename[v.expected]) for v in by_cover.violations
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_covers(), st.data())
+    def test_parity_difference_matches_per_cell(self, a, data):
+        # b: a reordered, plus cancelling pairs, plus maybe one more product
+        products = list(data.draw(st.permutations(a.products)))
+        if a.products:
+            for p in data.draw(st.lists(st.sampled_from(a.products), max_size=2)):
+                products += [p, p]
+        products += data.draw(st.lists(products_of(a.k, a.n), max_size=1))
+        b = Mod2Cover(a.k, a.t, a.n, tuple(products))
+        per_cell = all(
+            coverage_parity(a, idx) == coverage_parity(b, idx)
+            for idx in product(range(1, a.n + 1), repeat=a.k)
+        )
+        assert parity_functions_equal(a, b) == per_cell
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_covers(ks=(2, 4), t_equals_k=True), st.integers(1, 5), st.data())
+    def test_biclique_matches_per_pair_count(self, cover, cap, data):
+        ok = cover_to_ok_biclique_cover(cover)
+        assert verify_ok_biclique_cover(ok, cap) == reference_biclique_report(ok, cap)
+        if ok.bicliques:
+            drop = data.draw(st.integers(0, len(ok.bicliques) - 1))
+            fewer = OkBicliqueCover(ok.n, ok.k, ok.bicliques[:drop] + ok.bicliques[drop + 1:])
+            assert verify_ok_biclique_cover(fewer, cap) == reference_biclique_report(fewer, cap)
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_biclique_valid_fold_with_one_removed(self, n):
+        ok = cover_to_ok_biclique_cover(permute_gp_cover(trivial_gp_cover(n, 4)))
+        assert verify_ok_biclique_cover(ok) == reference_biclique_report(ok, 16)
+        assert verify_ok_biclique_cover(ok).valid
+        fewer = OkBicliqueCover(ok.n, ok.k, ok.bicliques[1:])
+        report = verify_ok_biclique_cover(fewer)
+        assert not report.valid and report == reference_biclique_report(fewer, 16)
+
+
+class TestScanSizeGuard:
+    def test_oversized_biclique_grid_refused(self):
+        # 30*29*28*27 vertices: refused before the vertex list is built
+        with pytest.raises(ValueError, match="657720\\^2 index tuples exceed the scan limit"):
+            verify_ok_biclique_cover(OkBicliqueCover(30, 4, ()))
+
+    def test_oversized_parity_difference_refused(self):
+        big = Mod2Cover(6, 2, 100, ())
+        with pytest.raises(ValueError, match="scan limit"):
+            parity_functions_equal(big, big)

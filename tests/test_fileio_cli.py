@@ -108,6 +108,22 @@ class TestCli:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["verify", "--kind", "cover", "--file", str(tmp_path / "nope.json")]) == 2
 
+    def test_oversized_cover_grid_refused(self, tmp_path, capsys):
+        # 100^6 cells: refused before any per-cell work or allocation
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 100, "k": 6, "t": 2, "products": []}\n')
+        assert main(["verify", "--kind", "cover", "--file", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out == "error: 100^6 index tuples exceed the scan limit of 100000000\n"
+
+    def test_oversized_tuple_grid_refused(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 1, "k": 6, "t": 2, "m": 100,
+                                    "families": [[[] for _ in range(100)] for _ in range(6)]}))
+        assert main(["verify", "--kind", "tuple", "--file", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out == "error: 100^6 index tuples exceed the scan limit of 100000000\n"
+
     def test_rank_verdict(self, capsys):
         assert main(["rank", "--n", "5", "--k", "2", "--l", "3", "--p", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

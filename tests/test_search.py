@@ -96,10 +96,35 @@ class TestMinMod2Cover:
             assert without.levels_exhausted is not None or without.value == 1
 
     def test_symmetry_off_matches(self):
-        for k, t, n in ((2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 3, 3)):
+        # symmetry only restricts the first DFS column to orbit-canonical ones,
+        # and the lex-min support always starts at one: the witness is unchanged
+        for k, t, n in ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 3), (3, 3, 3)):
             a = min_mod2_cover(k, t, n, symmetry=True)
             b = min_mod2_cover(k, t, n, symmetry=False)
             assert a.value == b.value
+            assert support_of(a) == support_of(b)
+
+    def test_canonical_columns_only_for_dfs_levels(self, monkeypatch):
+        calls = []
+        real = search._canonical_first_columns
+
+        def spy(instance):
+            calls.append((instance.k, instance.t, instance.n))
+            return real(instance)
+
+        monkeypatch.setattr(search, "_canonical_first_columns", spy)
+        def summary(out):
+            return out.status, out.lower, out.upper, out.levels_exhausted
+
+        # (3,3,4): its only level, w=3, is a meet-in-the-middle pass
+        assert summary(min_mod2_cover(3, 3, 4, budget=3)) == ("interval", 4, None, (3, 3))
+        # (4,3,3): 81 cells, so no level is searched at all
+        assert summary(min_mod2_cover(4, 3, 3)) == ("interval", 6, None, None)
+        assert calls == []
+        # (3,3,3): its w=3 level runs DFS
+        out = min_mod2_cover(3, 3, 3)
+        assert calls == [(3, 3, 3)]
+        assert support_of(out) == (47, 74, 129, 156, 211)
 
     def test_edgeless_target(self):
         out = min_mod2_cover(3, 3, 2)
@@ -174,7 +199,7 @@ def _mitm_level(cols, b, w):
     old_cap = search._DFS_NODE_CAP
     search._DFS_NODE_CAP = 0
     try:
-        return _exhaust_level(inst, w, None, value_index, [])
+        return _exhaust_level(inst, w, lambda: None, value_index, [])
     finally:
         search._DFS_NODE_CAP = old_cap
 

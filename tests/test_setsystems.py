@@ -23,6 +23,7 @@ from oddtown import (
     verify_oddtown,
     verify_skew_oddtown,
 )
+from oddtown.setsystems import MAX_SCAN_CELLS, VerifyReport, Violation
 from conftest import greedy_oddtown_family
 
 
@@ -285,3 +286,80 @@ class TestAuxiliaryElementTransform:
         assert not verify_bollobas_tuple(
             add_shared_element(TupleSystem.diagonal(bad, k, t))
         ).valid
+
+
+# --- the parity scan's tuple and skew callers against per-tuple loops --------
+
+
+def subsets(n):
+    return st.integers(0, (1 << n) - 1).map(lambda bits: SubsetBits(n, bits))
+
+
+def capped(found, cap, violation):
+    """Append one violation; True once the cap is reached."""
+    found.append(violation)
+    return len(found) >= cap
+
+
+def reference_tuple_report(system, complemented, cap):
+    found = []
+    for idx in product(range(system.m), repeat=system.k):
+        parity = intersection_parity([system.families[j][idx[j]] for j in range(system.k)])
+        want_even = (len(set(idx)) < system.t) != complemented
+        if (parity == 0) != want_even:
+            text = "even intersection" if want_even else "odd intersection"
+            if capped(found, cap, Violation(tuple(i + 1 for i in idx), parity, text)):
+                return VerifyReport(False, tuple(found), True)
+    return VerifyReport(not found, tuple(found), False)
+
+
+def reference_skew_report(a, b, strict, cap):
+    found = []
+    for i, j in product(range(len(a)), repeat=2):
+        if i > j and not strict:
+            continue
+        size = (a[i].bits & b[j].bits).bit_count()
+        if size % 2 != (i == j):
+            text = "odd intersection" if i == j else "even intersection"
+            if capped(found, cap, Violation((i + 1, j + 1), size, text)):
+                return VerifyReport(False, tuple(found), True)
+    return VerifyReport(not found, tuple(found), False)
+
+
+@st.composite
+def small_tuples(draw):
+    k = draw(st.integers(2, 4))
+    t = draw(st.integers(2, k))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 4))
+    fams = tuple(tuple(draw(st.lists(subsets(n), min_size=m, max_size=m))) for _ in range(k))
+    return TupleSystem(k, t, m, n, fams)
+
+
+@st.composite
+def family_pairs(draw):
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    return tuple(SetFamily(n, tuple(draw(st.lists(subsets(n), min_size=m, max_size=m))))
+                 for _ in range(2))
+
+
+class TestParityScanCallers:
+    @settings(max_examples=150, deadline=None)
+    @given(small_tuples(), st.booleans(), st.integers(1, 5))
+    def test_tuple_matches_per_tuple_loop(self, system, complemented, cap):
+        got = verify_bollobas_tuple(system, complemented=complemented, max_violations=cap)
+        assert got == reference_tuple_report(system, complemented, cap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(family_pairs(), st.booleans(), st.integers(1, 5))
+    def test_skew_matches_per_pair_loop(self, pair, strict, cap):
+        a, b = pair
+        got = verify_skew_oddtown(a, b, strict_symmetric=strict, max_violations=cap)
+        assert got == reference_skew_report(a, b, strict, cap)
+
+    def test_oversized_grid_refused(self):
+        empty = (SubsetBits(1, 0),) * 100
+        system = TupleSystem(6, 2, 100, 1, (empty,) * 6)
+        assert 100**6 > MAX_SCAN_CELLS
+        with pytest.raises(ValueError, match="100\\^6 index tuples exceed the scan limit"):
+            verify_bollobas_tuple(system)
