@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from math import perm
+from math import comb, perm
 from typing import Iterable, Optional, Sequence
 
 from .gf2 import Gf2Matrix, InternalCheckError
@@ -195,6 +195,8 @@ def parity_functions_equal(a: Mod2Cover, b: Mod2Cover) -> bool:
 
 def verify_exact_gp_cover(cover: GpCover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Each k-subset of [n] covered exactly once (one vertex in each part)."""
+    subsets, products = comb(cover.n, cover.k), len(cover.products)
+    _check_scan_size(subsets * products, f"{subsets} subsets x {products} products")
     col = _Collector(max_violations)
     for subset in combinations(range(1, cover.n + 1), cover.k):
         sbits = 0
@@ -289,7 +291,8 @@ def verify_ok_biclique_cover(
     v is in R; pairs whose underlying sets intersect (including u = v) must end
     up with even coverage.
     """
-    _check_scan_size(perm(cover.n, cover.k), 2)
+    nv = perm(cover.n, cover.k)
+    _check_scan_size(nv**2, f"{nv}^2 index tuples")
     graph = OrderedKneserView(cover.n, cover.k)
     vertices = graph.vertices  # lexicographic
     index = {v: i for i, v in enumerate(vertices)}

@@ -32,13 +32,16 @@ def _as_int(value, where: str) -> int:
 
 def _parse_set(value, where: str, n: int) -> SubsetBits:
     _require(isinstance(value, list), where, "expected an array of elements")
-    prev = 0
+    prev = bits = 0
     for pos, e in enumerate(value):
-        ei = _as_int(e, f"{where}[{pos}]")
-        _require(1 <= ei <= n, f"{where}[{pos}]", f"element {ei} outside [1, {n}]")
-        _require(ei > prev, f"{where}[{pos}]", "elements must be strictly increasing")
-        prev = ei
-    return SubsetBits.from_elements(n, value)
+        if isinstance(e, bool) or not isinstance(e, int) or not prev < e <= n:
+            at = f"{where}[{pos}]"  # formatted only for the error
+            _as_int(e, at)
+            _require(1 <= e <= n, at, f"element {e} outside [1, {n}]")
+            raise FileFormatError(f"{at}: elements must be strictly increasing")
+        bits |= 1 << (e - 1)
+        prev = e
+    return SubsetBits(n, bits)
 
 
 def _dump(obj: dict, path: PathLike) -> None:

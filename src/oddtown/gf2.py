@@ -8,7 +8,7 @@ all ranks are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,23 +50,15 @@ class Gf2Matrix:
                 raise ValueError(f"row {i} has bits beyond column {self.cols}")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Gf2Matrix":
-        packed = []
-        width = None
-        for row in rows:
-            entries = [int(v) & 1 for v in row]
-            if width is None:
-                width = len(entries)
-            elif len(entries) != width:
-                raise ValueError("ragged rows")
-            bits = 0
-            for j, v in enumerate(entries):
-                if v:
-                    bits |= 1 << j
-            packed.append(bits)
-        if width is None:
-            width = 0
-        return cls(len(packed), width, tuple(packed))
+    def from_rows(cls, rows) -> "Gf2Matrix":
+        """From an array or nested sequences of integers, each taken mod 2."""
+        return cls.from_array(GfpMatrix.from_rows(rows, 2).data)
+
+    @classmethod
+    def from_array(cls, a: np.ndarray) -> "Gf2Matrix":
+        """From a 2-D array whose nonzero entries are the ones."""
+        packed = np.packbits(a, axis=1, bitorder="little")
+        return cls(a.shape[0], a.shape[1], tuple(int.from_bytes(r, "little") for r in packed))
 
     @classmethod
     def from_bitrows(cls, bitrows: Sequence[int], cols: int) -> "Gf2Matrix":
@@ -79,55 +71,69 @@ class Gf2Matrix:
     def entry(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
-    def row_list(self, i: int) -> list[int]:
-        return [(self.data[i] >> j) & 1 for j in range(self.cols)]
+    def to_array(self) -> np.ndarray:
+        """The entries as a (rows, cols) 0/1 uint8 array."""
+        width = (self.cols + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in self.data)
+        by_row = np.frombuffer(packed, dtype=np.uint8).reshape(self.rows, width)
+        return np.unpackbits(by_row, axis=1, count=self.cols, bitorder="little")
 
     def transpose(self) -> "Gf2Matrix":
-        cols = []
-        for j in range(self.cols):
-            bits = 0
-            for i in range(self.rows):
-                if (self.data[i] >> j) & 1:
-                    bits |= 1 << i
-            cols.append(bits)
-        return Gf2Matrix(self.cols, self.rows, tuple(cols))
+        return Gf2Matrix.from_array(self.to_array().T)
 
     def column_masks(self) -> list[int]:
         """Column j as a bitmask over row indices."""
         return list(self.transpose().data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GfpMatrix:
-    """Dense matrix over F_p for a small prime p, entries reduced mod p."""
+    """Dense matrix over F_p for a small prime p: a read-only 2-D integer array
+    of entries reduced mod p.  Compared by identity, not by entries."""
 
-    rows: int
-    cols: int
     p: int
-    data: tuple[tuple[int, ...], ...]
+    data: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (2 <= self.p <= MAX_PRIME) or not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not a prime in [2, {MAX_PRIME}]")
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.data) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.data)}")
-        for i, row in enumerate(self.data):
-            if len(row) != self.cols:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {self.cols}")
-            if any(v < 0 or v >= self.p for v in row):
-                raise ValueError(f"row {i} has entries not reduced mod {self.p}")
+        _check_modulus(self.p)
+        a = self.data
+        if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype.kind in "iu"):
+            raise ValueError("data must be a 2-D integer array")
+        if a.flags.writeable:
+            raise ValueError("data must be read-only")
+        if a.size and (a.min() < 0 or a.max() >= self.p):
+            raise ValueError(f"entries are not reduced mod {self.p}")
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], p: int) -> "GfpMatrix":
-        data = tuple(tuple(int(v) % p for v in row) for row in rows)
-        n_cols = len(data[0]) if data else 0
-        return cls(len(data), n_cols, p, data)
+    def from_rows(cls, rows, p: int) -> "GfpMatrix":
+        """From an array or nested sequences of integers; entries are reduced mod p."""
+        _check_modulus(p)
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "u":
+            rows = rows % p  # unsigned entries beyond int64 would wrap in the cast
+        try:
+            a = np.array(rows, dtype=np.int64)
+        except OverflowError:  # Python ints beyond int64: reduce them first
+            a = np.array(np.array(rows, dtype=object) % p, dtype=np.int64)
+        a = a.reshape(0, 0) if a.shape == (0,) else a % p
+        a.flags.writeable = False
+        return cls(p, a)
 
     @classmethod
     def identity(cls, n: int, p: int) -> "GfpMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
+        return cls.from_rows(np.eye(n, dtype=np.int64), p)
+
+
+def _check_modulus(p: int) -> None:
+    if not (2 <= p <= MAX_PRIME) or not is_prime(p):
+        raise ValueError(f"modulus {p} is not a prime in [2, {MAX_PRIME}]")
 
 
 def _rank_bitrows(bitrows: Sequence[int], cols: int) -> int:
@@ -158,27 +164,25 @@ def rank_gf2(m: Gf2Matrix) -> int:
 
 
 def rank_gfp(m: GfpMatrix) -> int:
-    """Rank over F_p by Gaussian elimination (vectorized row updates)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a = np.array(m.data, dtype=np.int64)
-    p = m.p
+    """Rank over F_p by Gaussian elimination: leftmost pivot column, first nonzero
+    row at or below the current rank; each step updates only the rows below that
+    are nonzero in the pivot column, and only from that column on."""
+    a, p = m.data.astype(np.int64), m.p  # a copy, wide enough for the products
     rank = 0
     for col in range(m.cols):
-        pivots = np.nonzero(a[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        piv = rank + int(pivots[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        below = a[rank + 1 :, col]
-        if below.any():
-            a[rank + 1 :] = (a[rank + 1 :] - np.outer(below, a[rank])) % p
-        rank += 1
         if rank == m.rows:
             break
+        nonzero = rank + np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
+            continue
+        piv = int(nonzero[0])
+        if piv != rank:
+            a[[rank, piv], col:] = a[[piv, rank], col:]
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
+        below = nonzero[1:]  # the swapped-down row was zero in this column
+        if below.size:
+            a[below, col:] = (a[below, col:] - np.outer(a[below, col], a[rank, col:])) % p
+        rank += 1
     return rank
 
 
@@ -264,16 +268,8 @@ def _parity_vector_to_mask(b: Sequence[int]) -> int:
 
 def _consistent(col_masks: Sequence[int], nrows: int, b_mask: int) -> bool:
     # Rank test on the row view: append b as one extra column.
-    rows = []
-    for r in range(nrows):
-        bits = 0
-        for j, cm in enumerate(col_masks):
-            if (cm >> r) & 1:
-                bits |= 1 << j
-        if (b_mask >> r) & 1:
-            bits |= 1 << len(col_masks)
-        rows.append(bits)
     ncols = len(col_masks)
+    rows = Gf2Matrix.from_bitrows([*col_masks, b_mask], nrows).transpose().data
     base = [row & ((1 << ncols) - 1) for row in rows]
     return _rank_bitrows(rows, ncols + 1) == _rank_bitrows(base, ncols)
 

@@ -14,6 +14,8 @@ from itertools import combinations, permutations
 from math import comb
 from operator import or_
 
+import numpy as np
+
 from .gf2 import Gf2Matrix, GfpMatrix, InternalCheckError, is_prime, rank_gf2, rank_gfp
 
 
@@ -51,9 +53,7 @@ class InclusionMatrix:
     matrix: Gf2Matrix
 
     def to_gfp(self, p: int) -> GfpMatrix:
-        return GfpMatrix.from_rows(
-            [self.matrix.row_list(i) for i in range(self.matrix.rows)], p
-        )
+        return GfpMatrix.from_rows(self.matrix.to_array(), p)
 
 
 def build_inclusion_matrix(n: int, k: int, l: int) -> InclusionMatrix:
@@ -173,13 +173,8 @@ def mstar_observed_rank(n: int, k: int, p: int, seed: int) -> int:
     """
     if not is_prime(p) or p < 2:
         raise ValueError(f"{p} is not prime")
-    pattern = build_inclusion_matrix(n, k, n - k).matrix
+    ones = build_inclusion_matrix(n, k, n - k).matrix.to_array().astype(bool)
     rng = random.Random(seed)
-    rows = []
-    for i in range(pattern.rows):
-        rows.append(
-            [rng.randrange(1, p) if pattern.entry(i, j) else 0 for j in range(pattern.cols)]
-        )
-    if not rows:
-        return 0
-    return rank_gfp(GfpMatrix.from_rows(rows, p))
+    values = ones.astype(np.int64)  # the mask fills row-major: a nested loop's draw order
+    values[ones] = [rng.randrange(1, p) for _ in range(np.count_nonzero(ones))]
+    return rank_gfp(GfpMatrix.from_rows(values, p))

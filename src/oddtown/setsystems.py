@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gf2
@@ -174,9 +175,9 @@ class _Collector:
         return VerifyReport(not self.items, tuple(self.items), self.truncated)
 
 
-def _check_scan_size(m: int, k: int) -> None:
-    if m**k > MAX_SCAN_CELLS:
-        raise ValueError(f"{m}^{k} index tuples exceed the scan limit of {MAX_SCAN_CELLS}")
+def _check_scan_size(count: int, what: str) -> None:
+    if count > MAX_SCAN_CELLS:
+        raise ValueError(f"{what} exceed the scan limit of {MAX_SCAN_CELLS}")
 
 
 def _parity_scan(
@@ -192,7 +193,7 @@ def _parity_scan(
     m^k tuples is built; grids above ``MAX_SCAN_CELLS`` raise ValueError.
     """
     *lead, last = rows
-    _check_scan_size(len(last), len(rows))
+    _check_scan_size(len(last) ** len(rows), f"{len(last)}^{len(rows)} index tuples")
 
     def walk(prefix, acc):
         if len(prefix) < len(lead):
@@ -291,8 +292,10 @@ def verify_kt_oddtown(
         raise ValueError("need 2 <= t <= k")
     if len(family) < 1:
         raise ValueError("family must be nonempty")
-    col = _Collector(max_violations)
     m = len(family)
+    count = sum(comb(m, d) for d in range(1, min(k, m) + 1))
+    _check_scan_size(count, f"{count} subsets of at most {k} of the {m} sets")
+    col = _Collector(max_violations)
     for d in range(1, min(k, m) + 1):
         want_odd = d < t
         for idx in combinations(range(m), d):

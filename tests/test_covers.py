@@ -28,6 +28,7 @@ from oddtown import (
     verify_ok_biclique_cover,
 )
 from oddtown.covers import parity_functions_equal
+from oddtown import setsystems
 from oddtown.setsystems import VerifyReport, Violation
 
 
@@ -422,6 +423,24 @@ class TestScanSizeGuard:
         # 30*29*28*27 vertices: refused before the vertex list is built
         with pytest.raises(ValueError, match="657720\\^2 index tuples exceed the scan limit"):
             verify_ok_biclique_cover(OkBicliqueCover(30, 4, ()))
+
+    def test_oversized_exact_gp_cover_refused(self):
+        # C(40, 8) subsets times 2 products; almost every subset is uncovered,
+        # so without the guard the violation cap would end the walk at once
+        singles = [[i] for i in range(1, 9)]
+        big = GpCover(8, 40, (prod(40, *singles), prod(40, *singles)))
+        with pytest.raises(ValueError) as info:
+            verify_exact_gp_cover(big)
+        assert str(info.value) == (
+            "76904685 subsets x 2 products exceed the scan limit of 100000000")
+
+    def test_exact_gp_cover_walk_size(self, monkeypatch):
+        c = GpCover(2, 3, (prod(3, [1], [2]), prod(3, [1], [3]), prod(3, [2], [3])))
+        monkeypatch.setattr(setsystems, "MAX_SCAN_CELLS", 9)  # C(3, 2) * 3 products
+        assert verify_exact_gp_cover(c).valid
+        monkeypatch.setattr(setsystems, "MAX_SCAN_CELLS", 8)
+        with pytest.raises(ValueError, match="^3 subsets x 3 products exceed the scan limit of 8$"):
+            verify_exact_gp_cover(c)
 
     def test_oversized_parity_difference_refused(self):
         big = Mod2Cover(6, 2, 100, ())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from oddtown.fileio import (
     save_tuple,
 )
 from oddtown.setsystems import SetFamily
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestRoundTrips:
@@ -62,6 +68,29 @@ class TestLoadValidation:
         path.write_text('{"n": 3, "sets": [[4]]}')
         with pytest.raises(FileFormatError, match="outside"):
             load_family(path)
+
+    @pytest.mark.parametrize("sets, message", [
+        ('[[1, "2"]]', "sets[0][1]: expected an integer"),
+        ("[[2], [1, 2.0]]", "sets[1][1]: expected an integer"),
+        ("[[1], [2], [true]]", "sets[2][0]: expected an integer"),
+        ("[[1], [0, 2]]", "sets[1][0]: element 0 outside [1, 3]"),
+        ("[[1, 4]]", "sets[0][1]: element 4 outside [1, 3]"),
+        ("[[1, 3, 3]]", "sets[0][2]: elements must be strictly increasing"),
+        ("[[3, 2, 9]]", "sets[0][1]: elements must be strictly increasing"),
+    ])
+    def test_element_errors_pinned(self, tmp_path, sets, message):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n": 3, "sets": {sets}}}')
+        with pytest.raises(FileFormatError) as info:
+            load_family(path)
+        assert str(info.value) == message
+
+    def test_product_element_error_position(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 3, "k": 2, "t": 2, "products": [[[1], [2]], [[1], [2, 2]]]}')
+        with pytest.raises(FileFormatError) as info:
+            load_cover(path)
+        assert str(info.value) == "products[1][1][1]: elements must be strictly increasing"
 
     def test_json_error_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -123,6 +152,26 @@ class TestCli:
         assert main(["verify", "--kind", "tuple", "--file", str(path)]) == 2
         out = capsys.readouterr().out
         assert out == "error: 100^6 index tuples exceed the scan limit of 100000000\n"
+
+    def test_oversized_kt_family_refused(self, tmp_path):
+        # 200 singletons: every subset is valid, so no violation cap would stop an
+        # unguarded walk; a subprocess with a timeout keeps that from hanging the suite
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"n": 200, "sets": [[i] for i in range(1, 201)]}))
+        argv = ["verify", "--kind", "family-kt", "--k", "5", "--t", "2", "--file", str(path)]
+        proc = subprocess.run([sys.executable, "-m", "oddtown.cli", *argv], capture_output=True,
+                              text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 2
+        assert proc.stdout == ("error: 2601668490 subsets of at most 5 of the 200 sets"
+                               " exceed the scan limit of 100000000\n")
+
+    def test_oversized_gp_cover_refused(self, tmp_path, capsys):
+        path = tmp_path / "gp.json"
+        path.write_text(json.dumps({"n": 40, "k": 8, "products": [
+            [[i] for i in range(1, 9)], [[i] for i in range(9, 17)]]}))
+        assert main(["verify", "--kind", "gp-cover", "--file", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out == "error: 76904685 subsets x 2 products exceed the scan limit of 100000000\n"
 
     def test_rank_verdict(self, capsys):
         assert main(["rank", "--n", "5", "--k", "2", "--l", "3", "--p", "2"]) == 0

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from oddtown import (
     rank_gfp,
 )
 from oddtown.gf2 import is_prime, row_dependency
+from oddtown.ranks import mstar_observed_rank
 
 
 def test_rank_identity():
@@ -54,6 +57,119 @@ def test_gfp_rejects_nonprime_modulus():
         GfpMatrix.from_rows([[1]], 6)
     with pytest.raises(ValueError):
         GfpMatrix.from_rows([[1]], 253)  # 11 * 23
+    for p in (-3, 0, 1, 257):
+        with pytest.raises(ValueError):
+            GfpMatrix.from_rows([[2**70]], p)
+
+
+def test_gf2_from_rows_reduces_mod_2_and_rejects_ragged_rows():
+    assert Gf2Matrix.from_rows([[3, -1, 2**70]]) == Gf2Matrix(1, 3, (0b011,))
+    assert Gf2Matrix.from_rows([]) == Gf2Matrix(0, 0, ())
+    assert Gf2Matrix.from_rows([[], []]) == Gf2Matrix(2, 0, (0, 0))
+    with pytest.raises(ValueError):
+        Gf2Matrix.from_rows([[1, 0], [1]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 19), st.data())
+def test_gf2_array_round_trip_and_transpose(rows, cols, data):
+    bitrows = [data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)]
+    m = Gf2Matrix.from_bitrows(bitrows, cols)
+    a = m.to_array()
+    assert a.shape == (rows, cols)
+    assert a.tolist() == [[m.entry(i, j) for j in range(cols)] for i in range(rows)]
+    assert Gf2Matrix.from_array(a) == m
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert all(t.entry(j, i) == m.entry(i, j) for i in range(rows) for j in range(cols))
+
+
+def test_gfp_matrix_is_p_and_one_read_only_array():
+    assert [f.name for f in dataclasses.fields(GfpMatrix)] == ["p", "data"]
+    m = GfpMatrix.from_rows([[1, 7], [-1, 4], [0, 5]], 5)
+    assert isinstance(m.data, np.ndarray) and m.data.dtype == np.int64
+    assert m.data.tolist() == [[1, 2], [4, 4], [0, 0]]
+    assert (m.rows, m.cols) == (3, 2)
+    with pytest.raises(ValueError):
+        m.data[0, 0] = 0
+    assert rank_gfp(m) == 2 and m.data.tolist() == [[1, 2], [4, 4], [0, 0]]
+    # compared by identity: the dataclass does not compare or hash arrays
+    assert m != GfpMatrix.from_rows([[1, 2], [4, 4], [0, 0]], 5) and m == m
+    assert len({m, m}) == 1
+
+
+def test_gfp_from_rows_accepts_arrays_and_reduces_beyond_int64():
+    assert GfpMatrix.from_rows([[2**70, -1]], 5).data.tolist() == [[4, 4]]
+    huge = [[-(2**70), 2**64 - 1]]
+    assert GfpMatrix.from_rows(huge, 7).data.tolist() == [[v % 7 for v in huge[0]]]
+    eye = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    assert GfpMatrix.from_rows(eye, 3).data.tolist() == [[1, 0], [0, 1]]
+    big = np.array([[2**64 - 1, 2**63]], dtype=np.uint64)
+    assert GfpMatrix.from_rows(big, 5).data.tolist() == [[(2**64 - 1) % 5, 2**63 % 5]]
+    assert GfpMatrix.identity(3, 7).data.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for rows, shape in (([], (0, 0)), ([[], []], (2, 0)), (np.zeros((0, 4), dtype=int), (0, 4))):
+        m = GfpMatrix.from_rows(rows, 3)
+        assert m.data.shape == shape and rank_gfp(m) == 0
+
+
+def test_gfp_rejects_malformed_data_and_widens_narrow_dtypes():
+    with pytest.raises(ValueError):
+        GfpMatrix.from_rows([[1, 2], [3]], 5)
+    with pytest.raises(ValueError):
+        GfpMatrix.from_rows([1, 2], 5)  # one dimension
+    with pytest.raises(ValueError):
+        GfpMatrix(5, np.zeros((2, 2), dtype=np.int64))  # writeable
+    frozen = np.array([[0, 5]])
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        GfpMatrix(5, frozen)  # not reduced mod 5
+    with pytest.raises(ValueError):
+        GfpMatrix(7, frozen.astype(float))
+    assert GfpMatrix(7, frozen).data is frozen
+    small = np.array([[4, 0, 2], [0, 3, 3], [3, 3, 2]], dtype=np.uint8)
+    small.flags.writeable = False  # uint8 differences would wrap without widening
+    assert rank_gfp(GfpMatrix(5, small)) == _reference_rank_mod_p(small.tolist(), 5) == 2
+
+
+def _reference_rank_mod_p(rows, p):
+    """Plain row reduction over F_p on lists of Python ints."""
+    work = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], p - 2, p)
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col] * inv
+                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 251]), st.integers(0, 7), st.integers(0, 7), st.data())
+def test_rank_gfp_matches_reference_elimination(p, rows, cols, data):
+    # small values, and a row combining the first two, make dependent rows common
+    values = st.integers(-2 * p, 2 * p) | st.sampled_from([0, 0, 1])
+    entries = [[data.draw(values) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and data.draw(st.booleans()):
+        entries[-1] = [2 * x + y for x, y in zip(entries[0], entries[1])]
+    rows_or_array = entries
+    if data.draw(st.booleans()):  # an array keeps the shape when rows or cols is 0
+        rows_or_array = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    m = GfpMatrix.from_rows(rows_or_array, p)
+    assert m.rows == rows
+    assert rank_gfp(m) == _reference_rank_mod_p(entries, p)
+
+
+def test_mstar_ranks_pinned():
+    assert mstar_observed_rank(11, 4, 5, 1) == 330
+    assert mstar_observed_rank(12, 4, 3, 1) == 494
+    assert mstar_observed_rank(9, 3, 7, 0) == 83
+    assert mstar_observed_rank(6, 1, 2, 3) == 6
 
 
 def test_is_prime():

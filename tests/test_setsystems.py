@@ -23,6 +23,7 @@ from oddtown import (
     verify_oddtown,
     verify_skew_oddtown,
 )
+from oddtown import setsystems
 from oddtown.setsystems import MAX_SCAN_CELLS, VerifyReport, Violation
 from conftest import greedy_oddtown_family
 
@@ -158,6 +159,25 @@ class TestKtOddtown:
             verify_kt_oddtown(fam, 2, 3)
         with pytest.raises(ValueError):
             verify_kt_oddtown(SetFamily(2, ()), 2, 2)
+
+
+    def test_oversized_walk_refused(self):
+        # even sets fail at d = 1, so without the guard the violation cap would end the walk
+        fam = SetFamily.from_lists(400, [[i, i + 1] for i in range(1, 400, 2)])
+        with pytest.raises(ValueError) as info:
+            verify_kt_oddtown(fam, 5, 2)
+        assert str(info.value) == (
+            "2601668490 subsets of at most 5 of the 200 sets exceed the scan limit of 100000000")
+
+    def test_walk_size_counts_every_subset_up_to_k(self, monkeypatch):
+        fam = SetFamily.from_lists(4, [[i] for i in range(1, 5)])
+        monkeypatch.setattr(setsystems, "MAX_SCAN_CELLS", 10)  # 4 + 6 subsets of size 1, 2
+        assert verify_kt_oddtown(fam, 2, 2).valid
+        monkeypatch.setattr(setsystems, "MAX_SCAN_CELLS", 15)  # 4 + 6 + 4 + 1 at k >= m
+        assert verify_kt_oddtown(fam, 9, 2).valid
+        monkeypatch.setattr(setsystems, "MAX_SCAN_CELLS", 9)
+        with pytest.raises(ValueError, match="^10 subsets of at most 2 of the 4 sets exceed"):
+            verify_kt_oddtown(fam, 2, 2)
 
 
 class TestBollobasTuple:
