@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 from typing import Optional, Sequence
 
 from . import constructions, covers, fileio, ranks, search, setsystems
@@ -181,9 +182,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         raise UsageError("rank needs --l (unless --mstar)")
     formula = ranks.wilson_rank(n, k, l, p)
     print(f"n={n} k={k} l={l} p={p}")
-    inc = ranks.build_inclusion_matrix(n, k, l)
     direct: Optional[int] = None
-    if inc.matrix.rows * inc.matrix.cols <= 10**6:
+    if comb(n, k) * comb(n, l) <= ranks.MAX_DIRECT_ENTRIES:
+        inc = ranks.build_inclusion_matrix(n, k, l)
         if p == 2:
             direct = rank_gf2(inc.matrix)
         else:

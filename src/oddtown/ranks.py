@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
-from operator import or_
+from operator import and_, or_
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,9 +39,30 @@ def binomial_mod_p(n: int, k: int, p: int) -> int:
     return result
 
 
+# Largest matrix, in entries, that is built for direct elimination: `rank`
+# skips elimination above it and `mstar_observed_rank` refuses to build.
+MAX_DIRECT_ENTRIES = 10**6
+
+
 def subsets_colex(n: int, k: int) -> list[int]:
     """Bitmasks of the k-subsets of [n], ascending (= colexicographic)."""
-    return sorted(sum(1 << (e - 1) for e in c) for c in combinations(range(1, n + 1), k))
+    if k == 0:
+        return [0]
+    out, x, end = [], (1 << k) - 1, 1 << n
+    while x < end:  # Gosper's step: the next larger mask with k one bits
+        out.append(x)
+        low = x & -x
+        ripple = x + low
+        x = ripple | (((x ^ ripple) >> 2) // low)
+    return out
+
+
+def _members(mask: int) -> Iterator[int]:
+    """Positions of the one bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -61,27 +83,23 @@ def build_inclusion_matrix(n: int, k: int, l: int) -> InclusionMatrix:
         raise ValueError("need 0 <= k, l <= n")
     rows_sets = subsets_colex(n, k)
     cols_sets = subsets_colex(n, l)
-    rows = []
-    for km in rows_sets:
-        bits = 0
-        for j, lm in enumerate(cols_sets):
-            if km & lm == km:
-                bits |= 1 << j
-        rows.append(bits)
-    return InclusionMatrix(n, k, l, Gf2Matrix(len(rows_sets), len(cols_sets), tuple(rows)))
+    holders = Gf2Matrix.from_bitrows(cols_sets, n).column_masks()  # per element: its l-sets
+    full = (1 << len(cols_sets)) - 1  # the row of the empty set
+    rows = tuple(reduce(and_, (holders[e] for e in _members(km)), full) for km in rows_sets)
+    return InclusionMatrix(n, k, l, Gf2Matrix(len(rows_sets), len(cols_sets), rows))
+
+
+def _disjointness(sets: Sequence[int], n: int) -> Gf2Matrix:
+    """Row i: the sets disjoint from sets[i], the complement of its elements' holders."""
+    holders = Gf2Matrix.from_bitrows(sets, n).column_masks()  # per element: its sets
+    full = (1 << len(sets)) - 1
+    rows = tuple(full ^ reduce(or_, (holders[e] for e in _members(a)), 0) for a in sets)
+    return Gf2Matrix(len(sets), len(sets), rows)
 
 
 def kneser_adjacency(n: int, k: int) -> Gf2Matrix:
     """Adjacency of the disjointness graph on k-subsets, colex-indexed."""
-    sets = subsets_colex(n, k)
-    rows = []
-    for a in sets:
-        bits = 0
-        for j, b in enumerate(sets):
-            if a & b == 0:
-                bits |= 1 << j
-        rows.append(bits)
-    return Gf2Matrix(len(sets), len(sets), tuple(rows))
+    return _disjointness(subsets_colex(n, k), n)
 
 
 @dataclass(frozen=True)
@@ -96,14 +114,7 @@ class OrderedKneserView:
         return list(permutations(range(1, self.n + 1), self.k))
 
     def adjacency(self) -> Gf2Matrix:
-        verts = self.vertices
-        holders = [0] * (self.n + 1)  # per element: the vertices containing it
-        for j, v in enumerate(verts):
-            for e in v:
-                holders[e] |= 1 << j
-        full = (1 << len(verts)) - 1
-        rows = tuple(full ^ reduce(or_, (holders[e] for e in u), 0) for u in verts)
-        return Gf2Matrix(len(verts), len(verts), rows)
+        return _disjointness([sum(1 << (e - 1) for e in v) for v in self.vertices], self.n)
 
 
 def wilson_rank(n: int, k: int, l: int, p: int) -> int:
@@ -170,9 +181,16 @@ def mstar_observed_rank(n: int, k: int, p: int, seed: int) -> int:
 
     Experimental probe only: entries at incidences are drawn uniformly from
     [1, p-1] with the given seed, zeros elsewhere.  No bound is asserted.
+    A matrix of more than MAX_DIRECT_ENTRIES entries is refused before it is built.
     """
     if not is_prime(p) or p < 2:
         raise ValueError(f"{p} is not prime")
+    side = comb(n, k)  # C(n, k) rows and C(n, n-k) = C(n, k) columns; 0 when k > n
+    if side * side > MAX_DIRECT_ENTRIES:
+        raise ValueError(
+            f"mstar matrix of {side}x{side} = {side * side} entries"
+            f" exceeds the limit of {MAX_DIRECT_ENTRIES}"
+        )
     ones = build_inclusion_matrix(n, k, n - k).matrix.to_array().astype(bool)
     rng = random.Random(seed)
     values = ones.astype(np.int64)  # the mask fills row-major: a nested loop's draw order

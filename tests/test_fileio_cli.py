@@ -184,6 +184,22 @@ class TestCli:
         assert main(["rank", "--n", "5", "--k", "2", "--p", "3", "--mstar", "--seed", "7"]) == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == first
 
+    def test_rank_over_limit_builds_nothing(self, monkeypatch, capsys):
+        # 816 x 48,620 entries: elimination is skipped, so the matrix is never built
+        def no_build(*args):
+            raise AssertionError("an over-limit matrix must not be built")
+
+        monkeypatch.setattr("oddtown.ranks.build_inclusion_matrix", no_build)
+        assert main(["rank", "--n", "18", "--k", "3", "--l", "9", "--p", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "n=18 k=3 l=9 p=3\nformula=815 direct=skipped agree=unknown\n")
+
+    def test_rank_mstar_oversized_refused(self, capsys):
+        assert main(["rank", "--n", "30", "--k", "15", "--p", "3", "--mstar"]) == 2
+        assert capsys.readouterr().out == (
+            "error: mstar matrix of 155117520x155117520 = 24061445010950400 entries"
+            " exceeds the limit of 1000000\n")
+
     def test_convert_round_trip_parity(self, tmp_path, capsys):
         cover = tmp_path / "cover.json"
         tup = tmp_path / "tuple.json"

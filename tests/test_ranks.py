@@ -1,6 +1,9 @@
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oddtown import (
     OrderedKneserView,
@@ -13,7 +16,23 @@ from oddtown import (
     rank_gfp,
     wilson_rank,
 )
-from oddtown.ranks import mstar_observed_rank, subsets_colex
+from oddtown.ranks import MAX_DIRECT_ENTRIES, mstar_observed_rank, subsets_colex
+
+
+# Naive references: every pair of subsets tested on its own.
+
+def colex_reference(n, k):
+    return sorted(sum(1 << e for e in c) for c in combinations(range(n), k))
+
+
+def inclusion_reference(n, k, l):
+    cols = colex_reference(n, l)
+    return tuple(sum(1 << j for j, b in enumerate(cols) if a & b == a)
+                 for a in colex_reference(n, k))
+
+
+def disjointness_reference(sets):
+    return tuple(sum(1 << j for j, b in enumerate(sets) if a & b == 0) for a in sets)
 
 
 class TestBinomialModP:
@@ -62,6 +81,51 @@ class TestInclusionMatrix:
     def test_colex_order(self):
         assert subsets_colex(4, 2) == sorted(subsets_colex(4, 2))
         assert subsets_colex(3, 2) == [0b011, 0b101, 0b110]
+
+
+class TestBuildersMatchPairLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n))))
+    @example((0, 0, 0))
+    @example((6, 0, 2))  # k = 0: the all-ones row
+    @example((7, 4, 2))  # k > l: all zero
+    @example((8, 3, 8))  # l = n: one all-ones column
+    @example((9, 4, 5))
+    def test_inclusion(self, nkl):
+        n, k, l = nkl
+        inc = build_inclusion_matrix(n, k, l)
+        assert (inc.matrix.rows, inc.matrix.cols) == (comb(n, k), comb(n, l))
+        assert inc.matrix.data == inclusion_reference(n, k, l)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 1))))
+    @example((0, 0))
+    @example((5, 0))
+    @example((3, 4))  # k > n: the empty graph
+    @example((9, 4))
+    def test_kneser(self, nk):
+        n, k = nk
+        assert kneser_adjacency(n, k).data == disjointness_reference(colex_reference(n, k))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, min(n, 3)))))
+    @example((6, 3))
+    @example((4, 0))
+    def test_ordered_view(self, nk):
+        n, k = nk
+        view = OrderedKneserView(n, k)
+        sets = [sum(1 << (e - 1) for e in v) for v in view.vertices]
+        assert view.adjacency().data == disjointness_reference(sets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 2))))
+    @example((0, 0))
+    @example((0, 1))  # k > n
+    @example((12, 6))
+    def test_subsets_colex(self, nk):
+        n, k = nk
+        assert subsets_colex(n, k) == colex_reference(n, k)
 
 
 class TestWilsonRank:
@@ -168,3 +232,13 @@ class TestMstarProbe:
         assert mstar_observed_rank(5, 2, 2, seed=0) == rank_gf2(
             build_inclusion_matrix(5, 2, 3).matrix
         )
+
+    def test_oversized_refused(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("the size check must come before the build")
+
+        monkeypatch.setattr("oddtown.ranks.build_inclusion_matrix", no_build)
+        with pytest.raises(ValueError) as info:
+            mstar_observed_rank(13, 5, 3, seed=0)
+        assert str(info.value) == ("mstar matrix of 1287x1287 = 1656369 entries"
+                                   f" exceeds the limit of {MAX_DIRECT_ENTRIES}")
