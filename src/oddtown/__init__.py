@@ -8,9 +8,7 @@ from .gf2 import (
     Gf2Matrix,
     GfpMatrix,
     InternalCheckError,
-    MinWeightResult,
     is_linearly_independent,
-    min_weight_solution,
     rank_gf2,
     rank_gfp,
 )
@@ -83,8 +81,8 @@ from .search import (
     bounds_table,
     build_search_instance,
     exact_b,
+    flattening_rank_bound,
     min_mod2_cover,
-    rank_lower_bound,
 )
 
 __version__ = "0.1.0"

@@ -229,158 +229,3 @@ def row_dependency(bitrows: Sequence[int], cols: int) -> Optional[tuple[int, ...
         if row == 0 and tag != 0:
             return tuple(i for i in range(nrows) if (tag >> i) & 1)
     return None
-
-
-@dataclass(frozen=True)
-class MinWeightResult:
-    """Outcome of a minimum-weight parity solve.
-
-    status is one of:
-      "found"      -- minimal solution located; ``support`` lists its columns
-      "exhausted"  -- consistent system, but every weight <= the budget was
-                      refuted; ``lower_bound`` = budget + 1 is certified
-      "infeasible" -- the system has no solution at any weight
-    """
-
-    status: str
-    support: Optional[tuple[int, ...]]
-    weight: Optional[int]
-    lower_bound: int
-
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
-
-    def as_vector(self, cols: int) -> tuple[int, ...]:
-        if self.support is None:
-            raise ValueError("no solution to expand")
-        sel = set(self.support)
-        return tuple(1 if j in sel else 0 for j in range(cols))
-
-
-def _parity_vector_to_mask(b: Sequence[int]) -> int:
-    mask = 0
-    for i, v in enumerate(b):
-        if int(v) & 1:
-            mask |= 1 << i
-    return mask
-
-
-def _consistent(col_masks: Sequence[int], nrows: int, b_mask: int) -> bool:
-    # Rank test on the row view: append b as one extra column.
-    ncols = len(col_masks)
-    rows = Gf2Matrix.from_bitrows([*col_masks, b_mask], nrows).transpose().data
-    base = [row & ((1 << ncols) - 1) for row in rows]
-    return _rank_bitrows(rows, ncols + 1) == _rank_bitrows(base, ncols)
-
-
-def _level_tables(col_masks: Sequence[int]) -> tuple[dict[int, list[int]], list[int]]:
-    """The level search's lookups: column indices by mask, ascending, and the
-    largest column weight from each index on."""
-    value_index: dict[int, list[int]] = {}
-    for j, cm in enumerate(col_masks):
-        value_index.setdefault(cm, []).append(j)
-    suffix = [0] * (len(col_masks) + 1)
-    for j in range(len(col_masks) - 1, -1, -1):
-        suffix[j] = max(suffix[j + 1], col_masks[j].bit_count())
-    return value_index, suffix
-
-
-def _search_weight_level(
-    col_masks: Sequence[int],
-    b_mask: int,
-    weight: int,
-    first_columns: Optional[Sequence[int]] = None,
-    value_index: Optional[dict[int, list[int]]] = None,
-    suffix_max_pop: Optional[Sequence[int]] = None,
-) -> Optional[tuple[int, ...]]:
-    """First (lexicographically smallest) support of exactly ``weight`` columns
-    XOR-ing to ``b_mask``, with columns explored in ascending index; None if the
-    level is empty.  ``first_columns`` restricts only the smallest index used.
-    """
-    m = len(col_masks)
-    if weight == 0:
-        return () if b_mask == 0 else None
-    if value_index is None or suffix_max_pop is None:
-        value_index, suffix_max_pop = _level_tables(col_masks)
-
-    firsts = range(m) if first_columns is None else sorted(first_columns)
-
-    def lookup_one(residual: int, after: int) -> Optional[int]:
-        cands = value_index.get(residual)
-        if not cands:
-            return None
-        for j in cands:
-            if j > after:
-                return j
-        return None
-
-    def dfs(residual: int, last: int, remaining: int, chosen: list[int]) -> Optional[tuple[int, ...]]:
-        if remaining == 1:
-            j = lookup_one(residual, last)
-            if j is None:
-                return None
-            return tuple(chosen + [j])
-        for j in range(last + 1, m - remaining + 1):
-            if residual.bit_count() > remaining * suffix_max_pop[j]:
-                return None  # suffix_max_pop is nonincreasing: later j prune too
-            got = dfs(residual ^ col_masks[j], j, remaining - 1, chosen + [j])
-            if got is not None:
-                return got
-        return None
-
-    for j0 in firsts:
-        if j0 > m - weight:
-            break
-        if weight == 1:
-            if col_masks[j0] == b_mask:
-                return (j0,)
-            continue
-        got = dfs(b_mask ^ col_masks[j0], j0, weight - 1, [j0])
-        if got is not None:
-            return got
-    return None
-
-
-def min_weight_solution(
-    a: Gf2Matrix,
-    b: Sequence[int],
-    max_weight: int,
-    first_columns: Optional[Sequence[int]] = None,
-) -> MinWeightResult:
-    """Minimum-weight x with A x = b over F_2, searched by iterative deepening.
-
-    Args:
-        a: constraint matrix, one row per cell, one column per candidate.
-        b: right-hand parity vector, length ``a.rows``.
-        max_weight: largest support size to explore.
-        first_columns: optional restriction of the smallest selected column
-            index (used by symmetry-aware callers); the default explores all.
-
-    Candidate columns are explored in ascending index, so the first solution
-    found at the minimal weight has the lexicographically smallest support.
-    Infeasibility (certified by a rank test) is reported distinctly from
-    exhaustion of the weight budget.  Every returned solution is re-checked
-    against the system before being reported.
-    """
-    if len(b) != a.rows:
-        raise ValueError(f"b has length {len(b)}, expected {a.rows}")
-    if max_weight < 0:
-        raise ValueError("max_weight must be nonnegative")
-    b_mask = _parity_vector_to_mask(b)
-    col_masks = a.column_masks()
-    if not _consistent(col_masks, a.rows, b_mask):
-        return MinWeightResult("infeasible", None, None, 0)
-    value_index, suffix = _level_tables(col_masks)
-    for w in range(max_weight + 1):
-        support = _search_weight_level(
-            col_masks, b_mask, w, first_columns, value_index, suffix
-        )
-        if support is not None:
-            acc = 0
-            for j in support:
-                acc ^= col_masks[j]
-            if acc != b_mask:
-                raise InternalCheckError("solution certificate failed recheck")
-            return MinWeightResult("found", support, w, w)
-    return MinWeightResult("exhausted", None, None, max_weight + 1)

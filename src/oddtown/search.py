@@ -31,7 +31,7 @@ from .covers import (
     target_mask,
     verify_mod2_cover,
 )
-from .gf2 import Gf2Matrix, InternalCheckError, rank_gf2, _level_tables, _search_weight_level
+from .gf2 import Gf2Matrix, InternalCheckError, rank_gf2
 from .ranks import cover_size_lower_bound
 from .setsystems import SubsetBits
 
@@ -39,6 +39,7 @@ DEFAULT_CAP = 4096
 DEFAULT_BUDGET = 8
 _DFS_NODE_CAP = 4_000_000
 _SYMMETRY_MAX_N = 5  # value-permutation canonicalization is skipped above this
+_RANK_MAX_CELLS = 65536  # largest target tensor the unfolding bound builds
 
 
 class CapExceededError(ValueError):
@@ -107,46 +108,29 @@ def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> Sea
     )
 
 
-def _unfolding_rank_bound(k: int, n: int, cells: Sequence[tuple[int, ...]], b: int) -> int:
-    if b == 0 or n == 0:
-        return 0
-    best = 1
-    coords = range(k)
-    for a in range(1, k // 2 + 1):
-        for js in combinations(coords, a):
-            jset = set(js)
-            rest = [j for j in coords if j not in jset]
-            rows = [0] * (n ** len(js))
-            for pos, idx in enumerate(cells):
-                if not (b >> pos) & 1:
-                    continue
-                ri = 0
-                for j in js:
-                    ri = ri * n + (idx[j] - 1)
-                ci = 0
-                for j in rest:
-                    ci = ci * n + (idx[j] - 1)
-                rows[ri] |= 1 << ci
-            best = max(best, rank_gf2(Gf2Matrix(len(rows), n ** len(rest), tuple(rows))))
-    return best
-
-
-def flattening_rank_bound(instance: SearchInstance) -> int:
-    """Largest F_2 rank of a coordinate unfolding of the target tensor.
+def flattening_rank_bound(k: int, t: int, n: int) -> Optional[int]:
+    """Largest F_2 rank of a coordinate unfolding of the (k, t, n) target
+    tensor, built without a column catalog; None when its n^k cells exceed
+    ``_RANK_MAX_CELLS``.
 
     Every product unfolds to a rank-one matrix along any coordinate
     bipartition, so any parity cover needs at least this many products.
     """
-    return _unfolding_rank_bound(instance.k, instance.n, instance.cells, instance.target)
-
-
-def rank_lower_bound(k: int, t: int, n: int, max_cells: int = 65536) -> Optional[int]:
-    """Unfolding rank bound straight from (k, t, n), without a column catalog;
-    None when the cell grid is too large to build."""
-    if n**k > max_cells:
+    if n**k > _RANK_MAX_CELLS:
         return None
-    cells = tuple(all_cells(n, k))
-    return _unfolding_rank_bound(k, n, cells, target_mask(n, k, t, cells))
+    if n == 0:
+        return 0
+    # The target holds the cells with at least t distinct entries.
+    grid = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0)
+    distinct = 1 + np.count_nonzero(np.diff(grid, axis=0), axis=0)
+    target = (distinct >= t).reshape((n,) * k)
+    best = 0
+    for a in range(1, k // 2 + 1):
+        for js in combinations(range(k), a):
+            rest = [j for j in range(k) if j not in js]
+            unfolding = target.transpose(*js, *rest).reshape(n**a, -1)
+            best = max(best, rank_gf2(Gf2Matrix.from_array(unfolding)))
+    return best
 
 
 def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
@@ -239,6 +223,74 @@ class _SortedSet:
         """Smallest query value in the set, or None when there is none."""
         hits = queries[self.contains(queries)]
         return int(hits.min()) if hits.size else None
+
+
+def _level_tables(col_masks: Sequence[int]) -> tuple[dict[int, list[int]], list[int]]:
+    """The level search's lookups: column indices by mask, ascending, and the
+    largest column weight from each index on."""
+    value_index: dict[int, list[int]] = {}
+    for j, cm in enumerate(col_masks):
+        value_index.setdefault(cm, []).append(j)
+    suffix = [0] * (len(col_masks) + 1)
+    for j in range(len(col_masks) - 1, -1, -1):
+        suffix[j] = max(suffix[j + 1], col_masks[j].bit_count())
+    return value_index, suffix
+
+
+def _search_weight_level(
+    col_masks: Sequence[int],
+    b_mask: int,
+    weight: int,
+    first_columns: Optional[Sequence[int]] = None,
+    value_index: Optional[dict[int, list[int]]] = None,
+    suffix_max_pop: Optional[Sequence[int]] = None,
+) -> Optional[tuple[int, ...]]:
+    """First (lexicographically smallest) support of exactly ``weight`` columns
+    XOR-ing to ``b_mask``, with columns explored in ascending index; None if the
+    level is empty.  ``first_columns`` restricts only the smallest index used.
+    """
+    m = len(col_masks)
+    if weight == 0:
+        return () if b_mask == 0 else None
+    if value_index is None or suffix_max_pop is None:
+        value_index, suffix_max_pop = _level_tables(col_masks)
+
+    firsts = range(m) if first_columns is None else sorted(first_columns)
+
+    def lookup_one(residual: int, after: int) -> Optional[int]:
+        cands = value_index.get(residual)
+        if not cands:
+            return None
+        for j in cands:
+            if j > after:
+                return j
+        return None
+
+    def dfs(residual: int, last: int, remaining: int, chosen: list[int]) -> Optional[tuple[int, ...]]:
+        if remaining == 1:
+            j = lookup_one(residual, last)
+            if j is None:
+                return None
+            return tuple(chosen + [j])
+        for j in range(last + 1, m - remaining + 1):
+            if residual.bit_count() > remaining * suffix_max_pop[j]:
+                return None  # suffix_max_pop is nonincreasing: later j prune too
+            got = dfs(residual ^ col_masks[j], j, remaining - 1, chosen + [j])
+            if got is not None:
+                return got
+        return None
+
+    for j0 in firsts:
+        if j0 > m - weight:
+            break
+        if weight == 1:
+            if col_masks[j0] == b_mask:
+                return (j0,)
+            continue
+        got = dfs(b_mask ^ col_masks[j0], j0, weight - 1, [j0])
+        if got is not None:
+            return got
+    return None
 
 
 class _LevelTooHard(Exception):
@@ -423,7 +475,7 @@ def min_mod2_cover(
         empty = Mod2Cover(k, t, n, ())
         return SearchOutcome(k, t, n, "exact", 0, 0, 0, empty, 0, None)
 
-    rank_bound = flattening_rank_bound(instance) if rank_presolve else 0
+    rank_bound = (flattening_rank_bound(k, t, n) or 0) if rank_presolve else 0
     upper = len(incumbent.products) if incumbent is not None else None
     best_cover = incumbent
 
@@ -538,7 +590,9 @@ def exact_b(
                 incumbent=constructive,
             )
         except CapExceededError:
-            return ExactBResult(k, t, m, None, best)
+            # The unfolding bound needs no catalog; f(n) > m settles every larger n too.
+            rank = flattening_rank_bound(k, t, n)
+            return ExactBResult(k, t, m, best if rank is not None and rank > m else None, best)
         if out.exact and out.value <= m:
             best = n
             n += 1
@@ -622,7 +676,8 @@ def bounds_table(
     run_search: bool = True,
 ) -> tuple[list[TableRow], list[str]]:
     """One row per n: certified bounds, the best construction, and the exact
-    minimum when the search settles it.  Raises on any bound violation.
+    minimum when the search settles it or the lower bound meets the
+    construction.  Raises on any bound violation.
     """
     rows = []
     notes = []
@@ -630,7 +685,7 @@ def bounds_table(
         notes.append(ERRATUM_22)
     for n in n_values:
         lower = _formula_lower(k, t, n)
-        rank_bound = rank_lower_bound(k, t, n)
+        rank_bound = flattening_rank_bound(k, t, n)
         if rank_bound is not None:
             lower = max(lower, rank_bound)
         upper = _formula_upper(k, t, n)
@@ -651,6 +706,8 @@ def bounds_table(
                     exact = out.value
             except CapExceededError:
                 pass
+        if lower == constructive:
+            exact = constructive  # the certificates meet, with or without a search
         if constructive > upper:
             raise InternalCheckError(
                 f"construction of size {constructive} violates the upper bound {upper}"

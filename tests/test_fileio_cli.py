@@ -240,6 +240,12 @@ class TestCli:
         assert main(["search", "--k", "2", "--t", "2", "--m", "3"]) == 0
         assert "exact-b k=2 t=2 m=3 b=3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_search_exact_b_past_the_cap(self, m, capsys):
+        # n = 8 is over the catalog cap, but its unfolding rank 8 exceeds m
+        assert main(["search", "--k", "2", "--t", "2", "--m", str(m)]) == 0
+        assert capsys.readouterr().out == f"exact-b k=2 t=2 m={m} b=7\n"
+
     def test_search_cap_exceeded(self, capsys):
         assert main(["search", "--k", "2", "--t", "2", "--n", "7"]) == 2
         assert "cap" in capsys.readouterr().out
@@ -257,6 +263,21 @@ class TestCli:
         assert len(data_lines) == 3
         assert data_lines[0].split("\t") == ["2", "2", "2", "2", "2", "2", "2"]
         assert data_lines[2].split("\t") == ["2", "2", "4", "4", "5", "4", "4"]
+
+    def test_table_exact_where_certificates_meet(self, tmp_path, capsys):
+        # the search refuses n = 7..9 at the cap; lower = constructive settles them
+        rows = tmp_path / "t.rows"
+        assert main([
+            "table", "--k", "2", "--t", "2", "--n-min", "7", "--n-max", "9",
+            "--out", str(rows),
+        ]) == 0
+        capsys.readouterr()
+        data_lines = [l for l in rows.read_text().splitlines() if not l.startswith("#")]
+        assert [l.split("\t") for l in data_lines] == [
+            ["2", "2", "7", "6", "8", "6", "6"],
+            ["2", "2", "8", "8", "9", "8", "8"],
+            ["2", "2", "9", "8", "10", "8", "8"],
+        ]
 
     def test_verify_skew_cli(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -12,12 +12,12 @@ from oddtown import (
     GfpMatrix,
     SubsetBits,
     is_linearly_independent,
-    min_weight_solution,
     rank_gf2,
     rank_gfp,
 )
 from oddtown.gf2 import is_prime, row_dependency
 from oddtown.ranks import mstar_observed_rank
+from oddtown.search import _level_tables, _search_weight_level
 
 
 def test_rank_identity():
@@ -221,33 +221,25 @@ def test_row_dependency_reports_cycle():
     assert row_dependency([0b001, 0b010], 3) is None
 
 
+def _min_weight(col_masks, b_mask, max_weight):
+    """Weight levels exhausted in ascending order, as ``min_mod2_cover`` does:
+    the support the first nonempty level gives, or None up to ``max_weight``."""
+    value_index, suffix = _level_tables(col_masks)
+    for w in range(max_weight + 1):
+        support = _search_weight_level(col_masks, b_mask, w, None, value_index, suffix)
+        if support is not None:
+            return support
+    return None
+
+
 def test_min_weight_identity():
-    res = min_weight_solution(Gf2Matrix.identity(3), [1, 0, 1], 3)
-    assert res.found and res.weight == 2
-    assert res.support == (0, 2)
-    assert res.as_vector(3) == (1, 0, 1)
-
-
-def test_min_weight_infeasible_vs_exhausted():
-    zero_col = Gf2Matrix.from_rows([[0]])
-    res = min_weight_solution(zero_col, [1], 5)
-    assert res.status == "infeasible"
-
-    # consistent but out of budget: needs all three columns
-    a = Gf2Matrix.identity(3)
-    res = min_weight_solution(a, [1, 1, 1], 2)
-    assert res.status == "exhausted"
-    assert res.lower_bound == 3
-
-
-def test_min_weight_dimension_mismatch():
-    with pytest.raises(ValueError):
-        min_weight_solution(Gf2Matrix.identity(3), [1, 0], 2)
+    support = _min_weight(Gf2Matrix.identity(3).column_masks(), 0b101, 3)
+    assert len(support) == 2
+    assert support == (0, 2)
 
 
 def test_min_weight_zero_target():
-    res = min_weight_solution(Gf2Matrix.identity(2), [0, 0], 2)
-    assert res.found and res.weight == 0 and res.support == ()
+    assert _min_weight(Gf2Matrix.identity(2).column_masks(), 0, 2) == ()
 
 
 def _brute_force_min_weight(col_masks, b_mask, max_weight):
@@ -281,10 +273,9 @@ def test_min_weight_pair_cover_system():
     oracle = _brute_force_min_weight(cols, b_mask, 2)
     assert oracle is not None and oracle[0] == 2
 
-    a = Gf2Matrix.from_bitrows(cols, 9).transpose()
-    res = min_weight_solution(a, [(b_mask >> r) & 1 for r in range(9)], 6)
-    assert res.found and res.weight == 2
-    assert res.support == oracle[1]
+    support = _min_weight(cols, b_mask, 6)
+    assert len(support) == 2
+    assert support == oracle[1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -293,16 +284,16 @@ def test_min_weight_agrees_with_enumeration(rows, cols, seed):
     rng = random.Random(seed)
     col_masks = [rng.getrandbits(rows) for _ in range(cols)]
     b_mask = rng.getrandbits(rows)
-    a = Gf2Matrix.from_bitrows(col_masks, rows).transpose()
-    res = min_weight_solution(a, [(b_mask >> r) & 1 for r in range(rows)], cols)
+    support = _min_weight(col_masks, b_mask, cols)
     oracle = _brute_force_min_weight(col_masks, b_mask, cols)
     if oracle is None:
-        assert res.status == "infeasible"
+        assert support is None
     else:
-        assert res.found and res.weight == oracle[0]
+        # the first support in combinations order at the least weight
+        assert len(support) == oracle[0] and support == oracle[1]
         acc = 0
-        for j in res.support:
+        for j in support:
             acc ^= col_masks[j]
         assert acc == b_mask
         # nothing strictly smaller exists
-        assert _brute_force_min_weight(col_masks, b_mask, res.weight - 1) is None
+        assert _brute_force_min_weight(col_masks, b_mask, len(support) - 1) is None

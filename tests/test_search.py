@@ -14,12 +14,14 @@ from oddtown import (
     verify_mod2_cover,
 )
 from oddtown import search
-from oddtown.gf2 import _search_weight_level
+from oddtown.covers import all_cells, target_mask
+from oddtown.gf2 import Gf2Matrix, rank_gf2
 from oddtown.search import (
     ERRATUM_22,
     SearchInstance,
     _exhaust_level,
     _np_membership,
+    _search_weight_level,
     _SortedSet,
     best_constructive_cover,
     bounds_table,
@@ -65,17 +67,50 @@ class TestSearchInstance:
             assert ((inst.target >> pos) & 1) == (len(set(idx)) >= 2)
 
 
+def _unfolding_rank_reference(k, t, n):
+    """The unfolding bound cell by cell: each target cell sets one bit in every
+    unfolding, its row from the coordinates in js and its column from the rest."""
+    cells = all_cells(n, k)
+    b = target_mask(n, k, t, cells)
+    best = 0
+    for a in range(1, k // 2 + 1):
+        for js in combinations(range(k), a):
+            rest = [j for j in range(k) if j not in js]
+            rows = [0] * (n ** len(js))
+            for pos, idx in enumerate(cells):
+                if (b >> pos) & 1:
+                    ri = ci = 0
+                    for j in js:
+                        ri = ri * n + (idx[j] - 1)
+                    for j in rest:
+                        ci = ci * n + (idx[j] - 1)
+                    rows[ri] |= 1 << ci
+            best = max(best, rank_gf2(Gf2Matrix(len(rows), n ** len(rest), tuple(rows))))
+    return best
+
+
 class TestFlatteningBound:
     def test_pair_target_rank(self):
-        # the off-diagonal pair matrix has rank n (even) or n-1 (odd)
-        for n, want in ((2, 2), (3, 2), (4, 4), (5, 4), (6, 6)):
-            inst = build_search_instance(2, 2, n)
-            assert flattening_rank_bound(inst) == want
+        # the off-diagonal pair matrix has rank n (even) or n-1 (odd), also
+        # beyond the catalog cap (n >= 7)
+        for n in range(12):
+            assert flattening_rank_bound(2, 2, n) == (n if n % 2 == 0 else n - 1)
 
     def test_zero_target(self):
         inst = build_search_instance(3, 3, 2)
         assert inst.target == 0
-        assert flattening_rank_bound(inst) == 0
+        assert flattening_rank_bound(3, 3, 2) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 4), st.data())
+    def test_matches_per_cell_reference(self, k, n, data):
+        t = data.draw(st.integers(2, k))
+        assert flattening_rank_bound(k, t, n) == _unfolding_rank_reference(k, t, n)
+
+    def test_grid_limit(self):
+        assert flattening_rank_bound(2, 2, 256) == 256  # 65536 cells: built
+        assert flattening_rank_bound(2, 2, 257) is None
+        assert flattening_rank_bound(4, 2, 17) is None
 
 
 class TestMinMod2Cover:
@@ -304,6 +339,11 @@ class TestExactB:
         assert not res.exact and res.value is None
         assert res.at_least == 2  # the edgeless grounds are certified
 
+    def test_cap_with_rank_bound_too_low(self):
+        # (3,2,5) is over the cap and its unfolding rank 5 does not exceed m = 5
+        res = exact_b(3, 2, 5)
+        assert not res.exact and res.at_least == 4
+
     def test_galois_connection(self):
         # f(n) <= m iff b(m) >= n on the computed grid
         f = {}
@@ -342,6 +382,13 @@ class TestBoundsTable:
         assert r3.constructive == 3 * 9 + 2 * 3 + 1 == 34
         assert r3.upper == 3 * 9 + 4 * 3 + 1 == 40
         assert r3.constructive <= r3.upper
+
+    def test_exact_where_certificates_meet(self):
+        # lower = constructive fills the exact cell even when no search runs
+        rows, _ = bounds_table(2, 2, range(2, 10), run_search=False)
+        assert [r.exact for r in rows] == [2, 2, 4, 4, 6, 6, 8, 8]
+        rows, _ = bounds_table(3, 3, [3], run_search=False)
+        assert (rows[0].lower, rows[0].constructive, rows[0].exact) == (3, 6, None)
 
     def test_formats(self):
         rows, notes = bounds_table(2, 2, [2, 3], run_search=False)
