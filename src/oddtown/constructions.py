@@ -208,13 +208,7 @@ def build_cover_t2(k: int, n: int) -> Mod2Cover:
         raise ValueError("k must be at least 2")
     if n < 1:
         raise ValueError("n must be at least 1")
-    products = [
-        KPartiteProduct(tuple(SubsetBits.from_elements(n, [i]) for _ in range(k)))
-        for i in range(1, n + 1)
-    ]
-    full = SubsetBits.full(n)
-    products.append(KPartiteProduct(tuple(full for _ in range(k))))
-    return Mod2Cover(k, 2, n, tuple(products))
+    return build_partition_cover(k, 2, n)  # the one-block pattern's cover is the diagonal
 
 
 def build_cover_33(n: int) -> Mod2Cover:

@@ -136,7 +136,10 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} is not a prime in [2, {MAX_PRIME}]")
 
 
-def _rank_bitrows(bitrows: Sequence[int], cols: int) -> int:
+def _rank_bitrows(bitrows: Sequence[int], cols: int) -> tuple[int, list[int]]:
+    """Rank of the rows on their first ``cols`` columns, and the rows after
+    elimination: the first ``rank`` are the pivot rows, the rest are zero on
+    those columns."""
     work = list(bitrows)
     rank = 0
     for col in range(cols):
@@ -155,12 +158,12 @@ def _rank_bitrows(bitrows: Sequence[int], cols: int) -> int:
         rank += 1
         if rank == len(work):
             break
-    return rank
+    return rank, work
 
 
 def rank_gf2(m: Gf2Matrix) -> int:
     """Rank over F_2 by Gaussian elimination; the input is not modified."""
-    return _rank_bitrows(m.data, m.cols)
+    return _rank_bitrows(m.data, m.cols)[0]
 
 
 def rank_gfp(m: GfpMatrix) -> int:
@@ -198,34 +201,20 @@ def is_linearly_independent(vectors: Sequence) -> bool:
     if any(v.ground_size != n for v in vectors):
         raise ValueError("vectors must share a common ground size")
     rows = [v.bits for v in vectors]
-    return _rank_bitrows(rows, n) == len(rows)
+    return _rank_bitrows(rows, n)[0] == len(rows)
 
 
 def row_dependency(bitrows: Sequence[int], cols: int) -> Optional[tuple[int, ...]]:
     """Indices of a nonzero F_2 combination of the rows summing to zero, or None.
 
-    Elimination on rows augmented with an identity tag; the first row whose
-    data part vanishes carries the dependency in its tag part.
+    The rows must lie below 2^cols.  Row i is tagged with bit cols + i and the
+    rows are eliminated on their first ``cols`` columns; the first row past
+    the rank has a zero data part, and its tag carries the dependency.
     """
     nrows = len(bitrows)
-    work = [(int(bitrows[i]), 1 << i) for i in range(nrows)]
-    rank = 0
-    for col in range(cols):
-        mask = 1 << col
-        pivot = None
-        for r in range(rank, nrows):
-            if work[r][0] & mask:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow, ptag = work[rank]
-        for r in range(rank + 1, nrows):
-            if work[r][0] & mask:
-                work[r] = (work[r][0] ^ prow, work[r][1] ^ ptag)
-        rank += 1
-    for row, tag in work[rank:] if rank < nrows else []:
-        if row == 0 and tag != 0:
-            return tuple(i for i in range(nrows) if (tag >> i) & 1)
-    return None
+    tagged = [int(row) | (1 << (cols + i)) for i, row in enumerate(bitrows)]
+    rank, work = _rank_bitrows(tagged, cols)
+    if rank == nrows:
+        return None
+    tag = work[rank] >> cols
+    return tuple(i for i in range(nrows) if (tag >> i) & 1)

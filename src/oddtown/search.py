@@ -3,13 +3,15 @@
 The search is a per-weight-level exhaustion: levels are proven empty in
 ascending order (by depth-first branch and bound, or by a vectorized
 meet-in-the-middle pass when the cell grid fits in 64 bits), and the first
-level holding a solution yields the witness.  The meet-in-the-middle pass has
-one kernel: one side's sums held as a sorted set (a hashed-slot screen in
-front of ``searchsorted``), and the other side's sums streamed against it in
-blocks, keeping the smallest common value.  An algebraic presolve certifies
-levels below the maximum rank of the target's coordinate unfoldings, since
-each product unfolds to a rank-one matrix.  Every certificate that backs a
-reported value is recorded on the outcome.
+level holding a solution yields the witness.  There is one meet-in-the-middle
+pass for weights 3, 4 and 5: the sums of one or two columns, shifted by the
+target, held as a sorted set (a hashed-slot screen in front of
+``searchsorted``), and the sums of the remaining columns streamed against it
+in blocks, keeping the smallest common value.  The depth-first engine then
+re-derives both halves of the support from that value.  An algebraic
+presolve certifies levels below the maximum rank of the target's coordinate
+unfoldings, since each product unfolds to a rank-one matrix.  Every
+certificate that backs a reported value is recorded on the outcome.
 """
 
 from __future__ import annotations
@@ -308,16 +310,19 @@ def _exhaust_level(
 
     Small levels run the exact lexicographic DFS, restricted to the first
     columns that ``first_columns()`` gives (it is called on DFS levels only,
-    as the orbit computation is wasted on the others); larger ones fall back to a
-    vectorized meet-in-the-middle pass (possible while the grid fits in 64
-    bits and w <= 5).  Every such pass tests sums against one side held in a
-    ``_SortedSet``: the columns at w = 3, the pair sums (shifted by the target
-    at w = 5) at w = 4 and 5.  At w = 4 and 5 the smallest common value is
-    re-derived into its lexicographically first pair/triple supports.  At
-    w = 5 the triple sums are generated and tested one block per least index,
-    never all at once.  Raises _LevelTooHard when neither route is feasible.
-    Levels must be exhausted in ascending order: the vectorized paths rule out
-    index collisions by appealing to the emptiness of lower levels.
+    as the orbit computation is wasted on the others).  Larger ones fall back
+    to one vectorized meet-in-the-middle pass, possible while the grid fits in
+    64 bits and w <= 5.  It splits w = h + s, with h = 1 at w = 3 and h = 2
+    at w = 4 and 5, holds the h-sums (columns or pair sums) shifted by the
+    target in a ``_SortedSet``, streams the s-sums against them and keeps the
+    smallest common value v.  The s-sums come one block per least index i
+    (the h-sums of the later columns, shifted by column i), except at w = 4,
+    where they are the pair sums already built and go in one block.  The DFS
+    engine then re-derives the lexicographically first h-support of
+    v ^ target and s-support of v.  Raises _LevelTooHard when neither route
+    is feasible.  Levels must be exhausted in ascending order: the vectorized
+    pass rules out index collisions between the halves by appealing to the
+    emptiness of lower levels.
     """
     m = instance.num_columns
     cols = instance.columns
@@ -333,79 +338,37 @@ def _exhaust_level(
         raise _LevelTooHard(f"level {w} with {m} columns is out of reach")
 
     cols_u = np.array(cols, dtype=np.uint64)
-    b_u = np.uint64(b)
-
-    if w == 3:
-        col_set = _SortedSet(cols_u)
-        for i in range(m - 2):
-            block = cols_u[i + 1 :] ^ (cols_u[i] ^ b_u)
-            hits = np.flatnonzero(col_set.contains(block))
-            for h in hits:
-                j = i + 1 + int(h)
-                l_val = int(cols_u[j]) ^ int(cols_u[i]) ^ b
-                for l in value_index.get(l_val, []):
-                    if l > j:
-                        return (i, j, l)
-        return None
-
-    # w in (4, 5): the smallest value common to the pair sums shifted by b and
-    # the pair (w=4) or triple (w=5) sums.
-    total = m * (m - 1) // 2
-    pair_vals = np.empty(total, dtype=np.uint64)
-    pos = 0
-    for i in range(m - 1):
-        cnt = m - 1 - i
-        pair_vals[pos : pos + cnt] = cols_u[i + 1 :] ^ cols_u[i]
-        pos += cnt
-
-    def lex_pair(val: int) -> tuple[int, int]:
+    h = 1 if w == 3 else 2
+    s = w - h
+    # The h-sums, and where those of the columns after index i begin.
+    if h == 1:
+        sums, starts = cols_u, range(1, m)
+    else:
+        starts = np.cumsum(np.arange(m - 1, 0, -1))
+        sums = np.empty(starts[-1], dtype=np.uint64)
         for i in range(m - 1):
-            partner = val ^ cols[i]
-            for j in value_index.get(partner, []):
-                if j > i:
-                    return (i, j)
-        raise InternalCheckError("pair-sum witness vanished on re-derivation")
-
-    def lex_triple(val: int) -> tuple[int, int, int]:
-        for i in range(m - 2):
-            for j in range(i + 1, m - 1):
-                rest = val ^ cols[i] ^ cols[j]
-                for l in value_index.get(rest, []):
-                    if l > j:
-                        return (i, j, l)
-        raise InternalCheckError("triple-sum witness vanished on re-derivation")
-
+            sums[starts[i] - (m - 1 - i) : starts[i]] = cols_u[i + 1 :] ^ cols_u[i]
+    held = _SortedSet(sums ^ np.uint64(b))
     if w == 4:
-        v = _SortedSet(pair_vals).min_common(pair_vals ^ b_u)
-        del pair_vals
-        if v is None:
-            return None
-        i1, j1 = lex_pair(v)
-        i2, j2 = lex_pair(v ^ b)
-        support = tuple(sorted({i1, j1, i2, j2}))
-        if len(support) != 4:
-            raise InternalCheckError("pair supports collided despite refuted lower levels")
-        return support
-
-    # w == 5: the triple sums with least index i are the pair sums of the later
-    # columns shifted by column i, so they are tested one block at a time and
-    # never held all at once.
-    shifted_pairs = _SortedSet(pair_vals ^ b_u)
-    v = None
-    later = 0  # pair_vals[later:] are the pairs with least index i + 1 or more
-    for i in range(m - 2):
-        later += m - 1 - i
-        block_min = shifted_pairs.min_common(pair_vals[later:] ^ cols_u[i])
-        if block_min is not None and (v is None or block_min < v):
-            v = block_min
-    del pair_vals, shifted_pairs
+        v = held.min_common(sums)
+    else:  # the s-sums with least index i: the later h-sums shifted by column i
+        v = None
+        for i in range(m - s + 1):
+            block_min = held.min_common(sums[starts[i] :] ^ cols_u[i])
+            if block_min is not None and (v is None or block_min < v):
+                v = block_min
+    del sums, held
     if v is None:
         return None
-    i1, j1 = lex_pair(v ^ b)
-    i2, j2, l2 = lex_triple(v)
-    support = tuple(sorted({i1, j1, i2, j2, l2}))
-    if len(support) != 5:
-        raise InternalCheckError("pair/triple supports collided despite refuted lower levels")
+    halves = (
+        _search_weight_level(cols, v ^ b, h, None, value_index, suffix_max_pop),
+        _search_weight_level(cols, v, s, None, value_index, suffix_max_pop),
+    )
+    if None in halves:
+        raise InternalCheckError("meet-in-the-middle witness vanished on re-derivation")
+    support = tuple(sorted({*halves[0], *halves[1]}))
+    if len(support) != w:
+        raise InternalCheckError("half supports collided despite refuted lower levels")
     return support
 
 
@@ -516,8 +479,6 @@ def best_constructive_cover(k: int, t: int, n: int) -> Optional[Mod2Cover]:
     if n < t:
         return Mod2Cover(k, t, n, ())  # no cell has t distinct entries
     candidates: list[Mod2Cover] = [constructions.build_partition_cover(k, t, n)]
-    if t == 2:
-        candidates.append(constructions.build_cover_t2(k, n))
     if (k, t) == (2, 2):
         candidates.append(constructions.build_cover_22(n))
     if (k, t) == (3, 3):
@@ -685,9 +646,6 @@ def bounds_table(
         notes.append(ERRATUM_22)
     for n in n_values:
         lower = _formula_lower(k, t, n)
-        rank_bound = flattening_rank_bound(k, t, n)
-        if rank_bound is not None:
-            lower = max(lower, rank_bound)
         upper = _formula_upper(k, t, n)
         constructive_cover = best_constructive_cover(k, t, n)
         if constructive_cover is None:
@@ -695,17 +653,22 @@ def bounds_table(
         if not verify_mod2_cover(constructive_cover).valid:
             raise InternalCheckError("constructive cover failed verification")
         constructive = len(constructive_cover)
-        exact: Optional[int] = None
+        out: Optional[SearchOutcome] = None
         if run_search:
             try:
                 out = min_mod2_cover(
                     k, t, n, budget=budget, cap=cap, incumbent=constructive_cover
                 )
-                lower = max(lower, out.lower)
-                if out.exact:
-                    exact = out.value
             except CapExceededError:
                 pass
+        if out is not None:  # its lower bound already includes the rank bound
+            lower = max(lower, out.lower)
+            exact = out.value
+        else:
+            exact = None
+            rank_bound = flattening_rank_bound(k, t, n)
+            if rank_bound is not None:
+                lower = max(lower, rank_bound)
         if lower == constructive:
             exact = constructive  # the certificates meet, with or without a search
         if constructive > upper:

@@ -205,6 +205,21 @@ class TestNamedCovers:
         assert len(c) == n + 1
         assert verify_mod2_cover(c).valid
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_cover_t2_is_the_t2_partition_cover(self, k):
+        # the diagonal singletons in ascending order, then the full product
+        for n in range(1, 9):
+            diagonal = [(SubsetBits.from_elements(n, [i]),) * k for i in range(1, n + 1)]
+            want = diagonal + [(SubsetBits.full(n),) * k]
+            assert [p.parts for p in build_cover_t2(k, n).products] == want
+            assert build_cover_t2(k, n) == build_partition_cover(k, 2, n)
+
+    def test_cover_t2_argument_checks(self):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            build_cover_t2(1, 3)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            build_cover_t2(3, 0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_cover_33(self, n):
         c = build_cover_33(n)

@@ -221,6 +221,44 @@ def test_row_dependency_reports_cycle():
     assert row_dependency([0b001, 0b010], 3) is None
 
 
+def _row_dependency_by_pairs(bitrows, cols):
+    """Reference: elimination on (row, identity tag) pairs; the first row past
+    the rank whose row part vanishes carries the dependency in its tag."""
+    nrows = len(bitrows)
+    work = [(bitrows[i], 1 << i) for i in range(nrows)]
+    rank = 0
+    for col in range(cols):
+        mask = 1 << col
+        pivot = next((r for r in range(rank, nrows) if work[r][0] & mask), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow, ptag = work[rank]
+        for r in range(rank + 1, nrows):
+            if work[r][0] & mask:
+                work[r] = (work[r][0] ^ prow, work[r][1] ^ ptag)
+        rank += 1
+    for row, tag in work[rank:]:
+        if row == 0 and tag != 0:
+            return tuple(i for i in range(nrows) if (tag >> i) & 1)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda cols: st.tuples(st.just(cols), st.lists(st.integers(0, 2**cols - 1), max_size=10))
+))
+def test_row_dependency_matches_pair_elimination(args):
+    cols, rows = args
+    dep = row_dependency(rows, cols)
+    assert dep == _row_dependency_by_pairs(rows, cols)
+    if dep is not None:
+        acc = 0
+        for i in dep:
+            acc ^= rows[i]
+        assert dep and acc == 0
+
+
 def _min_weight(col_masks, b_mask, max_weight):
     """Weight levels exhausted in ascending order, as ``min_mod2_cover`` does:
     the support the first nonempty level gives, or None up to ``max_weight``."""

@@ -20,6 +20,7 @@ from oddtown.search import (
     ERRATUM_22,
     SearchInstance,
     _exhaust_level,
+    _level_tables,
     _np_membership,
     _search_weight_level,
     _SortedSet,
@@ -170,6 +171,12 @@ class TestMinMod2Cover:
         assert not out.exact
         assert out.lower == 4 and out.levels_exhausted == (1, 3)
 
+    @pytest.mark.parametrize("k,t,n", [(2, 2, 6), (3, 2, 4), (3, 3, 4)])
+    def test_budget_interval_through_level_three_pass(self, k, t, n):
+        # the catalogs with more than 4*10^6 column pairs refute w=3 by meet-in-the-middle
+        out = min_mod2_cover(k, t, n, budget=3, rank_presolve=False)
+        assert (out.status, out.lower, out.levels_exhausted) == ("interval", 4, (1, 3))
+
     def test_incumbent_certifies(self):
         cover = build_cover_33(3)
         out = min_mod2_cover(3, 3, 3, budget=0, incumbent=cover)
@@ -228,33 +235,28 @@ def _xor(cols, support):
 def _mitm_level(cols, b, w):
     """``_exhaust_level`` forced onto the meet-in-the-middle route."""
     inst = SearchInstance(0, 0, 0, ((),) * 20, ((),) * len(cols), tuple(cols), b)
-    value_index = {}
-    for j, c in enumerate(cols):
-        value_index.setdefault(c, []).append(j)
     old_cap = search._DFS_NODE_CAP
     search._DFS_NODE_CAP = 0
     try:
-        return _exhaust_level(inst, w, lambda: None, value_index, [])
+        return _exhaust_level(inst, w, lambda: None, *_level_tables(cols))
     finally:
         search._DFS_NODE_CAP = old_cap
 
 
 def _level_reference(cols, b, w):
-    """The level pass by plain enumeration: at w=3 the lexicographically first
-    support (the DFS engine's answer); at w=4 and 5 the smallest value shared by
-    the pair (w=4) or triple (w=5) sums and the pair sums shifted by b, joined
-    from the lexicographically first supports of both sums."""
-    if w == 3:
-        return _search_weight_level(cols, b, 3)
+    """The level pass by plain enumeration: with h = 1 at w=3 and h = 2 at w=4
+    and 5, the smallest value shared by the (w-h)-sums and the h-sums shifted
+    by b, joined from the lexicographically first supports of both sums."""
+    h = 1 if w == 3 else 2
     first = {}
-    for size in (2, w - 2):
+    for size in (h, w - h):
         for sup in combinations(range(len(cols)), size):
             first.setdefault((size, _xor(cols, sup)), sup)
-    common = [v for (size, v) in first if size == w - 2 and (2, v ^ b) in first]
+    common = [v for (size, v) in first if size == w - h and (h, v ^ b) in first]
     if not common:
         return None
     v = min(common)
-    return tuple(sorted(first[(w - 2, v)] + first[(2, v ^ b)]))
+    return tuple(sorted(first[(w - h, v)] + first[(h, v ^ b)]))
 
 
 uint64s = st.lists(st.integers(0, 2**64 - 1), max_size=40)
@@ -389,6 +391,28 @@ class TestBoundsTable:
         assert [r.exact for r in rows] == [2, 2, 4, 4, 6, 6, 8, 8]
         rows, _ = bounds_table(3, 3, [3], run_search=False)
         assert (rows[0].lower, rows[0].constructive, rows[0].exact) == (3, 6, None)
+
+    @pytest.mark.parametrize("run_search", [True, False])
+    def test_one_rank_bound_per_row(self, monkeypatch, run_search):
+        calls = []
+        real = search.flattening_rank_bound
+
+        def spy(k, t, n):
+            calls.append(n)
+            return real(k, t, n)
+
+        monkeypatch.setattr(search, "flattening_rank_bound", spy)
+        rows, _ = bounds_table(2, 2, range(2, 7), run_search=run_search)
+        assert [r.fields()[3:] for r in rows] == [
+            (2, 2, 2, 2), (2, 4, 2, 2), (4, 5, 4, 4), (4, 6, 4, 4), (6, 7, 6, 6)
+        ]
+        rows, _ = bounds_table(3, 3, range(2, 5), run_search=run_search)
+        lower = 4 if run_search else 3  # the search refutes level 3 within budget 3
+        assert [r.fields()[3:] for r in rows] == [
+            (0, 0, 0, 0), (lower, 6, 6, ""), (lower, 13, 13, "")
+        ]
+        # one call per row at most; the search skips it on the edgeless (3,3,2)
+        assert calls == [2, 3, 4, 5, 6] + ([3, 4] if run_search else [2, 3, 4])
 
     def test_formats(self):
         rows, notes = bounds_table(2, 2, [2, 3], run_search=False)
