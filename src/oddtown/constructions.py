@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .covers import GpCover, KPartiteProduct, Mod2Cover, tuple_to_cover
 from .gf2 import Gf2Matrix
@@ -81,17 +81,22 @@ class PatternPartition:
         return cls(tuple(blocks))
 
 
-def set_partitions(k: int) -> Iterator[PatternPartition]:
-    """All set partitions of [k], in restricted-growth-string order."""
+def set_partitions(k: int, max_blocks: Optional[int] = None) -> Iterator[PatternPartition]:
+    """All set partitions of [k], in restricted-growth-string order; with
+    ``max_blocks``, only those with at most that many blocks, in the same order
+    (the walk never opens a block past the bound)."""
+    bound = k if max_blocks is None else max_blocks
     if k == 0:
         yield PatternPartition(())
+        return
+    if bound < 1:
         return
 
     def rec(pos: int, rgs: list[int], maxblock: int) -> Iterator[list[int]]:
         if pos == k:
             yield rgs[:]
             return
-        for b in range(maxblock + 2):
+        for b in range(min(maxblock + 2, bound)):
             rgs.append(b)
             yield from rec(pos + 1, rgs, max(maxblock, b))
             rgs.pop()
@@ -194,9 +199,8 @@ def build_partition_cover(k: int, t: int, n: int) -> Mod2Cover:
     if n < 1:
         raise ValueError("need n >= 1")
     products: list[KPartiteProduct] = []
-    for pattern in set_partitions(k):
-        if pattern.block_count <= t - 1:
-            products.extend(_pattern_products(pattern, n))
+    for pattern in set_partitions(k, t - 1):
+        products.extend(_pattern_products(pattern, n))
     full = SubsetBits.full(n)
     products.append(KPartiteProduct(tuple(full for _ in range(k))))
     return Mod2Cover(k, t, n, tuple(products))
@@ -239,7 +243,7 @@ def build_cover_43(n: int) -> Mod2Cover:
         raise ValueError("n must be at least 1")
     base = build_cover_t2(4, n)
     products = list(base.products)
-    for pattern in set_partitions(4):
+    for pattern in set_partitions(4, 2):
         if pattern.block_count == 2:
             products.extend(_pattern_products(pattern, n))
     return Mod2Cover(4, 3, n, tuple(products))

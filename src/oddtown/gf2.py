@@ -1,8 +1,13 @@
 """Dense linear algebra over F_2 (bit-packed) and small prime fields.
 
 Rows of a binary matrix are Python ints, one bit per entry, so a row
-operation is a single XOR.  Elimination always picks the leftmost pivot;
-all ranks are reproducible bit for bit.
+operation is a single XOR.  ``rank_gf2`` eliminates on those ints up to
+``PACKED_MIN_ENTRIES`` entries (rows x cols) and on rows packed into
+``uint64`` words above it, where one numpy XOR per pivot beats a Python
+loop over the rows.  ``rank_gfp`` works on an int64 copy and reduces mod p
+only the pivot column and the pivot row (delayed reduction, as in
+FFLAS/FFPACK).  Elimination always picks the leftmost pivot; all ranks are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +18,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 MAX_PRIME = 251
+
+# rank_gf2 eliminates on packed words above this many entries (rows x cols).
+# Measured on a 2-vCPU machine, best of 5: inclusion 462x462 8.2 ms on ints
+# against 3.9 ms packed, 330x330 4.6 against 2.8 ms; random 362x362 8.0
+# against 8.6 ms; Kneser(22,3) 144 against 56 ms.  The inclusion sweep with
+# n <= 11 takes 0.065 s with this constant, 0.081 s with 2^18 and 0.123 s
+# with every matrix packed.
+PACKED_MIN_ENTRIES = 1 << 17
 
 
 class InternalCheckError(RuntimeError):
@@ -73,9 +86,7 @@ class Gf2Matrix:
 
     def to_array(self) -> np.ndarray:
         """The entries as a (rows, cols) 0/1 uint8 array."""
-        width = (self.cols + 7) // 8
-        packed = b"".join(row.to_bytes(width, "little") for row in self.data)
-        by_row = np.frombuffer(packed, dtype=np.uint8).reshape(self.rows, width)
+        by_row = _row_bytes(self.data, (self.cols + 7) // 8)
         return np.unpackbits(by_row, axis=1, count=self.cols, bitorder="little")
 
     def transpose(self) -> "Gf2Matrix":
@@ -131,6 +142,13 @@ class GfpMatrix:
         return cls.from_rows(np.eye(n, dtype=np.int64), p)
 
 
+def _row_bytes(bitrows: Sequence[int], width: int) -> np.ndarray:
+    """The rows as a read-only (len(bitrows), width) uint8 array, each row
+    little-endian, so bit j of a row is bit j % 8 of byte j // 8."""
+    packed = b"".join(row.to_bytes(width, "little") for row in bitrows)
+    return np.frombuffer(packed, dtype=np.uint8).reshape(len(bitrows), width)
+
+
 def _check_modulus(p: int) -> None:
     if not (2 <= p <= MAX_PRIME) or not is_prime(p):
         raise ValueError(f"modulus {p} is not a prime in [2, {MAX_PRIME}]")
@@ -161,30 +179,67 @@ def _rank_bitrows(bitrows: Sequence[int], cols: int) -> tuple[int, list[int]]:
     return rank, work
 
 
+def _rank_packed(m: Gf2Matrix) -> int:
+    """Rank over F_2 with each row packed into ``uint64`` words: per pivot
+    column, the rows below with the pivot bit set take one XOR of the pivot
+    row's words from the pivot word on."""
+    words = _row_bytes(m.data, 8 * ((m.cols + 63) // 64)).view("<u8").copy()
+    rank = 0
+    for col in range(m.cols):
+        if rank == m.rows:
+            break
+        w = col >> 6
+        hits = rank + np.flatnonzero(words[rank:, w] & np.uint64(1 << (col & 63)))
+        if hits.size == 0:
+            continue
+        piv = int(hits[0])
+        if piv != rank:
+            words[[rank, piv], w:] = words[[piv, rank], w:]
+        below = hits[1:]  # the swapped-down row was zero in this column
+        if below.size:
+            words[below, w:] ^= words[rank, w:]
+        rank += 1
+    return rank
+
+
 def rank_gf2(m: Gf2Matrix) -> int:
-    """Rank over F_2 by Gaussian elimination; the input is not modified."""
+    """Rank over F_2 by Gaussian elimination; the input is not modified.
+
+    Up to ``PACKED_MIN_ENTRIES`` entries the rows are eliminated as Python
+    ints; above it as packed ``uint64`` words.  Both take the same pivots."""
+    if m.rows * m.cols > PACKED_MIN_ENTRIES:
+        return _rank_packed(m)
     return _rank_bitrows(m.data, m.cols)[0]
 
 
 def rank_gfp(m: GfpMatrix) -> int:
     """Rank over F_p by Gaussian elimination: leftmost pivot column, first nonzero
     row at or below the current rank; each step updates only the rows below that
-    are nonzero in the pivot column, and only from that column on."""
+    are nonzero in the pivot column, and only from that column on.
+
+    The reduction mod p is delayed: a step reduces only the pivot column below
+    the rank (its nonzero entries pick the rows and give their multipliers) and
+    the pivot row, and subtracts multiplier times pivot row from the rows below
+    unreduced.  An entry starts in [0, p) and takes at most min(rows, cols)
+    such updates of size at most (p-1)^2, so it stays within
+    (p-1) + min(rows, cols) * (p-1)^2 in absolute value: far inside int64
+    for p <= 251 and any matrix that fits in memory."""
     a, p = m.data.astype(np.int64), m.p  # a copy, wide enough for the products
     rank = 0
     for col in range(m.cols):
         if rank == m.rows:
             break
-        nonzero = rank + np.flatnonzero(a[rank:, col])
+        column = a[rank:, col] % p
+        nonzero = np.flatnonzero(column)
         if nonzero.size == 0:
             continue
-        piv = int(nonzero[0])
+        piv = rank + int(nonzero[0])
+        pivot = a[piv, col:] * pow(int(column[nonzero[0]]), p - 2, p) % p
         if piv != rank:
-            a[[rank, piv], col:] = a[[piv, rank], col:]
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
-        below = nonzero[1:]  # the swapped-down row was zero in this column
+            a[piv, col:] = a[rank, col:]  # rows above the rank are never read again
+        below = nonzero[1:]  # the row moved down was zero in this column
         if below.size:
-            a[below, col:] = (a[below, col:] - np.outer(a[below, col], a[rank, col:])) % p
+            a[rank + below, col:] -= np.outer(column[below], pivot)
         rank += 1
     return rank
 

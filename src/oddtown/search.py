@@ -623,8 +623,7 @@ def _formula_upper(k: int, t: int, n: int) -> int:
         constructions.falling_factorial(
             n, pi.block_count - (1 if any(len(b) == 1 for b in pi.blocks) else 0)
         )
-        for pi in constructions.set_partitions(k)
-        if pi.block_count <= t - 1
+        for pi in constructions.set_partitions(k, t - 1)
     )
 
 

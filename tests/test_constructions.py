@@ -69,6 +69,14 @@ class TestCombinatoricsToolkit:
         for k in range(6):
             assert len(list(set_partitions(k))) == bell[k]
 
+    def test_set_partitions_block_bound_prunes_in_order(self):
+        for k in range(9):
+            full = list(set_partitions(k))
+            for bound in range(k + 2):
+                assert list(set_partitions(k, bound)) == [
+                    p for p in full if p.block_count <= bound
+                ], (k, bound)
+
     def test_pattern_from_index_tuple(self):
         p = PatternPartition.from_index_tuple((2, 1, 2))
         assert p.blocks == ((1, 3), (2,))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,15 @@ class TestCli:
         assert main(["verify", "--kind", "tuple", "--file", str(out)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-1] == "valid m=5 n=4"
+
+    def test_construct_cover_t2_k10_is_fast(self, tmp_path, capsys):
+        # the partition walk stops at one block: Bell(10) = 115,975 partitions
+        # walked and filtered took most of a second
+        out = tmp_path / "c.json"
+        start = time.monotonic()
+        assert main(["construct", "--name", "cover-t2", "--k", "10", "--n", "2", "--out", str(out)]) == 0
+        assert time.monotonic() - start < 0.25
+        assert "size=3" in capsys.readouterr().out
 
     def test_construct_verify_cover33(self, tmp_path, capsys):
         out = tmp_path / "c.json"

@@ -15,7 +15,7 @@ from oddtown import (
     rank_gf2,
     rank_gfp,
 )
-from oddtown.gf2 import is_prime, row_dependency
+from oddtown.gf2 import _rank_bitrows, _rank_packed, is_prime, row_dependency
 from oddtown.ranks import mstar_observed_rank
 from oddtown.search import _level_tables, _search_weight_level
 
@@ -165,6 +165,18 @@ def test_rank_gfp_matches_reference_elimination(p, rows, cols, data):
     assert rank_gfp(m) == _reference_rank_mod_p(entries, p)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([3, 251]), st.integers(1, 60), st.integers(1, 60), st.integers(0, 60),
+       st.randoms(use_true_random=False))
+def test_rank_gfp_delayed_reduction_on_dense_matrices(p, rows, cols, inner, rng):
+    # a product through an inner dimension: the rank is at most inner, so rows
+    # vanish mod p only after many unreduced updates
+    left = np.array([[rng.randrange(p) for _ in range(inner)] for _ in range(rows)])
+    right = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(inner)])
+    entries = (left.reshape(rows, inner) @ right.reshape(inner, cols)) % p
+    assert rank_gfp(GfpMatrix.from_rows(entries, p)) == _reference_rank_mod_p(entries.tolist(), p)
+
+
 def test_mstar_ranks_pinned():
     assert mstar_observed_rank(11, 4, 5, 1) == 330
     assert mstar_observed_rank(12, 4, 3, 1) == 494
@@ -182,6 +194,27 @@ def test_is_prime():
 def test_rank_matches_gfp_at_two(rows, cols, data):
     entries = [[data.draw(st.integers(0, 1)) for _ in range(cols)] for _ in range(rows)]
     assert rank_gf2(Gf2Matrix.from_rows(entries)) == rank_gfp(GfpMatrix.from_rows(entries, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.sampled_from([63, 64, 65, 128]) | st.integers(0, 200), st.data())
+def test_packed_rank_matches_bitrow_elimination(rows, cols, data):
+    # rows spanned by a few dense or sparse rows, so pivots skip columns and
+    # land on both sides of word boundaries
+    rng = data.draw(st.randoms(use_true_random=False))
+    sparse = st.lists(st.integers(0, max(cols - 1, 0)), max_size=3).map(
+        lambda bits: sum(1 << b for b in set(bits)) if cols else 0)
+    basis = [rng.getrandbits(cols) if data.draw(st.booleans()) else data.draw(sparse)
+             for _ in range(data.draw(st.integers(0, 10)))]
+    bitrows = []
+    for _ in range(rows):
+        row = 0
+        for b in basis:
+            if data.draw(st.booleans()):
+                row ^= b
+        bitrows.append(row)
+    m = Gf2Matrix.from_bitrows(bitrows, cols)
+    assert _rank_packed(m) == _rank_bitrows(bitrows, cols)[0]
 
 
 @settings(max_examples=40, deadline=None)

@@ -179,6 +179,10 @@ class TestKneserRankLowerBound:
         # the actual 378x378 disjointness matrix has full rank over F_2
         assert rank_gf2(kneser_adjacency(28, 2)) == 378
 
+    def test_direct_elimination_30_3(self):
+        # 4060 x 4060, above PACKED_MIN_ENTRIES: the packed-word kernel
+        assert rank_gf2(kneser_adjacency(30, 3)) == kneser_rank_lower_bound(30, 3) == 4060
+
 
 class TestKneserViews:
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (5, 2)])
