@@ -209,7 +209,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.n is None:
         raise UsageError("search needs --n or --m")
-    search.check_search_args(args.k, args.t, args.n, args.cap)
     incumbent = search.best_constructive_cover(args.k, args.t, args.n)
     out = search.min_mod2_cover(
         args.k, args.t, args.n, budget=args.budget, cap=args.cap, incumbent=incumbent

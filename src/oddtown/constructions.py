@@ -290,7 +290,7 @@ def _intersect_all(sets: Sequence[SubsetBits]) -> SubsetBits:
     return acc
 
 
-def reduce_tuple_to_pair(system: TupleSystem, validate: bool = True) -> TupleSystem:
+def reduce_tuple_to_pair(system: TupleSystem) -> TupleSystem:
     """Collapse a valid (k,t)-tuple to a set pair witnessing the size bound.
 
     For 2t-2 <= k the pair is indexed by (t-1)-subsets I of [m]: the A side
@@ -302,10 +302,8 @@ def reduce_tuple_to_pair(system: TupleSystem, validate: bool = True) -> TupleSys
     indices 1..alpha and the remaining 2(k-t+1) families are split evenly
     between the two sides, indexed by (k-t+1)-subsets of [alpha+1, m].
     """
-    if validate:
-        report = verify_bollobas_tuple(system)
-        if not report.valid:
-            raise ValueError("input tuple is not valid")
+    if not verify_bollobas_tuple(system).valid:
+        raise ValueError("input tuple is not valid")
     k, t, m, n = system.k, system.t, system.m, system.ground_size
     fams = system.families
     a_side: list[SubsetBits] = []
@@ -331,7 +329,7 @@ def reduce_tuple_to_pair(system: TupleSystem, validate: bool = True) -> TupleSys
     return TupleSystem(2, 2, len(a_side), n, (tuple(a_side), tuple(b_side)))
 
 
-def reduce_triple_b33(system: TupleSystem, anchor: int = 1, validate: bool = True) -> TupleSystem:
+def reduce_triple_b33(system: TupleSystem, anchor: int = 1) -> TupleSystem:
     """Reduce a valid all-distinct triple system to a set pair of size m-1.
 
     F_1 = {A_{1,a} ∩ A_{2,i}} and F_2 = {A_{1,a} ∩ A_{3,i}} over i != a; the
@@ -343,10 +341,8 @@ def reduce_triple_b33(system: TupleSystem, anchor: int = 1, validate: bool = Tru
         raise ValueError("need at least two indices")
     if not (1 <= anchor <= system.m):
         raise ValueError(f"anchor {anchor} out of range")
-    if validate:
-        report = verify_bollobas_tuple(system)
-        if not report.valid:
-            raise ValueError("input tuple is not valid")
+    if not verify_bollobas_tuple(system).valid:
+        raise ValueError("input tuple is not valid")
     base = system.families[0][anchor - 1]
     others = [i for i in range(system.m) if i != anchor - 1]
     f1 = tuple(base & system.families[1][i] for i in others)

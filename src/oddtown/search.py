@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import comb, factorial
 from typing import Callable, Optional, Sequence
 
@@ -71,21 +71,25 @@ class SearchInstance:
         return len(self.columns)
 
 
-def check_search_args(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> None:
-    """Reject parameters outside the search's domain or a catalog above ``cap``."""
+def _check_search_args(k: int, t: int, n: int) -> None:
     if not (2 <= t <= k):
         raise ValueError("need 2 <= t <= k")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    size = ((1 << n) - 1) ** k
+
+
+def _catalog_size(k: int, n: int) -> int:
+    return ((1 << n) - 1) ** k
+
+
+def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> SearchInstance:
+    """The catalog of all (2^n - 1)^k products; CapExceededError above ``cap``."""
+    _check_search_args(k, t, n)
+    size = _catalog_size(k, n)
     if size > cap:
         raise CapExceededError(
             f"catalog for k={k}, n={n} has {size} products, above the cap {cap}"
         )
-
-
-def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> SearchInstance:
-    check_search_args(k, t, n, cap)
     n_subsets = (1 << n) - 1
     cells = tuple(all_cells(n, k))
     # Bitmask over cells of "coordinate j takes a value in subset s", s >= 1.
@@ -116,7 +120,9 @@ def flattening_rank_bound(k: int, t: int, n: int) -> Optional[int]:
     ``_RANK_MAX_CELLS``.
 
     Every product unfolds to a rank-one matrix along any coordinate
-    bipartition, so any parity cover needs at least this many products.
+    bipartition, so any parity cover needs at least this many products.  The
+    target is invariant under permuting coordinates, so all unfoldings that
+    put a coordinates on the rows are one matrix: one rank per a suffices.
     """
     if n**k > _RANK_MAX_CELLS:
         return None
@@ -124,15 +130,11 @@ def flattening_rank_bound(k: int, t: int, n: int) -> Optional[int]:
         return 0
     # The target holds the cells with at least t distinct entries.
     grid = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0)
-    distinct = 1 + np.count_nonzero(np.diff(grid, axis=0), axis=0)
-    target = (distinct >= t).reshape((n,) * k)
-    best = 0
-    for a in range(1, k // 2 + 1):
-        for js in combinations(range(k), a):
-            rest = [j for j in range(k) if j not in js]
-            unfolding = target.transpose(*js, *rest).reshape(n**a, -1)
-            best = max(best, rank_gf2(Gf2Matrix.from_array(unfolding)))
-    return best
+    target = 1 + np.count_nonzero(np.diff(grid, axis=0), axis=0) >= t
+    return max(
+        (rank_gf2(Gf2Matrix.from_array(target.reshape(n**a, -1))) for a in range(1, k // 2 + 1)),
+        default=0,
+    )
 
 
 def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
@@ -421,77 +423,106 @@ def min_mod2_cover(
 ) -> SearchOutcome:
     """Exact minimum size of a parity cover of the >= t distinct target.
 
-    Weight levels are exhausted in ascending order up to ``budget``; the rank
-    presolve (when enabled) certifies all levels below the unfolding rank
-    without search.  ``incumbent`` may supply a known cover: it is verified and
-    used as an upper bound, and when it meets the certified lower bound the
-    exact value is returned without further search.  Any returned cover is
-    re-verified.  The result is deterministic for fixed arguments.
+    Two certificates need no product catalog: ``incumbent``, a known cover
+    (verified, then the upper bound), and the unfolding rank (the lower bound,
+    when ``rank_presolve`` is on).  When they meet, the value is exact and
+    nothing is searched.  Otherwise weight levels from the rank up are
+    exhausted in ascending order up to ``budget``, provided the catalog of
+    (2^n - 1)^k products fits ``cap``; past the cap the outcome is the
+    interval of the certificates, with no level searched.  Any returned cover
+    is re-verified.  The result is deterministic for fixed arguments.
     """
-    instance = build_search_instance(k, t, n, cap)
+    _check_search_args(k, t, n)
     if incumbent is not None:
         if (incumbent.k, incumbent.t, incumbent.n) != (k, t, n):
             raise ValueError("incumbent cover has mismatched parameters")
         if not verify_mod2_cover(incumbent).valid:
             raise ValueError("incumbent cover is not valid")
-    if instance.target == 0:
-        empty = Mod2Cover(k, t, n, ())
-        return SearchOutcome(k, t, n, "exact", 0, 0, 0, empty, 0, None)
+    if n < t:  # no cell has t distinct entries
+        return SearchOutcome(k, t, n, "exact", 0, 0, 0, Mod2Cover(k, t, n, ()), 0, None)
 
     rank_bound = (flattening_rank_bound(k, t, n) or 0) if rank_presolve else 0
-    upper = len(incumbent.products) if incumbent is not None else None
-    best_cover = incumbent
+    upper = len(incumbent) if incumbent is not None else None
+    start = w = max(1, rank_bound)
+    support = None
+    if start != upper and start <= budget and _catalog_size(k, n) <= cap:
+        instance = build_search_instance(k, t, n, cap)
+        # Orbit-canonical first columns, built on the first level that runs DFS.
+        first_columns = cache(lambda: _canonical_first_columns(instance) if symmetry else None)
+        value_index, suffix = _level_tables(instance.columns)
+        while w <= budget and (upper is None or w < upper):
+            try:
+                support = _exhaust_level(instance, w, first_columns, value_index, suffix)
+            except _LevelTooHard:
+                break
+            if support is not None:
+                break
+            w += 1
+    # Every level below w is refuted, by the rank or by the search.
+    exhausted = (start, w - 1) if w > start else None
+    if support is not None:
+        cover = _cover_from_support(instance, support)
+        if not verify_mod2_cover(cover).valid:
+            raise InternalCheckError("search witness failed cover verification")
+        return SearchOutcome(k, t, n, "exact", w, w, w, cover, rank_bound, exhausted)
+    status, value = ("exact", w) if w == upper else ("interval", None)
+    return SearchOutcome(k, t, n, status, value, w, upper, incumbent, rank_bound, exhausted)
 
-    start = max(1, rank_bound)
-    # Orbit-canonical first columns, built on the first level that runs DFS.
-    first_columns = cache(lambda: _canonical_first_columns(instance) if symmetry else None)
-    value_index, suffix = _level_tables(instance.columns)
 
-    exhausted: Optional[tuple[int, int]] = None
-    w = start
-    while w <= budget and (upper is None or w < upper):
-        try:
-            support = _exhaust_level(instance, w, first_columns, value_index, suffix)
-        except _LevelTooHard:
-            break
-        if support is not None:
-            cover = _cover_from_support(instance, support)
-            if not verify_mod2_cover(cover).valid:
-                raise InternalCheckError("search witness failed cover verification")
-            return SearchOutcome(
-                k, t, n, "exact", w, w, w, cover, rank_bound, exhausted
-            )
-        exhausted = (start, w) if exhausted is None else (exhausted[0], w)
-        w += 1
+# Largest cover check ``best_constructive_cover`` runs, in n^k * ceil(S / 64)
+# words for S products.  On one 2-vCPU machine, verifying the (6,6,9)
+# permuted singleton cover (5.0e8 words) takes 0.6-0.9 s, and the (6,6,10)
+# partition cover (2.2e9 words) 21 s.
+VERIFY_MAX_WORDS = 10**9
 
-    lower = max(1, rank_bound, (exhausted[1] + 1) if exhausted else 1)
-    if upper is not None and upper == lower:
-        return SearchOutcome(
-            k, t, n, "exact", lower, lower, upper, best_cover, rank_bound, exhausted
-        )
-    return SearchOutcome(
-        k, t, n, "interval", None, lower, upper, best_cover, rank_bound, exhausted
-    )
+
+def _partition_cover_size(k: int, t: int, n: int) -> int:
+    """Size of ``build_partition_cover(k, t, n)`` for n >= t, without walking
+    the partitions: the full product, and per partition of [k] into r < t
+    blocks (n)_r products, or (n)_(r-1) when a singleton block rides free.
+    Of the S(k, r) partitions, sum_i (-1)^i C(k, i) S(k-i, r-i) have no
+    singleton block (inclusion-exclusion over the singletons)."""
+    stirling, falling = constructions.stirling2, constructions.falling_factorial
+    size = 1
+    for r in range(1, t):
+        plain = sum((-1) ** i * comb(k, i) * stirling(k - i, r - i) for i in range(r + 1))
+        size += plain * falling(n, r) + (stirling(k, r) - plain) * falling(n, r - 1)
+    return size
+
+
+def _smallest_construction(k: int, t: int, n: int) -> tuple[int, Callable[[], Mod2Cover]]:
+    """Closed-form size and builder of the smallest applicable construction
+    for n >= t; ties go to the earlier candidate."""
+    candidates = [
+        (_partition_cover_size(k, t, n), lambda: constructions.build_partition_cover(k, t, n))
+    ]
+    if (k, t) == (2, 2):
+        candidates.append((n - n % 2, lambda: constructions.build_cover_22(n)))
+    if (k, t) == (3, 3):
+        candidates.append((3 * n + 1, lambda: constructions.build_cover_33(n)))
+    if t == k and k <= n:
+        candidates.append((
+            factorial(k) * comb(n, k),
+            lambda: permute_gp_cover(constructions.trivial_gp_cover(n, k)),
+        ))
+    return min(candidates, key=lambda c: c[0])
 
 
 def best_constructive_cover(k: int, t: int, n: int) -> Optional[Mod2Cover]:
-    """Smallest cover among the applicable explicit constructions, or None."""
+    """Smallest cover among the applicable explicit constructions, verified;
+    None when verifying it would exceed ``VERIFY_MAX_WORDS``.  Only the
+    smallest candidate by closed-form size is built."""
     if n < t:
         return Mod2Cover(k, t, n, ())  # no cell has t distinct entries
-    candidates: list[Mod2Cover] = [constructions.build_partition_cover(k, t, n)]
-    if (k, t) == (2, 2):
-        candidates.append(constructions.build_cover_22(n))
-    if (k, t) == (3, 3):
-        candidates.append(constructions.build_cover_33(n))
-    if (k, t) == (4, 3):
-        candidates.append(constructions.build_cover_43(n))
-    if t == k and k <= n:
-        candidates.append(_permuted_trivial(n, k))
-    return min(candidates, key=len)
-
-
-def _permuted_trivial(n: int, k: int) -> Mod2Cover:
-    return permute_gp_cover(constructions.trivial_gp_cover(n, k))
+    size, build = _smallest_construction(k, t, n)
+    if n**k * -(-size // 64) > VERIFY_MAX_WORDS:
+        return None
+    cover = build()
+    if len(cover) != size:
+        raise InternalCheckError(f"construction has {len(cover)} products, its closed form {size}")
+    if not verify_mod2_cover(cover).valid:
+        raise InternalCheckError("constructive cover failed verification")
+    return cover
 
 
 @dataclass(frozen=True)
@@ -500,7 +531,7 @@ class ExactBResult:
 
     ``value`` is set when the answer is certified exactly; otherwise
     ``at_least`` is the best certified lower value and the answer is open
-    upward (search budget or catalog cap ran out).
+    upward (search budget, catalog cap or construction limit ran out).
     """
 
     k: int
@@ -533,14 +564,8 @@ def exact_b(
     n = 1
     while True:
         constructive = best_constructive_cover(k, t, n)
-        if constructive is not None and len(constructive) <= m:
-            if not verify_mod2_cover(constructive).valid:
-                raise InternalCheckError("constructive cover failed verification")
-            best = n
-            n += 1
-            continue
-        level_budget = min(m, budget) if budget is not None else m
-        try:
+        if constructive is None or len(constructive) > m:
+            level_budget = min(m, budget) if budget is not None else m
             out = min_mod2_cover(
                 k,
                 t,
@@ -550,17 +575,11 @@ def exact_b(
                 rank_presolve=rank_presolve,
                 incumbent=constructive,
             )
-        except CapExceededError:
-            # The unfolding bound needs no catalog; f(n) > m settles every larger n too.
-            rank = flattening_rank_bound(k, t, n)
-            return ExactBResult(k, t, m, best if rank is not None and rank > m else None, best)
-        if out.exact and out.value <= m:
-            best = n
-            n += 1
-            continue
-        if out.lower > m:
-            return ExactBResult(k, t, m, best, best)
-        return ExactBResult(k, t, m, None, best)
+            if not (out.exact and out.value <= m):
+                # f(n) > m settles every larger n too.
+                return ExactBResult(k, t, m, best if out.lower > m else None, best)
+        best = n
+        n += 1
 
 
 @dataclass(frozen=True)
@@ -617,14 +636,7 @@ def _formula_upper(k: int, t: int, n: int) -> int:
         specific.append(3 * n * n + 4 * n + 1)
     if t == k and k <= n:
         specific.append(factorial(k) * comb(n, k))
-    if specific:
-        return min(specific)
-    return 1 + sum(
-        constructions.falling_factorial(
-            n, pi.block_count - (1 if any(len(b) == 1 for b in pi.blocks) else 0)
-        )
-        for pi in constructions.set_partitions(k, t - 1)
-    )
+    return min(specific) if specific else _partition_cover_size(k, t, n)
 
 
 def bounds_table(
@@ -633,43 +645,31 @@ def bounds_table(
     n_values: Sequence[int],
     budget: int = 3,
     cap: int = DEFAULT_CAP,
-    run_search: bool = True,
 ) -> tuple[list[TableRow], list[str]]:
     """One row per n: certified bounds, the best construction, and the exact
     minimum when the search settles it or the lower bound meets the
-    construction.  Raises on any bound violation.
+    construction.  Raises on any bound violation, and ValueError when the
+    construction is too large to verify.
     """
     rows = []
     notes = []
     if (k, t) == (2, 2):
         notes.append(ERRATUM_22)
     for n in n_values:
-        lower = _formula_lower(k, t, n)
-        upper = _formula_upper(k, t, n)
         constructive_cover = best_constructive_cover(k, t, n)
         if constructive_cover is None:
-            raise InternalCheckError(f"no construction applies at (k,t,n)=({k},{t},{n})")
-        if not verify_mod2_cover(constructive_cover).valid:
-            raise InternalCheckError("constructive cover failed verification")
+            size, _ = _smallest_construction(k, t, n)
+            raise ValueError(
+                f"the smallest construction at (k,t,n)=({k},{t},{n}) has {size} products "
+                f"on n^k = {n**k} cells, above the verification limit of "
+                f"{VERIFY_MAX_WORDS} words"
+            )
         constructive = len(constructive_cover)
-        out: Optional[SearchOutcome] = None
-        if run_search:
-            try:
-                out = min_mod2_cover(
-                    k, t, n, budget=budget, cap=cap, incumbent=constructive_cover
-                )
-            except CapExceededError:
-                pass
-        if out is not None:  # its lower bound already includes the rank bound
-            lower = max(lower, out.lower)
-            exact = out.value
-        else:
-            exact = None
-            rank_bound = flattening_rank_bound(k, t, n)
-            if rank_bound is not None:
-                lower = max(lower, rank_bound)
-        if lower == constructive:
-            exact = constructive  # the certificates meet, with or without a search
+        out = min_mod2_cover(k, t, n, budget=budget, cap=cap, incumbent=constructive_cover)
+        lower = max(_formula_lower(k, t, n), out.lower)  # out.lower includes the rank bound
+        upper = _formula_upper(k, t, n)
+        # The certificates meet, with or without a search.
+        exact = constructive if lower == constructive else out.value
         if constructive > upper:
             raise InternalCheckError(
                 f"construction of size {constructive} violates the upper bound {upper}"

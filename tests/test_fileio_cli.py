@@ -257,8 +257,42 @@ class TestCli:
         assert capsys.readouterr().out == f"exact-b k=2 t=2 m={m} b=7\n"
 
     def test_search_cap_exceeded(self, capsys):
-        assert main(["search", "--k", "2", "--t", "2", "--n", "7"]) == 2
-        assert "cap" in capsys.readouterr().out
+        # past the catalog cap the certificates answer: the unfolding rank and
+        # the construction meet at (2,2,7) and bracket (3,3,5) and (4,4,4)
+        for k, t, n, verdict in (
+            (2, 2, 7, "exact k=2 t=2 n=7 f=6 rank-bound=6"),
+            (3, 3, 5, "interval k=3 t=3 n=5 lower=5 upper=16"),
+            (4, 4, 4, "interval k=4 t=4 n=4 lower=6 upper=24"),
+        ):
+            assert main(["search", "--k", str(k), "--t", str(t), "--n", str(n)]) == 0
+            assert capsys.readouterr().out == verdict + "\n"
+
+    @staticmethod
+    def _run_within(argv, seconds):
+        return subprocess.run([sys.executable, "-m", "oddtown.cli", *argv], capture_output=True,
+                              text=True, timeout=seconds, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+    def test_oversized_table_row_refused(self):
+        # verifying the 297,085-product (6,6,12) construction on 12^6 cells would
+        # take minutes; the row is refused before anything is built
+        proc = self._run_within(["table", "--k", "6", "--t", "6", "--n-min", "12", "--n-max", "12"], 2)
+        assert proc.returncode == 2
+        assert proc.stdout == (
+            "error: the smallest construction at (k,t,n)=(6,6,12) has 297085 products on "
+            "n^k = 2985984 cells, above the verification limit of 1000000000 words\n"
+        )
+
+    @pytest.mark.parametrize("k,t,n,verdict", [
+        (6, 6, 12, "interval k=6 t=6 n=12 lower=1 upper=?"),
+        # 2^15 bipartitions, but the symmetric target has one unfolding per size
+        (16, 2, 2, "exact k=16 t=2 n=2 f=3 rank-bound=3"),
+        # Bell(12) partitions, but the partition cover's size is in closed form
+        (12, 12, 12, "interval k=12 t=12 n=12 lower=1 upper=?"),
+    ])
+    def test_search_past_the_cap_is_quick(self, k, t, n, verdict):
+        proc = self._run_within(["search", "--k", str(k), "--t", str(t), "--n", str(n)], 2)
+        assert proc.returncode == 0
+        assert proc.stdout == verdict + "\n"
 
     def test_table_writes_rows(self, tmp_path, capsys):
         rows = tmp_path / "t.rows"
@@ -275,7 +309,7 @@ class TestCli:
         assert data_lines[2].split("\t") == ["2", "2", "4", "4", "5", "4", "4"]
 
     def test_table_exact_where_certificates_meet(self, tmp_path, capsys):
-        # the search refuses n = 7..9 at the cap; lower = constructive settles them
+        # n = 7..9 are past the catalog cap; lower = constructive settles them
         rows = tmp_path / "t.rows"
         assert main([
             "table", "--k", "2", "--t", "2", "--n-min", "7", "--n-max", "9",

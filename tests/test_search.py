@@ -7,15 +7,23 @@ from hypothesis import strategies as st
 
 from oddtown import (
     CapExceededError,
+    Mod2Cover,
+    falling_factorial,
+    set_partitions,
+    build_cover_22,
     build_cover_33,
+    build_cover_43,
+    build_partition_cover,
     build_search_instance,
     exact_b,
     min_mod2_cover,
+    permute_gp_cover,
+    trivial_gp_cover,
     verify_mod2_cover,
 )
 from oddtown import search
 from oddtown.covers import all_cells, target_mask
-from oddtown.gf2 import Gf2Matrix, rank_gf2
+from oddtown.gf2 import Gf2Matrix, InternalCheckError, rank_gf2
 from oddtown.search import (
     ERRATUM_22,
     SearchInstance,
@@ -165,6 +173,8 @@ class TestMinMod2Cover:
     def test_edgeless_target(self):
         out = min_mod2_cover(3, 3, 2)
         assert out.exact and out.value == 0 and len(out.cover) == 0
+        out = min_mod2_cover(5, 5, 3)  # 7^5 products, past the cap: answered all the same
+        assert out.exact and out.value == 0 and len(out.cover) == 0
 
     def test_budget_interval(self):
         out = min_mod2_cover(2, 2, 4, budget=3, rank_presolve=False)
@@ -186,6 +196,33 @@ class TestMinMod2Cover:
     def test_incumbent_validated(self):
         with pytest.raises(ValueError):
             min_mod2_cover(3, 3, 2, incumbent=build_cover_33(3))
+
+    def test_certificates_meet_without_catalog(self, monkeypatch):
+        calls = []
+        real = search.build_search_instance
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "build_search_instance", spy)
+        # rank 6 meets the 6-product construction: no catalog is built
+        out = min_mod2_cover(2, 2, 6, incumbent=best_constructive_cover(2, 2, 6))
+        assert (out.status, out.value, out.rank_bound, out.levels_exhausted) == ("exact", 6, 6, None)
+        assert calls == []
+        # without the incumbent, level 4 is searched on the catalog
+        assert min_mod2_cover(2, 2, 4).value == 4
+        assert calls == [(2, 2, 4, search.DEFAULT_CAP)]
+
+    @pytest.mark.parametrize("k,t,n,lower,upper", [
+        (2, 2, 7, 6, 6), (3, 3, 5, 5, 16), (4, 4, 4, 6, 24), (3, 2, 5, 5, 6), (5, 5, 5, 10, 120),
+    ])
+    def test_past_the_cap_certificates_answer(self, k, t, n, lower, upper):
+        incumbent = best_constructive_cover(k, t, n)
+        out = min_mod2_cover(k, t, n, incumbent=incumbent)
+        assert (out.lower, out.upper, out.rank_bound) == (lower, upper, lower)
+        assert out.exact == (lower == upper) and out.levels_exhausted is None
+        assert out.cover is incumbent
 
     def test_triple_value(self):
         out = min_mod2_cover(3, 3, 3)
@@ -387,13 +424,14 @@ class TestBoundsTable:
 
     def test_exact_where_certificates_meet(self):
         # lower = constructive fills the exact cell even when no search runs
-        rows, _ = bounds_table(2, 2, range(2, 10), run_search=False)
+        rows, _ = bounds_table(2, 2, range(2, 10), budget=0)
         assert [r.exact for r in rows] == [2, 2, 4, 4, 6, 6, 8, 8]
-        rows, _ = bounds_table(3, 3, [3], run_search=False)
+        rows, _ = bounds_table(3, 3, [3], budget=0)
         assert (rows[0].lower, rows[0].constructive, rows[0].exact) == (3, 6, None)
 
     @pytest.mark.parametrize("run_search", [True, False])
     def test_one_rank_bound_per_row(self, monkeypatch, run_search):
+        budget = 3 if run_search else 0  # budget 0 searches no level
         calls = []
         real = search.flattening_rank_bound
 
@@ -402,20 +440,20 @@ class TestBoundsTable:
             return real(k, t, n)
 
         monkeypatch.setattr(search, "flattening_rank_bound", spy)
-        rows, _ = bounds_table(2, 2, range(2, 7), run_search=run_search)
+        rows, _ = bounds_table(2, 2, range(2, 7), budget=budget)
         assert [r.fields()[3:] for r in rows] == [
             (2, 2, 2, 2), (2, 4, 2, 2), (4, 5, 4, 4), (4, 6, 4, 4), (6, 7, 6, 6)
         ]
-        rows, _ = bounds_table(3, 3, range(2, 5), run_search=run_search)
+        rows, _ = bounds_table(3, 3, range(2, 5), budget=budget)
         lower = 4 if run_search else 3  # the search refutes level 3 within budget 3
         assert [r.fields()[3:] for r in rows] == [
             (0, 0, 0, 0), (lower, 6, 6, ""), (lower, 13, 13, "")
         ]
-        # one call per row at most; the search skips it on the edgeless (3,3,2)
-        assert calls == [2, 3, 4, 5, 6] + ([3, 4] if run_search else [2, 3, 4])
+        # one call per row at most, none on the edgeless (3,3,2)
+        assert calls == [2, 3, 4, 5, 6, 3, 4]
 
     def test_formats(self):
-        rows, notes = bounds_table(2, 2, [2, 3], run_search=False)
+        rows, notes = bounds_table(2, 2, [2, 3], budget=0)
         text = format_table(rows, notes)
         assert text.splitlines()[0].split() == ["k", "t", "n", "lower", "upper", "constructive", "exact"]
         machine = machine_rows(rows, notes)
@@ -435,3 +473,58 @@ class TestBestConstructive:
                 for n in (1, 2, 3, 4):
                     cover = best_constructive_cover(k, t, n)
                     assert verify_mod2_cover(cover).valid
+
+    def test_closed_form_pick_matches_building_every_candidate(self):
+        def build_all_keep_shortest(k, t, n):  # the selection by building every candidate
+            if n < t:
+                return Mod2Cover(k, t, n, ())
+            candidates = [build_partition_cover(k, t, n)]
+            if (k, t) == (2, 2):
+                candidates.append(build_cover_22(n))
+            if (k, t) == (3, 3):
+                candidates.append(build_cover_33(n))
+            if (k, t) == (4, 3):
+                candidates.append(build_cover_43(n))
+            if t == k and k <= n:
+                candidates.append(permute_gp_cover(trivial_gp_cover(n, k)))
+            return min(candidates, key=len)
+
+        for k in range(2, 6):
+            for t in range(2, k + 1):
+                for n in range(8):
+                    got = best_constructive_cover(k, t, n)
+                    assert got.products == build_all_keep_shortest(k, t, n).products, (k, t, n)
+
+    def test_partition_cover_size_closed_form(self):
+        for k in range(2, 9):
+            for t in range(2, k + 1):
+                for n in range(t, t + 4):
+                    walked = 1 + sum(
+                        falling_factorial(n, pi.block_count - any(len(b) == 1 for b in pi.blocks))
+                        for pi in set_partitions(k, t - 1)
+                    )
+                    assert search._partition_cover_size(k, t, n) == walked, (k, t, n)
+                    if k <= 5 and n <= 6:
+                        assert len(build_partition_cover(k, t, n)) == walked, (k, t, n)
+
+    def test_partition_cover_size_at_43(self):
+        # the (4,3) partition cover has the size of build_cover_43 and is listed first
+        for n in range(3, 9):
+            size = 3 * n * n + 2 * n + 1
+            assert search._partition_cover_size(4, 3, n) == size == len(build_cover_43(n))
+            assert len(build_partition_cover(4, 3, n)) == size
+
+    def test_construction_too_large_to_verify(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(search.constructions, "build_partition_cover",
+                            lambda *args: built.append(args))
+        # (6,6,10): the 142,271-product partition cover on 10^6 cells, 2.2e9 words
+        assert best_constructive_cover(6, 6, 10) is None and built == []
+        with pytest.raises(ValueError, match="142271 products on n\\^k = 1000000 cells"):
+            bounds_table(6, 6, [10])
+
+    def test_built_length_checked(self, monkeypatch):
+        monkeypatch.setattr(search.constructions, "build_cover_22",
+                            lambda n: Mod2Cover(2, 2, n, ()))
+        with pytest.raises(InternalCheckError, match="closed form 4"):
+            best_constructive_cover(2, 2, 4)
