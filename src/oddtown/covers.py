@@ -166,14 +166,6 @@ def _cover_rows(products: Sequence[KPartiteProduct], k: int, n: int) -> list[lis
             for j in range(k)]
 
 
-def target_mask(n: int, k: int, t: int, cells: Sequence[tuple[int, ...]]) -> int:
-    mask = 0
-    for pos, idx in enumerate(cells):
-        if len(set(idx)) >= t:
-            mask |= 1 << pos
-    return mask
-
-
 def verify_mod2_cover(cover: Mod2Cover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Exhaustive parity check over all n^k cells: edges odd, non-edges even."""
     rows = _cover_rows(cover.products, cover.k, cover.n)

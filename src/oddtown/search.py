@@ -8,16 +8,19 @@ pass for weights 3, 4 and 5: the sums of one or two columns, shifted by the
 target, held as a sorted set (a hashed-slot screen in front of
 ``searchsorted``), and the sums of the remaining columns streamed against it
 in blocks, keeping the smallest common value.  The depth-first engine then
-re-derives both halves of the support from that value.  An algebraic
-presolve certifies levels below the maximum rank of the target's coordinate
-unfoldings, since each product unfolds to a rank-one matrix.  Every
-certificate that backs a reported value is recorded on the outcome.
+re-derives both halves of the support from that value.  A depth-first level
+starts only at columns least in their orbit under the value and coordinate
+permutations, which fix the target.  A presolve certifies the levels below
+the catalog-free lower bounds: the closed forms, and the maximum rank of the
+target's coordinate unfoldings, since each product unfolds to a rank-one
+matrix.  Every certificate that backs a reported value is recorded on the
+outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 from itertools import permutations, product
 from math import comb, factorial
 from typing import Callable, Optional, Sequence
@@ -30,17 +33,16 @@ from .covers import (
     Mod2Cover,
     all_cells,
     permute_gp_cover,
-    target_mask,
     verify_mod2_cover,
 )
 from .gf2 import Gf2Matrix, InternalCheckError, rank_gf2
-from .ranks import cover_size_lower_bound
+from .ranks import MAX_DIRECT_ENTRIES, cover_size_lower_bound
 from .setsystems import SubsetBits
 
 DEFAULT_CAP = 4096
 DEFAULT_BUDGET = 8
 _DFS_NODE_CAP = 4_000_000
-_SYMMETRY_MAX_N = 5  # value-permutation canonicalization is skipped above this
+_SYMMETRY_MAX_N = 5  # orbit canonicalization (n! value permutations) is skipped above this
 _RANK_MAX_CELLS = 65536  # largest target tensor the unfolding bound builds
 
 
@@ -50,7 +52,8 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """Catalog of candidate products and the edge-indicator target.
+    """Catalog of candidate products and the edge-indicator target, with the
+    lookups the level search derives from them.
 
     Columns enumerate all k-tuples of nonempty subsets of [n], subsets in
     ascending-bitmask (colex) order per coordinate, last coordinate fastest.
@@ -70,6 +73,27 @@ class SearchInstance:
     def num_columns(self) -> int:
         return len(self.columns)
 
+    @cached_property
+    def value_index(self) -> dict[int, list[int]]:
+        """Column indices by column mask, ascending."""
+        index: dict[int, list[int]] = {}
+        for j, cm in enumerate(self.columns):
+            index.setdefault(cm, []).append(j)
+        return index
+
+    @cached_property
+    def suffix_max_pop(self) -> list[int]:
+        """The largest column weight from each index on."""
+        suffix = [0] * (self.num_columns + 1)
+        for j in range(self.num_columns - 1, -1, -1):
+            suffix[j] = max(suffix[j + 1], self.columns[j].bit_count())
+        return suffix
+
+    @cached_property
+    def first_columns(self) -> Optional[list[int]]:
+        """The orbit-canonical columns, ascending (see ``_canonical_first_columns``)."""
+        return _canonical_first_columns(self)
+
 
 def _check_search_args(k: int, t: int, n: int) -> None:
     if not (2 <= t <= k):
@@ -80,6 +104,13 @@ def _check_search_args(k: int, t: int, n: int) -> None:
 
 def _catalog_size(k: int, n: int) -> int:
     return ((1 << n) - 1) ** k
+
+
+def _target_tensor(k: int, t: int, n: int) -> np.ndarray:
+    """The (k, t, n) target as a boolean n x ... x n tensor: the cells with at
+    least t distinct entries, in the order of ``all_cells``."""
+    grid = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0)
+    return (1 + np.count_nonzero(np.diff(grid, axis=0), axis=0) >= t).reshape((n,) * k)
 
 
 def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> SearchInstance:
@@ -109,8 +140,9 @@ def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> Sea
             acc &= coord_subset_mask[j][parts[j]]
         column_parts.append(parts)
         columns.append(acc)
+    target_bytes = np.packbits(_target_tensor(k, t, n).ravel(), bitorder="little").tobytes()
     return SearchInstance(
-        k, t, n, cells, tuple(column_parts), tuple(columns), target_mask(n, k, t, cells)
+        k, t, n, cells, tuple(column_parts), tuple(columns), int.from_bytes(target_bytes, "little")
     )
 
 
@@ -128,63 +160,60 @@ def flattening_rank_bound(k: int, t: int, n: int) -> Optional[int]:
         return None
     if n == 0:
         return 0
-    # The target holds the cells with at least t distinct entries.
-    grid = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0)
-    target = 1 + np.count_nonzero(np.diff(grid, axis=0), axis=0) >= t
+    target = _target_tensor(k, t, n)
     return max(
         (rank_gf2(Gf2Matrix.from_array(target.reshape(n**a, -1))) for a in range(1, k // 2 + 1)),
         default=0,
     )
 
 
-def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
-    """Columns that are the least index of their orbit under value permutations
-    (and coordinate permutations when t = k); None when the group is too large
-    to be worth it (n > _SYMMETRY_MAX_N).
+def _formula_lower(k: int, t: int, n: int) -> int:
+    """The closed-form lower bounds, and at t = k the Kneser-rank bound (the
+    disjointness graph of the k/2-sets of [n] at even k, of the (k-1)/2-sets
+    of [n-1] at odd k) while its matrix fits ``MAX_DIRECT_ENTRIES``."""
+    if n < t:
+        return 0
+    best = 1
+    if t == 2:
+        best = max(best, n - 1)
+    if (k, t) == (3, 3):
+        best = max(best, n - 2)
+    if (k, t) == (4, 3) and n >= 5:
+        best = max(best, -((-((n - 4) ** 2 - 2)) // 2))
+    half, ground = k // 2, n - k % 2
+    if t == k and 2 * half <= ground and comb(ground, half) ** 2 <= MAX_DIRECT_ENTRIES:
+        best = max(best, cover_size_lower_bound(ground, half))
+    return best
 
-    Restricting the first (least) column of a DFS support to these never
-    changes the witness: if the lex-min support S started at a column j0 that
-    is not orbit-canonical, some symmetry σ would give σ(j0) < j0, and σ(S),
-    also a solution since σ fixes the target, would be lexicographically
-    smaller than S.
+
+def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
+    """Ascending columns that are the least index of their orbit under value and
+    coordinate permutations; None when the group is too large to be worth it
+    (n > _SYMMETRY_MAX_N).
+
+    Both kinds of permutation fix the target, which depends only on how many
+    entries of a cell are distinct.  Restricting the first (least) column of a
+    DFS support to these never changes the witness: if the lex-min support S
+    started at a column j0 that is not orbit-canonical, some symmetry σ would
+    give σ(j0) < j0, and σ(S), also a solution since σ fixes the target,
+    would be lexicographically smaller than S.
+
+    One pass over the n! value permutations: the first coordinate is the most
+    significant digit of a column index, so sorting the permuted parts in
+    ascending order gives the least index over the coordinate permutations.
     """
     n, k = instance.n, instance.k
     if n > _SYMMETRY_MAX_N or n == 0:
         return None
-    n_subsets = (1 << n) - 1
-    tables = []
-    for perm in permutations(range(n)):
-        tbl = [0] * (n_subsets + 1)
-        for mask in range(1, n_subsets + 1):
-            im = 0
-            for e in range(n):
-                if (mask >> e) & 1:
-                    im |= 1 << perm[e]
-            tbl[mask] = im
-        tables.append(tbl)
-    coord_perms = list(permutations(range(k))) if instance.t == k else [tuple(range(k))]
-
-    def col_index(masks: Sequence[int]) -> int:
-        idx = 0
-        for m in masks:
-            idx = idx * n_subsets + (m - 1)
-        return idx
-
-    canonical = []
-    for ci, masks in enumerate(instance.column_parts):
-        best = ci
-        for tbl in tables:
-            mapped = [tbl[m] for m in masks]
-            for cp in coord_perms:
-                cand = col_index([mapped[j] for j in cp])
-                if cand < best:
-                    best = cand
-                    break
-            if best < ci:
-                break
-        if best == ci:
-            canonical.append(ci)
-    return canonical
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    images = bits @ (1 << np.array(list(permutations(range(n))))).T  # mask -> image, per perm
+    parts = np.array(instance.column_parts)
+    place = ((1 << n) - 1) ** np.arange(k - 1, -1, -1)
+    least = np.arange(len(parts))
+    for image in images.T:
+        least = np.minimum(least, (np.sort(image[parts], axis=1) - 1) @ place)
+    return np.flatnonzero(least == np.arange(len(parts))).tolist()
 
 
 def _np_membership(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -229,37 +258,23 @@ class _SortedSet:
         return int(hits.min()) if hits.size else None
 
 
-def _level_tables(col_masks: Sequence[int]) -> tuple[dict[int, list[int]], list[int]]:
-    """The level search's lookups: column indices by mask, ascending, and the
-    largest column weight from each index on."""
-    value_index: dict[int, list[int]] = {}
-    for j, cm in enumerate(col_masks):
-        value_index.setdefault(cm, []).append(j)
-    suffix = [0] * (len(col_masks) + 1)
-    for j in range(len(col_masks) - 1, -1, -1):
-        suffix[j] = max(suffix[j + 1], col_masks[j].bit_count())
-    return value_index, suffix
-
-
 def _search_weight_level(
-    col_masks: Sequence[int],
+    instance: SearchInstance,
     b_mask: int,
     weight: int,
     first_columns: Optional[Sequence[int]] = None,
-    value_index: Optional[dict[int, list[int]]] = None,
-    suffix_max_pop: Optional[Sequence[int]] = None,
 ) -> Optional[tuple[int, ...]]:
-    """First (lexicographically smallest) support of exactly ``weight`` columns
-    XOR-ing to ``b_mask``, with columns explored in ascending index; None if the
-    level is empty.  ``first_columns`` restricts only the smallest index used.
+    """First (lexicographically smallest) support of exactly ``weight`` of the
+    instance's columns XOR-ing to ``b_mask``, with columns explored in
+    ascending index; None if the level is empty.  ``first_columns``, ascending,
+    restricts only the smallest index used.
     """
+    col_masks = instance.columns
     m = len(col_masks)
     if weight == 0:
         return () if b_mask == 0 else None
-    if value_index is None or suffix_max_pop is None:
-        value_index, suffix_max_pop = _level_tables(col_masks)
-
-    firsts = range(m) if first_columns is None else sorted(first_columns)
+    value_index, suffix_max_pop = instance.value_index, instance.suffix_max_pop
+    firsts = range(m) if first_columns is None else first_columns
 
     def lookup_one(residual: int, after: int) -> Optional[int]:
         cands = value_index.get(residual)
@@ -301,18 +316,12 @@ class _LevelTooHard(Exception):
     pass
 
 
-def _exhaust_level(
-    instance: SearchInstance,
-    w: int,
-    first_columns: Callable[[], Optional[Sequence[int]]],
-    value_index: dict[int, list[int]],
-    suffix_max_pop: list[int],
-) -> Optional[tuple[int, ...]]:
+def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]]:
     """Support of weight w, or None if the level is empty.
 
-    Small levels run the exact lexicographic DFS, restricted to the first
-    columns that ``first_columns()`` gives (it is called on DFS levels only,
-    as the orbit computation is wasted on the others).  Larger ones fall back
+    Small levels run the exact lexicographic DFS, restricted to the
+    instance's orbit-canonical first columns (computed on the first DFS
+    level, as the orbit pass is wasted on the others).  Larger ones fall back
     to one vectorized meet-in-the-middle pass, possible while the grid fits in
     64 bits and w <= 5.  It splits w = h + s, with h = 1 at w = 3 and h = 2
     at w = 4 and 5, holds the h-sums (columns or pair sums) shifted by the
@@ -333,7 +342,7 @@ def _exhaust_level(
         return () if b == 0 else None
     est = comb(m, min(w, m) - 1) if w <= m else 0
     if w <= m and est <= _DFS_NODE_CAP:
-        return _search_weight_level(cols, b, w, first_columns(), value_index, suffix_max_pop)
+        return _search_weight_level(instance, b, w, instance.first_columns)
     if w > m:
         return None
     if len(instance.cells) > 64 or w > 5 or (w == 5 and comb(m, 3) > 8_000_000):
@@ -363,8 +372,8 @@ def _exhaust_level(
     if v is None:
         return None
     halves = (
-        _search_weight_level(cols, v ^ b, h, None, value_index, suffix_max_pop),
-        _search_weight_level(cols, v, s, None, value_index, suffix_max_pop),
+        _search_weight_level(instance, v ^ b, h),
+        _search_weight_level(instance, v, s),
     )
     if None in halves:
         raise InternalCheckError("meet-in-the-middle witness vanished on re-derivation")
@@ -417,20 +426,20 @@ def min_mod2_cover(
     n: int,
     budget: int = DEFAULT_BUDGET,
     cap: int = DEFAULT_CAP,
-    symmetry: bool = True,
     rank_presolve: bool = True,
     incumbent: Optional[Mod2Cover] = None,
 ) -> SearchOutcome:
     """Exact minimum size of a parity cover of the >= t distinct target.
 
-    Two certificates need no product catalog: ``incumbent``, a known cover
-    (verified, then the upper bound), and the unfolding rank (the lower bound,
-    when ``rank_presolve`` is on).  When they meet, the value is exact and
-    nothing is searched.  Otherwise weight levels from the rank up are
-    exhausted in ascending order up to ``budget``, provided the catalog of
-    (2^n - 1)^k products fits ``cap``; past the cap the outcome is the
-    interval of the certificates, with no level searched.  Any returned cover
-    is re-verified.  The result is deterministic for fixed arguments.
+    Two kinds of certificate need no product catalog: ``incumbent``, a known
+    cover (verified, then the upper bound), and, when ``rank_presolve`` is on,
+    all catalog-free lower bounds (the unfolding rank and ``_formula_lower``).
+    When they meet, the value is exact and nothing is searched.  Otherwise
+    weight levels from the lower bound up are exhausted in ascending order up
+    to ``budget``, provided the catalog of (2^n - 1)^k products fits ``cap``;
+    past the cap the outcome is the interval of the certificates, with no
+    level searched.  Any returned cover is re-verified.  The result is
+    deterministic for fixed arguments.
     """
     _check_search_args(k, t, n)
     if incumbent is not None:
@@ -442,23 +451,21 @@ def min_mod2_cover(
         return SearchOutcome(k, t, n, "exact", 0, 0, 0, Mod2Cover(k, t, n, ()), 0, None)
 
     rank_bound = (flattening_rank_bound(k, t, n) or 0) if rank_presolve else 0
+    formula = _formula_lower(k, t, n) if rank_presolve else 0
     upper = len(incumbent) if incumbent is not None else None
-    start = w = max(1, rank_bound)
+    start = w = max(1, rank_bound, formula)
     support = None
     if start != upper and start <= budget and _catalog_size(k, n) <= cap:
         instance = build_search_instance(k, t, n, cap)
-        # Orbit-canonical first columns, built on the first level that runs DFS.
-        first_columns = cache(lambda: _canonical_first_columns(instance) if symmetry else None)
-        value_index, suffix = _level_tables(instance.columns)
         while w <= budget and (upper is None or w < upper):
             try:
-                support = _exhaust_level(instance, w, first_columns, value_index, suffix)
+                support = _exhaust_level(instance, w)
             except _LevelTooHard:
                 break
             if support is not None:
                 break
             w += 1
-    # Every level below w is refuted, by the rank or by the search.
+    # Every level below w is refuted, by the lower bounds or by the search.
     exhausted = (start, w - 1) if w > start else None
     if support is not None:
         cover = _cover_from_support(instance, support)
@@ -604,24 +611,6 @@ ERRATUM_22 = (
 )
 
 
-def _formula_lower(k: int, t: int, n: int) -> int:
-    if n < t:
-        return 0
-    best = 1
-    if t == 2:
-        best = max(best, n - 1)
-    if (k, t) == (3, 3):
-        best = max(best, n - 2)
-    if (k, t) == (4, 3) and n >= 5:
-        best = max(best, -((-((n - 4) ** 2 - 2)) // 2))
-    if t == k:
-        if k % 2 == 0 and k <= n:
-            best = max(best, cover_size_lower_bound(n, k // 2))
-        if k % 2 == 1 and k >= 3 and (k - 1) <= (n - 1):
-            best = max(best, cover_size_lower_bound(n - 1, (k - 1) // 2))
-    return best
-
-
 def _formula_upper(k: int, t: int, n: int) -> int:
     """The specific closed-form upper bounds where stated; otherwise the
     generic pattern-by-pattern sum 1 + sum over partitions with < t blocks."""
@@ -666,10 +655,8 @@ def bounds_table(
             )
         constructive = len(constructive_cover)
         out = min_mod2_cover(k, t, n, budget=budget, cap=cap, incumbent=constructive_cover)
-        lower = max(_formula_lower(k, t, n), out.lower)  # out.lower includes the rank bound
+        lower, exact = out.lower, out.value
         upper = _formula_upper(k, t, n)
-        # The certificates meet, with or without a search.
-        exact = constructive if lower == constructive else out.value
         if constructive > upper:
             raise InternalCheckError(
                 f"construction of size {constructive} violates the upper bound {upper}"

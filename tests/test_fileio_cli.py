@@ -283,11 +283,12 @@ class TestCli:
         )
 
     @pytest.mark.parametrize("k,t,n,verdict", [
-        (6, 6, 12, "interval k=6 t=6 n=12 lower=1 upper=?"),
+        (6, 6, 12, "interval k=6 t=6 n=12 lower=104 upper=?"),
         # 2^15 bipartitions, but the symmetric target has one unfolding per size
         (16, 2, 2, "exact k=16 t=2 n=2 f=3 rank-bound=3"),
-        # Bell(12) partitions, but the partition cover's size is in closed form
-        (12, 12, 12, "interval k=12 t=12 n=12 lower=1 upper=?"),
+        # Bell(12) partitions, but the partition cover's size is in closed form;
+        # the Kneser bound's C(12, 6)^2 entries fit the direct limit
+        (12, 12, 12, "interval k=12 t=12 n=12 lower=462 upper=?"),
     ])
     def test_search_past_the_cap_is_quick(self, k, t, n, verdict):
         proc = self._run_within(["search", "--k", str(k), "--t", str(t), "--n", str(n)], 2)

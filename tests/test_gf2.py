@@ -17,7 +17,7 @@ from oddtown import (
 )
 from oddtown.gf2 import _rank_bitrows, _rank_packed, is_prime, row_dependency
 from oddtown.ranks import mstar_observed_rank
-from oddtown.search import _level_tables, _search_weight_level
+from oddtown.search import SearchInstance, _search_weight_level
 
 
 def test_rank_identity():
@@ -295,9 +295,9 @@ def test_row_dependency_matches_pair_elimination(args):
 def _min_weight(col_masks, b_mask, max_weight):
     """Weight levels exhausted in ascending order, as ``min_mod2_cover`` does:
     the support the first nonempty level gives, or None up to ``max_weight``."""
-    value_index, suffix = _level_tables(col_masks)
+    instance = SearchInstance(0, 0, 0, (), (), tuple(col_masks), b_mask)
     for w in range(max_weight + 1):
-        support = _search_weight_level(col_masks, b_mask, w, None, value_index, suffix)
+        support = _search_weight_level(instance, b_mask, w)
         if support is not None:
             return support
     return None

@@ -1,0 +1,62 @@
+"""The commands of the ``search`` benchmark workload, pinned byte for byte:
+stdout, exit code, and the sha256 of the witness and rows files they write.
+
+A refactor of the search that changes any output fails here, not only in the
+benchmark's oracles.  A value here changes only with a record in CHANGES.md.
+"""
+
+import hashlib
+import shlex
+
+from oddtown.cli import main
+
+ERRATUM = (
+    "note: for (k,t)=(2,2) the published case split (n odd -> n, n even -> n-1) contradicts "
+    "the underlying pair sizes (n even -> n+1, n odd -> n); exact search confirms the corrected "
+    "pattern 2, 2, 4, 4, 6 shown in this table.\n"
+)
+
+COMMANDS = [
+    ("search --k 2 --t 2 --n 2", "exact k=2 t=2 n=2 f=2 rank-bound=2\n"),
+    ("search --k 2 --t 2 --n 3", "exact k=2 t=2 n=3 f=2 rank-bound=2\n"),
+    ("search --k 2 --t 2 --n 4", "exact k=2 t=2 n=4 f=4 rank-bound=4\n"),
+    ("search --k 2 --t 2 --n 5", "exact k=2 t=2 n=5 f=4 rank-bound=4\n"),
+    ("search --k 2 --t 2 --n 6", "exact k=2 t=2 n=6 f=6 rank-bound=6\n"),
+    ("search --k 2 --t 2 --m 2", "exact-b k=2 t=2 m=2 b=3\n"),
+    ("search --k 2 --t 2 --m 3", "exact-b k=2 t=2 m=3 b=3\n"),
+    ("search --k 2 --t 2 --m 4", "exact-b k=2 t=2 m=4 b=5\n"),
+    ("search --k 3 --t 2 --n 3", "exact k=3 t=2 n=3 f=4 rank-bound=3\n"),
+    ("search --k 4 --t 2 --n 3", "exact k=4 t=2 n=3 f=4 rank-bound=4\n"),
+    ("search --k 3 --t 3 --n 3 --out w333.json", "exact k=3 t=3 n=3 f=5 rank-bound=3\n"),
+    ("search --k 4 --t 3 --n 3", "interval k=4 t=3 n=3 lower=6 upper=34\n"),
+    ("search --k 3 --t 3 --n 4 --budget 3", "interval k=3 t=3 n=4 lower=4 upper=13\n"),
+    ("table --k 2 --t 2 --n-min 2 --n-max 6 --out table22.rows",
+     "k  t  n  lower  upper  constructive  exact\n"
+     "2  2  2      2      2             2      2\n"
+     "2  2  3      2      4             2      2\n"
+     "2  2  4      4      5             4      4\n"
+     "2  2  5      4      6             4      4\n"
+     "2  2  6      6      7             6      6\n"
+     + ERRATUM + "rows=5 out=table22.rows\n"),
+    ("table --k 3 --t 3 --n-min 2 --n-max 4 --out table33.rows",
+     "k  t  n  lower  upper  constructive  exact\n"
+     "3  3  2      0      0             0      0\n"
+     "3  3  3      4      6             6       \n"
+     "3  3  4      4     13            13       \n"
+     "rows=3 out=table33.rows\n"),
+]
+
+FILES = {
+    "w333.json": "c166e6a49f0e68919cbcd1284aef1c7737f24647c737ca5cb130367e4fe07a6c",
+    "table22.rows": "ce00db90c930c015c50e49d997800af38ce53a7488b5b960adc4380b6e58d04d",
+    "table33.rows": "3bd99a863347b2580f3881dd7862076e0bc6ecde1e94ca3d778cf2fe0713050b",
+}
+
+
+def test_search_workload_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command, stdout in COMMANDS:
+        assert main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out == stdout, command
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == FILES

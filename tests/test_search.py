@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -22,13 +22,12 @@ from oddtown import (
     verify_mod2_cover,
 )
 from oddtown import search
-from oddtown.covers import all_cells, target_mask
+from oddtown.covers import all_cells
 from oddtown.gf2 import Gf2Matrix, InternalCheckError, rank_gf2
 from oddtown.search import (
     ERRATUM_22,
     SearchInstance,
     _exhaust_level,
-    _level_tables,
     _np_membership,
     _search_weight_level,
     _SortedSet,
@@ -45,6 +44,25 @@ def support_of(out):
     return tuple(
         inst.column_parts.index(tuple(part.bits for part in p.parts)) for p in out.cover.products
     )
+
+
+def target_mask(n, k, t, cells):
+    """The target cell by cell: the bit of each cell with at least t distinct entries."""
+    mask = 0
+    for pos, idx in enumerate(cells):
+        if len(set(idx)) >= t:
+            mask |= 1 << pos
+    return mask
+
+
+def instances_within_cap(max_k=5, max_n=None):
+    """Every (k, t, n) with 2 <= t <= k <= max_k whose catalog fits the default cap."""
+    for k in range(2, max_k + 1):
+        for t in range(2, k + 1):
+            n = 0
+            while ((1 << n) - 1) ** k <= search.DEFAULT_CAP and (max_n is None or n <= max_n):
+                yield k, t, n
+                n += 1
 
 
 def brute_force_min_cover(instance, max_weight):
@@ -71,9 +89,36 @@ class TestSearchInstance:
             build_search_instance(2, 2, 7)
 
     def test_target_matches_distinctness(self):
-        inst = build_search_instance(3, 2, 2)
-        for pos, idx in enumerate(inst.cells):
-            assert ((inst.target >> pos) & 1) == (len(set(idx)) >= 2)
+        for k, t, n in instances_within_cap():
+            inst = build_search_instance(k, t, n)
+            assert inst.target == target_mask(n, k, t, inst.cells), (k, t, n)
+
+    @staticmethod
+    def _orbit_least_columns(instance):
+        """Walk the columns in ascending order, marking the whole orbit of each
+        unmarked one under every value and coordinate permutation: the
+        unmarked columns are the least of their orbits."""
+        n, k = instance.n, instance.k
+        index = {parts: j for j, parts in enumerate(instance.column_parts)}
+        seen, least = set(), []
+        for j, parts in enumerate(instance.column_parts):
+            if j in seen:
+                continue
+            least.append(j)
+            for perm in permutations(range(n)):
+                image = [sum(1 << perm[e] for e in range(n) if mask >> e & 1) for mask in parts]
+                for order in permutations(range(k)):
+                    seen.add(index[tuple(image[i] for i in order)])
+        return least
+
+    def test_canonical_first_columns_match_orbit_walk(self):
+        for k, t, n in instances_within_cap(max_n=4):
+            inst = build_search_instance(k, t, n)
+            want = self._orbit_least_columns(inst) if n else None
+            assert search._canonical_first_columns(inst) == want, (k, t, n)
+        # coordinate permutations count for t < k too
+        assert len(build_search_instance(3, 2, 3).first_columns) == 23
+        assert len(build_search_instance(4, 2, 3).first_columns) == 51
 
 
 def _unfolding_rank_reference(k, t, n):
@@ -140,13 +185,18 @@ class TestMinMod2Cover:
             assert without.levels_exhausted is not None or without.value == 1
 
     def test_symmetry_off_matches(self):
-        # symmetry only restricts the first DFS column to orbit-canonical ones,
-        # and the lex-min support always starts at one: the witness is unchanged
-        for k, t, n in ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 3), (3, 3, 3)):
-            a = min_mod2_cover(k, t, n, symmetry=True)
-            b = min_mod2_cover(k, t, n, symmetry=False)
-            assert a.value == b.value
-            assert support_of(a) == support_of(b)
+        # the orbit-canonical first columns only restrict the first DFS column,
+        # and the lex-min support always starts at one: every level's witness,
+        # or its emptiness, is unchanged (at (5,3,2) the target is empty, so
+        # the levels hold zero-sum supports)
+        for k, t, n, top in ((2, 2, 2, 2), (2, 2, 3, 2), (2, 2, 4, 4), (2, 2, 5, 3),
+                             (3, 2, 3, 4), (3, 3, 3, 3), (4, 2, 3, 3), (5, 3, 2, 4),
+                             (6, 2, 2, 3)):
+            inst = build_search_instance(k, t, n)
+            assert inst.first_columns is not None
+            for w in range(top + 1):
+                with_orbits = _search_weight_level(inst, inst.target, w, inst.first_columns)
+                assert with_orbits == _search_weight_level(inst, inst.target, w), (k, t, n, w)
 
     def test_canonical_columns_only_for_dfs_levels(self, monkeypatch):
         calls = []
@@ -224,6 +274,21 @@ class TestMinMod2Cover:
         assert out.exact == (lower == upper) and out.levels_exhausted is None
         assert out.cover is incumbent
 
+    def test_closed_form_lower_bounds_past_the_rank_grid(self, monkeypatch):
+        # 300^2 cells are past the unfolding bound; n - 1 still holds
+        out = min_mod2_cover(2, 2, 300, incumbent=best_constructive_cover(2, 2, 300))
+        assert (out.status, out.lower, out.upper, out.rank_bound) == ("interval", 299, 300, 0)
+        out = min_mod2_cover(2, 2, 257, incumbent=best_constructive_cover(2, 2, 257))
+        assert (out.status, out.value) == ("exact", 256)
+        # the pure search uses no catalog-free bound
+        assert min_mod2_cover(2, 2, 300, rank_presolve=False).lower == 1
+        # the Kneser bound is taken only while its matrix fits the direct limit
+        calls = []
+        monkeypatch.setattr(search, "cover_size_lower_bound", lambda *args: calls.append(args) or 0)
+        assert search._formula_lower(12, 12, 12) == 1 and calls == [(12, 6)]  # C(12,6)^2 = 853,776
+        assert search._formula_lower(12, 12, 13) == 1 and calls == [(12, 6)]  # C(13,6)^2 > 10^6
+        assert search._formula_lower(5, 5, 5) == 1 and calls == [(12, 6), (4, 2)]
+
     def test_triple_value(self):
         out = min_mod2_cover(3, 3, 3)
         assert out.exact and out.value == 5
@@ -245,7 +310,7 @@ class TestMinMod2Cover:
         assert out.lower == 5 and out.levels_exhausted == (4, 4)
 
     def test_witness_is_lex_min_without_symmetry(self):
-        out = min_mod2_cover(2, 2, 3, symmetry=False)
+        out = min_mod2_cover(2, 2, 3)
         inst = build_search_instance(2, 2, 3)
         support = []
         for p in out.cover.products:
@@ -260,6 +325,7 @@ class TestMinMod2Cover:
                 best = sup
                 break
         assert tuple(support) == best
+        assert _search_weight_level(inst, inst.target, out.value) == best
 
 
 def _xor(cols, support):
@@ -269,13 +335,17 @@ def _xor(cols, support):
     return acc
 
 
+def _columns_instance(cols, b=0):
+    """A search instance over bare column masks on a grid of 20 cells."""
+    return SearchInstance(0, 0, 0, ((),) * 20, ((),) * len(cols), tuple(cols), b)
+
+
 def _mitm_level(cols, b, w):
     """``_exhaust_level`` forced onto the meet-in-the-middle route."""
-    inst = SearchInstance(0, 0, 0, ((),) * 20, ((),) * len(cols), tuple(cols), b)
     old_cap = search._DFS_NODE_CAP
     search._DFS_NODE_CAP = 0
     try:
-        return _exhaust_level(inst, w, lambda: None, *_level_tables(cols))
+        return _exhaust_level(_columns_instance(cols, b), w)
     finally:
         search._DFS_NODE_CAP = old_cap
 
@@ -342,7 +412,8 @@ class TestMeetInTheMiddle:
         else:
             b = data.draw(st.integers(1, 2**16 - 1))
         # the vectorized passes need every lower level to be empty
-        if b == 0 or any(_search_weight_level(cols, b, lower) for lower in range(1, w)):
+        inst = _columns_instance(cols)
+        if b == 0 or any(_search_weight_level(inst, b, lower) for lower in range(1, w)):
             return
         assert _mitm_level(cols, b, w) == _level_reference(cols, b, w)
 
