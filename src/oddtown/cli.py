@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import constructions, covers, fileio, ranks, search, setsystems
 from .gf2 import InternalCheckError, rank_gf2, rank_gfp
@@ -68,104 +68,64 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cover = fileio.load_cover(args.file)
         report = covers.verify_mod2_cover(cover)
         verdict_tail = f"n={cover.n} k={cover.k} t={cover.t} size={len(cover)}"
-    elif kind == "gp-cover":
+    else:  # gp-cover
         cover = fileio.load_gp_cover(args.file)
         report = covers.verify_exact_gp_cover(cover)
         verdict_tail = f"n={cover.n} k={cover.k} size={len(cover)}"
-    else:
-        raise UsageError(f"unknown kind {kind}")
     _print_report(report)
     print(f"{'valid' if report.valid else 'invalid'} {verdict_tail}")
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
-_CONSTRUCT_NAMES = (
-    "b22pair",
-    "ktfamily",
-    "partition-cover",
-    "cover-t2",
-    "cover33",
-    "cover43",
-    "cover22",
-    "trivial-gp",
-    "permuted-gp",
-)
+# name -> (options it needs besides --n, builder); the keys are the --name choices
+_CONSTRUCTIONS = {
+    "b22pair": ((), lambda a: constructions.build_b22_pair(a.n)),
+    "ktfamily": (("t",), lambda a: constructions.build_kt_oddtown_family(a.t, a.n)),
+    "partition-cover": (("k", "t"), lambda a: constructions.build_partition_cover(a.k, a.t, a.n)),
+    "cover-t2": (("k",), lambda a: constructions.build_cover_t2(a.k, a.n)),
+    "cover33": ((), lambda a: constructions.build_cover_33(a.n)),
+    "cover43": ((), lambda a: constructions.build_cover_43(a.n)),
+    "cover22": ((), lambda a: constructions.build_cover_22(a.n)),
+    "trivial-gp": (("k",), lambda a: constructions.trivial_gp_cover(a.n, a.k)),
+    "permuted-gp": (
+        ("k",), lambda a: covers.permute_gp_cover(constructions.trivial_gp_cover(a.n, a.k))
+    ),
+}
+
+
+def _verify_for_output(
+    obj, args: argparse.Namespace
+) -> tuple[setsystems.VerifyReport, Callable, int]:
+    """Verifier report, saver and printed size for a constructed object."""
+    if isinstance(obj, setsystems.TupleSystem):
+        return setsystems.verify_bollobas_tuple(obj), fileio.save_tuple, obj.m
+    if isinstance(obj, setsystems.SetFamily):
+        k = args.k if args.k is not None else args.t
+        report = setsystems.verify_kt_oddtown(obj, max(k, args.t), args.t)
+        return report, fileio.save_family, len(obj)
+    if isinstance(obj, covers.GpCover):
+        return covers.verify_exact_gp_cover(obj), fileio.save_gp_cover, len(obj)
+    return covers.verify_mod2_cover(obj), fileio.save_cover, len(obj)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    name, n = args.name, args.n
-    if n is None:
-        raise UsageError("construct needs --n")
-    label = name
-
-    if name == "b22pair":
-        system = constructions.build_b22_pair(n)
-        report = setsystems.verify_bollobas_tuple(system)
-        if not report.valid:
-            raise InternalCheckError("construction failed its verifier")
-        fileio.save_tuple(system, args.out)
-        print(f"ok name={label} size={system.m} out={args.out}")
-        return EXIT_OK
-    if name == "ktfamily":
-        if args.t is None:
-            raise UsageError("ktfamily needs --t")
-        k = args.k if args.k is not None else args.t
-        fam = constructions.build_kt_oddtown_family(args.t, n)
-        report = setsystems.verify_kt_oddtown(fam, max(k, args.t), args.t)
-        if not report.valid:
-            raise InternalCheckError("construction failed its verifier")
-        fileio.save_family(fam, args.out)
-        print(f"ok name={label} size={len(fam)} out={args.out}")
-        return EXIT_OK
-
-    if name == "partition-cover":
-        if args.k is None or args.t is None:
-            raise UsageError("partition-cover needs --k and --t")
-        cover = constructions.build_partition_cover(args.k, args.t, n)
-    elif name == "cover-t2":
-        if args.k is None:
-            raise UsageError("cover-t2 needs --k")
-        cover = constructions.build_cover_t2(args.k, n)
-    elif name == "cover33":
-        cover = constructions.build_cover_33(n)
-    elif name == "cover43":
-        cover = constructions.build_cover_43(n)
-    elif name == "cover22":
-        cover = constructions.build_cover_22(n)
-    elif name == "trivial-gp":
-        if args.k is None:
-            raise UsageError("trivial-gp needs --k")
-        gp = constructions.trivial_gp_cover(n, args.k)
-        if not covers.verify_exact_gp_cover(gp).valid:
-            raise InternalCheckError("construction failed its verifier")
-        fileio.save_gp_cover(gp, args.out)
-        print(f"ok name={label} size={len(gp)} out={args.out}")
-        return EXIT_OK
-    elif name == "permuted-gp":
-        if args.k is None:
-            raise UsageError("permuted-gp needs --k")
-        cover = covers.permute_gp_cover(constructions.trivial_gp_cover(n, args.k))
-    else:
-        raise UsageError(f"unknown construction {name}")
-
-    if not covers.verify_mod2_cover(cover).valid:
+    needs, build = _CONSTRUCTIONS[args.name]
+    if any(getattr(args, option) is None for option in needs):
+        raise UsageError(f"{args.name} needs " + " and ".join(f"--{o}" for o in needs))
+    obj = build(args)
+    report, save, size = _verify_for_output(obj, args)
+    if not report.valid:
         raise InternalCheckError("construction failed its verifier")
-    fileio.save_cover(cover, args.out)
-    print(f"ok name={label} size={len(cover)} out={args.out}")
+    save(obj, args.out)
+    print(f"ok name={args.name} size={size} out={args.out}")
     return EXIT_OK
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     if args.direction == "cover-to-tuple":
-        cover = fileio.load_cover(args.infile)
-        system = covers.cover_to_tuple(cover)
-        fileio.save_tuple(system, args.out)
-    elif args.direction == "tuple-to-cover":
-        system = fileio.load_tuple(args.infile)
-        cover = covers.tuple_to_cover(system)
-        fileio.save_cover(cover, args.out)
-    else:
-        raise UsageError(f"unknown direction {args.direction}")
+        fileio.save_tuple(covers.cover_to_tuple(fileio.load_cover(args.infile)), args.out)
+    else:  # tuple-to-cover
+        fileio.save_cover(covers.tuple_to_cover(fileio.load_tuple(args.infile)), args.out)
     print(f"ok direction={args.direction} out={args.out}")
     return EXIT_OK
 
@@ -252,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("construct", help="emit a named construction")
-    p.add_argument("--name", required=True, choices=_CONSTRUCT_NAMES)
+    p.add_argument("--name", required=True, choices=_CONSTRUCTIONS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--t", type=int)

@@ -345,31 +345,18 @@ def link_cover(
     if not (1 <= coordinate <= cover.k):
         raise ValueError(f"coordinate {coordinate} outside [1, {cover.k}]")
 
-    def relabel(s: SubsetBits) -> SubsetBits:
-        # Send `element` to the top position, shifting the ones above it down,
-        # then cut the top position off.
-        kept = []
-        for e in s.elements():
-            if e == element:
-                continue
-            kept.append(e if e < element else e - 1)
-        return SubsetBits.from_elements(cover.n - 1, kept)
-
+    # Drop the element's bit and shift the bits above it down by one.
+    low = (1 << (element - 1)) - 1
     products = []
     for p in cover.products:
         if element not in p.parts[coordinate - 1]:
             continue
-        parts = []
-        empty = False
-        for j in range(cover.k):
-            if j == coordinate - 1:
-                continue
-            shrunk = relabel(p.parts[j])
-            if shrunk.bits == 0:
-                empty = True
-                break
-            parts.append(shrunk)
-        if not empty:
+        parts = [
+            SubsetBits(cover.n - 1, (part.bits & low) | (part.bits >> element << (element - 1)))
+            for j, part in enumerate(p.parts)
+            if j != coordinate - 1
+        ]
+        if all(part.bits for part in parts):
             products.append(KPartiteProduct(tuple(parts)))
     out = Mod2Cover(cover.k - 1, cover.k - 1, cover.n - 1, tuple(products))
     report = verify_mod2_cover(out)

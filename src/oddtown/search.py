@@ -389,7 +389,8 @@ class SearchOutcome:
 
     ``status`` is "exact" (value and witness certified) or "interval"
     (only ``lower`` <= minimum <= ``upper`` is certified; ``upper``/``cover``
-    may be absent).  ``rank_bound`` is the algebraic certificate;
+    may be absent).  ``rank_bound`` is the catalog-free lower bound, the
+    larger of the unfolding rank and ``_formula_lower`` (0 without presolve);
     ``levels_exhausted`` is the inclusive range of weights the search itself
     proved empty (or None if none were).
     """
@@ -450,10 +451,11 @@ def min_mod2_cover(
     if n < t:  # no cell has t distinct entries
         return SearchOutcome(k, t, n, "exact", 0, 0, 0, Mod2Cover(k, t, n, ()), 0, None)
 
-    rank_bound = (flattening_rank_bound(k, t, n) or 0) if rank_presolve else 0
-    formula = _formula_lower(k, t, n) if rank_presolve else 0
+    rank_bound = 0
+    if rank_presolve:
+        rank_bound = max(flattening_rank_bound(k, t, n) or 0, _formula_lower(k, t, n))
     upper = len(incumbent) if incumbent is not None else None
-    start = w = max(1, rank_bound, formula)
+    start = w = max(1, rank_bound)
     support = None
     if start != upper and start <= budget and _catalog_size(k, n) <= cap:
         instance = build_search_instance(k, t, n, cap)

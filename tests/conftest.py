@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from oddtown import (
     permute_gp_cover,
     trivial_gp_cover,
 )
+from oddtown.cli import build_parser
 
 
 def random_odd_subset(rng: random.Random, n: int) -> SubsetBits:
@@ -60,3 +62,11 @@ def fixture_covers() -> list[Mod2Cover]:
 @pytest.fixture(scope="session")
 def cover_pool() -> list[Mod2Cover]:
     return fixture_covers()
+
+
+@pytest.fixture
+def construct_names() -> list[str]:
+    """The ``construct --name`` choices of the command-line parser, in order."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (name,) = [a for a in commands.choices["construct"]._actions if a.dest == "name"]
+    return list(name.choices)

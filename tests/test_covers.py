@@ -12,6 +12,7 @@ from oddtown import (
     SubsetBits,
     build_b22_pair,
     build_cover_33,
+    build_partition_cover,
     cover_to_ok_biclique_cover,
     cover_to_tuple,
     coverage_parity,
@@ -309,6 +310,32 @@ class TestLinkCover:
             for coordinate in (1, 2, 3):
                 linked = link_cover(cover, element=element, coordinate=coordinate)
                 assert verify_mod2_cover(linked).valid
+
+    @staticmethod
+    def link_reference(cover, element, coordinate):
+        """The linked products, relabelled through element lists."""
+        products = []
+        for p in cover.products:
+            if element not in p.parts[coordinate - 1].elements():
+                continue
+            parts = tuple(
+                SubsetBits.from_elements(
+                    cover.n - 1, [e if e < element else e - 1 for e in part.elements() if e != element]
+                )
+                for j, part in enumerate(p.parts)
+                if j != coordinate - 1
+            )
+            if all(part.elements() for part in parts):
+                products.append(KPartiteProduct(parts))
+        return tuple(products)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_products_pinned_to_element_relabelling(self, n):
+        for cover in (build_cover_33(n), build_partition_cover(4, 4, n)):
+            for element in range(1, n + 1):
+                for coordinate in range(1, cover.k + 1):
+                    linked = link_cover(cover, element=element, coordinate=coordinate)
+                    assert linked.products == self.link_reference(cover, element, coordinate)
 
 
 class TestRestriction:

@@ -1,6 +1,6 @@
 """The README's command block runs as written: every ``oddtown`` line exits 0
 and its last output line matches the ``# -> ...`` expectation, where ``...``
-stands for any run of tokens."""
+stands for any run of tokens.  Its list of construction names is the parser's."""
 
 import re
 import shlex
@@ -28,3 +28,9 @@ def test_readme_commands(tmp_path, monkeypatch, capsys):
         if expect:
             pattern = re.escape(expect.strip()).replace(r"\.\.\.", ".*") + "( .*)?"
             assert re.fullmatch(pattern, verdict), (line, verdict)
+
+
+def test_readme_names_every_construction(construct_names):
+    paragraph = README.read_text(encoding="utf-8").split("Construction names:", 1)[1]
+    listed = re.findall(r"`([^`]+)`", paragraph.split("\n\n", 1)[0])
+    assert listed == construct_names

@@ -277,9 +277,9 @@ class TestMinMod2Cover:
     def test_closed_form_lower_bounds_past_the_rank_grid(self, monkeypatch):
         # 300^2 cells are past the unfolding bound; n - 1 still holds
         out = min_mod2_cover(2, 2, 300, incumbent=best_constructive_cover(2, 2, 300))
-        assert (out.status, out.lower, out.upper, out.rank_bound) == ("interval", 299, 300, 0)
+        assert (out.status, out.lower, out.upper, out.rank_bound) == ("interval", 299, 300, 299)
         out = min_mod2_cover(2, 2, 257, incumbent=best_constructive_cover(2, 2, 257))
-        assert (out.status, out.value) == ("exact", 256)
+        assert (out.status, out.value, out.rank_bound) == ("exact", 256, 256)
         # the pure search uses no catalog-free bound
         assert min_mod2_cover(2, 2, 300, rank_presolve=False).lower == 1
         # the Kneser bound is taken only while its matrix fits the direct limit
