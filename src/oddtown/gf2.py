@@ -106,14 +106,18 @@ class GfpMatrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        self._check_form()
+        a = self.data
+        if a.size and (a.min() < 0 or a.max() >= self.p):
+            raise ValueError(f"entries are not reduced mod {self.p}")
+
+    def _check_form(self) -> None:
         _check_modulus(self.p)
         a = self.data
         if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype.kind in "iu"):
             raise ValueError("data must be a 2-D integer array")
         if a.flags.writeable:
             raise ValueError("data must be read-only")
-        if a.size and (a.min() < 0 or a.max() >= self.p):
-            raise ValueError(f"entries are not reduced mod {self.p}")
 
     @property
     def rows(self) -> int:
@@ -135,7 +139,12 @@ class GfpMatrix:
             a = np.array(np.array(rows, dtype=object) % p, dtype=np.int64)
         a = a.reshape(0, 0) if a.shape == (0,) else a % p
         a.flags.writeable = False
-        return cls(p, a)
+        # The entries were just reduced: skip the range scan of __post_init__.
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "p", p)
+        object.__setattr__(matrix, "data", a)
+        matrix._check_form()
+        return matrix
 
     @classmethod
     def identity(cls, n: int, p: int) -> "GfpMatrix":

@@ -8,13 +8,14 @@ pass for weights 3, 4 and 5: the sums of one or two columns, shifted by the
 target, held as a sorted set (a hashed-slot screen in front of
 ``searchsorted``), and the sums of the remaining columns streamed against it
 in blocks, keeping the smallest common value.  The depth-first engine then
-re-derives both halves of the support from that value.  A depth-first level
-starts only at columns least in their orbit under the value and coordinate
-permutations, which fix the target.  A presolve certifies the levels below
-the catalog-free lower bounds: the closed forms, and the maximum rank of the
-target's coordinate unfoldings, since each product unfolds to a rank-one
-matrix.  Every certificate that backs a reported value is recorded on the
-outcome.
+re-derives both halves of the support from that value.  Both engines use the
+value and coordinate permutations, which fix the target: a depth-first level
+starts only at columns least in their orbit, and the pass streams only the
+sums whose least column is, mapping each hit to the least value of its orbit.
+A presolve certifies the levels below the catalog-free lower bounds: the
+closed forms, and the maximum rank of the target's coordinate unfoldings,
+since each product unfolds to a rank-one matrix.  Every certificate that backs
+a reported value is recorded on the outcome.
 """
 
 from __future__ import annotations
@@ -90,9 +91,31 @@ class SearchInstance:
         return suffix
 
     @cached_property
+    def value_permutations(self) -> Optional[np.ndarray]:
+        """The n! permutations of the values 0..n-1, one per row; None when the
+        group is too large to be worth it (n > _SYMMETRY_MAX_N) or n = 0."""
+        if self.n > _SYMMETRY_MAX_N or self.n == 0:
+            return None
+        return np.array(list(permutations(range(self.n))))
+
+    @cached_property
     def first_columns(self) -> Optional[list[int]]:
         """The orbit-canonical columns, ascending (see ``_canonical_first_columns``)."""
         return _canonical_first_columns(self)
+
+    @cached_property
+    def cell_images(self) -> Optional[np.ndarray]:
+        """The value and coordinate permutations acting on cells: one row per
+        pair (π, τ), holding the index of each cell's image, where cell x maps
+        to y with y_j = π(x_τ(j)).  The cells of a column map onto those of
+        another column.  None when ``value_permutations`` is."""
+        perms = self.value_permutations
+        if perms is None:
+            return None
+        n, k = self.n, self.k
+        digits = perms[:, np.array(self.cells) - 1]  # value perm, cell, coordinate
+        place = n ** np.arange(k - 1, -1, -1)
+        return np.concatenate([digits[:, :, order] @ place for order in permutations(range(k))])
 
 
 def _check_search_args(k: int, t: int, n: int) -> None:
@@ -203,11 +226,12 @@ def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
     ascending order gives the least index over the coordinate permutations.
     """
     n, k = instance.n, instance.k
-    if n > _SYMMETRY_MAX_N or n == 0:
+    perms = instance.value_permutations
+    if perms is None:
         return None
     masks = np.arange(1 << n)
     bits = (masks[:, None] >> np.arange(n)) & 1
-    images = bits @ (1 << np.array(list(permutations(range(n))))).T  # mask -> image, per perm
+    images = bits @ (1 << perms).T  # mask -> image, per perm
     parts = np.array(instance.column_parts)
     place = ((1 << n) - 1) ** np.arange(k - 1, -1, -1)
     least = np.arange(len(parts))
@@ -252,10 +276,33 @@ class _SortedSet:
         mask[maybe] = _np_membership(self.sorted, queries[maybe])
         return mask
 
-    def min_common(self, queries: np.ndarray) -> Optional[int]:
-        """Smallest query value in the set, or None when there is none."""
-        hits = queries[self.contains(queries)]
-        return int(hits.min()) if hits.size else None
+    def common(self, queries: np.ndarray) -> np.ndarray:
+        """The queries that are in the set."""
+        return queries[self.contains(queries)]
+
+
+def _orbit_minimum(instance: SearchInstance, values: np.ndarray) -> Optional[int]:
+    """Least cell mask over the orbits of ``values`` under the instance's
+    ``cell_images``; without them, the least value.  None when there are no
+    values.
+
+    One step per orbit met: the least remaining value's images are formed and
+    all of them dropped from the values.
+    """
+    if values.size == 0:
+        return None
+    cell_images = instance.cell_images
+    if cell_images is None:
+        return int(values.min())
+    rest = np.sort(values)
+    best = rest[0]
+    while rest.size:
+        cells = [r for r in range(cell_images.shape[1]) if int(rest[0]) >> r & 1]
+        images = np.uint64(1) << cell_images[:, cells].astype(np.uint64)
+        orbit = np.sort(np.bitwise_or.reduce(images, axis=1))
+        best = min(best, orbit[0])
+        rest = rest[~_np_membership(orbit, rest)]
+    return int(best)
 
 
 def _search_weight_level(
@@ -320,20 +367,24 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     """Support of weight w, or None if the level is empty.
 
     Small levels run the exact lexicographic DFS, restricted to the
-    instance's orbit-canonical first columns (computed on the first DFS
-    level, as the orbit pass is wasted on the others).  Larger ones fall back
-    to one vectorized meet-in-the-middle pass, possible while the grid fits in
-    64 bits and w <= 5.  It splits w = h + s, with h = 1 at w = 3 and h = 2
-    at w = 4 and 5, holds the h-sums (columns or pair sums) shifted by the
-    target in a ``_SortedSet``, streams the s-sums against them and keeps the
-    smallest common value v.  The s-sums come one block per least index i
-    (the h-sums of the later columns, shifted by column i), except at w = 4,
-    where they are the pair sums already built and go in one block.  The DFS
-    engine then re-derives the lexicographically first h-support of
-    v ^ target and s-support of v.  Raises _LevelTooHard when neither route
-    is feasible.  Levels must be exhausted in ascending order: the vectorized
-    pass rules out index collisions between the halves by appealing to the
-    emptiness of lower levels.
+    instance's orbit-canonical first columns.  Larger ones fall back to one
+    vectorized meet-in-the-middle pass, possible while the grid fits in 64
+    bits and w <= 5.  It splits w = h + s, with h = 1 at w = 3 and h = 2 at
+    w = 4 and 5, and holds the h-sums (columns or pair sums) shifted by the
+    target in a ``_SortedSet``.  The common values v of the s-sums and the
+    held set form a set I that every value and coordinate permutation maps
+    onto itself, as they permute the columns and fix the target.  So the
+    pass streams only the s-sums whose least index i is orbit-canonical, one
+    block per i (the (s-1)-sums of the later columns, shifted by column i):
+    mapping an s-support so that its least index is as small as it gets
+    makes that index canonical, hence every orbit in I meets the stream.  The
+    least value over the orbits of the hits is then min I, the same v as an
+    unrestricted pass.  Without orbit columns every block is streamed and v
+    is the least hit.  The DFS engine then re-derives the lexicographically
+    first h-support of v ^ target and s-support of v.  Raises _LevelTooHard
+    when neither route is feasible.  Levels must be exhausted in ascending
+    order: the vectorized pass rules out index collisions between the halves
+    by appealing to the emptiness of lower levels.
     """
     m = instance.num_columns
     cols = instance.columns
@@ -360,14 +411,17 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
         for i in range(m - 1):
             sums[starts[i] - (m - 1 - i) : starts[i]] = cols_u[i + 1 :] ^ cols_u[i]
     held = _SortedSet(sums ^ np.uint64(b))
-    if w == 4:
-        v = held.min_common(sums)
-    else:  # the s-sums with least index i: the later h-sums shifted by column i
-        v = None
-        for i in range(m - s + 1):
-            block_min = held.min_common(sums[starts[i] :] ^ cols_u[i])
-            if block_min is not None and (v is None or block_min < v):
-                v = block_min
+    if w == 4:  # the s-sums are pairs: single columns shifted by column i
+        sums, starts = cols_u, range(1, m)
+    # The s-sums with least index i, for orbit-canonical i only: the later
+    # (s-1)-sums shifted by column i.
+    firsts = range(m) if instance.first_columns is None else instance.first_columns
+    hits = []
+    for i in firsts:
+        if i > m - s:
+            break
+        hits.append(held.common(sums[starts[i] :] ^ cols_u[i]))
+    v = _orbit_minimum(instance, np.concatenate(hits))
     del sums, held
     if v is None:
         return None

@@ -131,6 +131,20 @@ def test_gfp_rejects_malformed_data_and_widens_narrow_dtypes():
     assert rank_gfp(GfpMatrix(5, small)) == _reference_rank_mod_p(small.tolist(), 5) == 2
 
 
+def test_gfp_range_checked_on_direct_construction_only():
+    # from_rows reduces, so it skips the range scan; direct construction keeps it
+    for bad in ([[0, 5]], [[-1, 0]], [[3, 2**40]]):
+        frozen = np.array(bad)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="not reduced mod 5"):
+            GfpMatrix(5, frozen)
+        reduced = GfpMatrix.from_rows(frozen, 5)
+        assert reduced.data.tolist() == [[x % 5 for x in bad[0]]]
+        assert GfpMatrix(5, reduced.data).data is reduced.data
+    with pytest.raises(ValueError, match="2-D"):
+        GfpMatrix.from_rows([[[1]]], 5)
+
+
 def _reference_rank_mod_p(rows, p):
     """Plain row reduction over F_p on lists of Python ints."""
     work = [[v % p for v in row] for row in rows]

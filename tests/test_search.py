@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -198,7 +199,7 @@ class TestMinMod2Cover:
                 with_orbits = _search_weight_level(inst, inst.target, w, inst.first_columns)
                 assert with_orbits == _search_weight_level(inst, inst.target, w), (k, t, n, w)
 
-    def test_canonical_columns_only_for_dfs_levels(self, monkeypatch):
+    def test_orbit_pass_runs_once_per_instance(self, monkeypatch):
         calls = []
         real = search._canonical_first_columns
 
@@ -214,10 +215,10 @@ class TestMinMod2Cover:
         assert summary(min_mod2_cover(3, 3, 4, budget=3)) == ("interval", 4, None, (3, 3))
         # (4,3,3): 81 cells, so no level is searched at all
         assert summary(min_mod2_cover(4, 3, 3)) == ("interval", 6, None, None)
-        assert calls == []
-        # (3,3,3): its w=3 level runs DFS
+        assert calls == [(3, 3, 4)]
+        # (3,3,3): DFS at w=3, meet-in-the-middle at w=4 and 5, one orbit pass
         out = min_mod2_cover(3, 3, 3)
-        assert calls == [(3, 3, 3)]
+        assert calls == [(3, 3, 4), (3, 3, 3)]
         assert support_of(out) == (47, 74, 129, 156, 211)
 
     def test_edgeless_target(self):
@@ -373,24 +374,22 @@ small_uint64s = st.lists(st.integers(0, 7), min_size=1, max_size=12)  # forces d
 class TestMeetInTheMiddle:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(uint64s, small_uint64s), st.one_of(uint64s, small_uint64s))
-    def test_min_common_matches_intersect1d(self, a, b):
+    def test_contains_matches_isin(self, a, b):
         a = np.array(a, dtype=np.uint64)
         b = np.array(b, dtype=np.uint64)
-        common = np.intersect1d(a, b)
-        want = int(common[0]) if common.size else None
-        assert _SortedSet(a).min_common(b) == want
         assert _SortedSet(a).contains(b).tolist() == np.isin(b, a).tolist()
+        assert _SortedSet(a).common(b).tolist() == b[np.isin(b, a)].tolist()
 
-    def test_min_common_edge_cases(self):
+    def test_contains_edge_cases(self):
         def u(*xs):
             return np.array(xs, dtype=np.uint64)
 
-        assert _SortedSet(u(5)).min_common(u(5)) == 5
-        assert _SortedSet(u(5)).min_common(u(4)) is None
-        assert _SortedSet(u(9, 3, 3, 1)).min_common(u(9, 9, 3, 3)) == 3
-        assert _SortedSet(u(2**64 - 1)).min_common(u(0, 2**64 - 1)) == 2**64 - 1
-        assert _SortedSet(u()).min_common(u(1, 2)) is None
-        assert _SortedSet(u(1, 2)).min_common(u()) is None
+        assert _SortedSet(u(5)).contains(u(5)).tolist() == [True]
+        assert _SortedSet(u(5)).contains(u(4)).tolist() == [False]
+        assert _SortedSet(u(9, 3, 3, 1)).contains(u(9, 9, 3, 3, 4)).tolist() == [True] * 4 + [False]
+        assert _SortedSet(u(2**64 - 1)).contains(u(0, 2**64 - 1)).tolist() == [False, True]
+        assert _SortedSet(u()).contains(u(1, 2)).tolist() == [False, False]
+        assert _SortedSet(u(1, 2)).contains(u()).tolist() == []
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -427,6 +426,60 @@ class TestMeetInTheMiddle:
         # each level has several supports; the smallest common value picks one
         assert _level_reference(cols, b, 5) == want
         assert _mitm_level(cols, b, 5) == want
+
+    @staticmethod
+    def _orbit_minimum_walk(instance, values):
+        """The least image of any value under every value permutation and
+        coordinate permutation, mapping the cells one by one."""
+        index = {cell: r for r, cell in enumerate(instance.cells)}
+        best = None
+        for v in values:
+            cells = [cell for r, cell in enumerate(instance.cells) if v >> r & 1]
+            for perm in permutations(range(1, instance.n + 1)):
+                for order in permutations(range(instance.k)):
+                    images = (index[tuple(perm[cell[j] - 1] for j in order)] for cell in cells)
+                    image = sum(1 << r for r in images)
+                    best = image if best is None else min(best, image)
+        return best
+
+    @pytest.mark.parametrize("k,t,n", [(3, 3, 3), (2, 2, 4), (4, 3, 2), (3, 2, 3)])
+    def test_orbit_minimum_matches_orbit_walk(self, k, t, n):
+        inst = build_search_instance(k, t, n)
+        rng = np.random.default_rng(k * 100 + t * 10 + n)
+        cols = np.array(inst.columns, dtype=np.uint64)
+        for size in (1, 2, 5):
+            # column sums, as the level pass meets them, and arbitrary cell masks
+            sums = np.bitwise_xor.reduce(rng.choice(cols, (size, 3)), axis=1)
+            masks = rng.integers(0, 1 << len(inst.cells), size, dtype=np.uint64)
+            for values in (sums, masks, np.concatenate([sums, sums])):
+                want = self._orbit_minimum_walk(inst, values.tolist())
+                assert search._orbit_minimum(inst, values) == want, (k, t, n, values)
+        assert search._orbit_minimum(inst, np.array([], dtype=np.uint64)) is None
+        # a bare-mask instance has no orbits: the plain minimum
+        bare = replace(inst, n=0)
+        assert bare.cell_images is None
+        assert search._orbit_minimum(bare, np.array([9, 4, 7], dtype=np.uint64)) == 4
+
+    @pytest.mark.parametrize("k,t,n,levels", [
+        (3, 2, 3, (3, 4, 5)), (3, 3, 3, (3, 4, 5)), (2, 2, 4, (3, 4, 5)), (4, 3, 2, (3, 4, 5)),
+        (3, 2, 4, (3,)), (3, 3, 4, (3,)),
+    ])
+    def test_orbit_restricted_pass_matches_unrestricted(self, monkeypatch, k, t, n, levels):
+        # the same columns without orbits stream every block and take the
+        # plain minimum: the level outcome is the same
+        monkeypatch.setattr(search, "_DFS_NODE_CAP", 0)
+
+        def outcome(instance, w):
+            try:
+                return _exhaust_level(instance, w)
+            except InternalCheckError as err:  # lower levels hold supports
+                return str(err)
+
+        inst = build_search_instance(k, t, n)
+        bare = replace(inst, n=0)
+        assert bare.first_columns is None and inst.first_columns is not None
+        for w in levels:
+            assert outcome(inst, w) == outcome(bare, w), (k, t, n, w)
 
     def test_membership_empty_sorted_side(self):
         empty = np.array([], dtype=np.uint64)
