@@ -169,10 +169,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.n is None:
         raise UsageError("search needs --n or --m")
-    incumbent = search.best_constructive_cover(args.k, args.t, args.n)
-    out = search.min_mod2_cover(
-        args.k, args.t, args.n, budget=args.budget, cap=args.cap, incumbent=incumbent
-    )
+    out = search.min_mod2_cover(args.k, args.t, args.n, budget=args.budget, cap=args.cap)
     if out.exact:
         if out.cover is not None and len(out.cover) == out.value and args.out:
             fileio.save_cover(out.cover, args.out)

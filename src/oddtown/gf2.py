@@ -106,18 +106,14 @@ class GfpMatrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        self._check_form()
-        a = self.data
-        if a.size and (a.min() < 0 or a.max() >= self.p):
-            raise ValueError(f"entries are not reduced mod {self.p}")
-
-    def _check_form(self) -> None:
         _check_modulus(self.p)
         a = self.data
         if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype.kind in "iu"):
             raise ValueError("data must be a 2-D integer array")
         if a.flags.writeable:
             raise ValueError("data must be read-only")
+        if a.size and (a.min() < 0 or a.max() >= self.p):
+            raise ValueError(f"entries are not reduced mod {self.p}")
 
     @property
     def rows(self) -> int:
@@ -132,19 +128,16 @@ class GfpMatrix:
         """From an array or nested sequences of integers; entries are reduced mod p."""
         _check_modulus(p)
         if isinstance(rows, np.ndarray) and rows.dtype.kind == "u":
-            rows = rows % p  # unsigned entries beyond int64 would wrap in the cast
-        try:
-            a = np.array(rows, dtype=np.int64)
-        except OverflowError:  # Python ints beyond int64: reduce them first
-            a = np.array(np.array(rows, dtype=object) % p, dtype=np.int64)
-        a = a.reshape(0, 0) if a.shape == (0,) else a % p
+            a = (rows % p).astype(np.int64)  # reduced first: the cast would wrap entries past int64
+        else:
+            try:
+                a = np.asarray(rows, dtype=np.int64) % p
+            except OverflowError:  # Python ints beyond int64: reduce them first
+                a = (np.array(rows, dtype=object) % p).astype(np.int64)
+        if a.shape == (0,):
+            a = a.reshape(0, 0)
         a.flags.writeable = False
-        # The entries were just reduced: skip the range scan of __post_init__.
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "p", p)
-        object.__setattr__(matrix, "data", a)
-        matrix._check_form()
-        return matrix
+        return cls(p, a)
 
     @classmethod
     def identity(cls, n: int, p: int) -> "GfpMatrix":

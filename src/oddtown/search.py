@@ -444,9 +444,10 @@ class SearchOutcome:
     ``status`` is "exact" (value and witness certified) or "interval"
     (only ``lower`` <= minimum <= ``upper`` is certified; ``upper``/``cover``
     may be absent).  ``rank_bound`` is the catalog-free lower bound, the
-    larger of the unfolding rank and ``_formula_lower`` (0 without presolve);
-    ``levels_exhausted`` is the inclusive range of weights the search itself
-    proved empty (or None if none were).
+    larger of the unfolding rank and ``_formula_lower``; ``constructive`` is
+    the size of the smallest explicit construction (None when it is too
+    large to verify); ``levels_exhausted`` is the inclusive range of weights
+    the search itself proved empty (or None if none were).
     """
 
     k: int
@@ -459,6 +460,7 @@ class SearchOutcome:
     cover: Optional[Mod2Cover]
     rank_bound: int
     levels_exhausted: Optional[tuple[int, int]]
+    constructive: Optional[int]
 
     @property
     def exact(self) -> bool:
@@ -481,34 +483,26 @@ def min_mod2_cover(
     n: int,
     budget: int = DEFAULT_BUDGET,
     cap: int = DEFAULT_CAP,
-    rank_presolve: bool = True,
-    incumbent: Optional[Mod2Cover] = None,
 ) -> SearchOutcome:
     """Exact minimum size of a parity cover of the >= t distinct target.
 
-    Two kinds of certificate need no product catalog: ``incumbent``, a known
-    cover (verified, then the upper bound), and, when ``rank_presolve`` is on,
-    all catalog-free lower bounds (the unfolding rank and ``_formula_lower``).
-    When they meet, the value is exact and nothing is searched.  Otherwise
-    weight levels from the lower bound up are exhausted in ascending order up
-    to ``budget``, provided the catalog of (2^n - 1)^k products fits ``cap``;
-    past the cap the outcome is the interval of the certificates, with no
-    level searched.  Any returned cover is re-verified.  The result is
-    deterministic for fixed arguments.
+    Two kinds of certificate need no product catalog: the smallest explicit
+    construction (``best_constructive_cover``, built and verified there, then
+    the upper bound) and all catalog-free lower bounds (the unfolding rank and
+    ``_formula_lower``).  When they meet, the value is exact and nothing is
+    searched.  Otherwise weight levels from the lower bound up are exhausted
+    in ascending order up to ``budget``, provided the catalog of (2^n - 1)^k
+    products fits ``cap``; past the cap the outcome is the interval of the
+    certificates, with no level searched.  A witness the search returns is
+    verified.  The result is deterministic for fixed arguments.
     """
     _check_search_args(k, t, n)
-    if incumbent is not None:
-        if (incumbent.k, incumbent.t, incumbent.n) != (k, t, n):
-            raise ValueError("incumbent cover has mismatched parameters")
-        if not verify_mod2_cover(incumbent).valid:
-            raise ValueError("incumbent cover is not valid")
     if n < t:  # no cell has t distinct entries
-        return SearchOutcome(k, t, n, "exact", 0, 0, 0, Mod2Cover(k, t, n, ()), 0, None)
+        return SearchOutcome(k, t, n, "exact", 0, 0, 0, Mod2Cover(k, t, n, ()), 0, None, 0)
 
-    rank_bound = 0
-    if rank_presolve:
-        rank_bound = max(flattening_rank_bound(k, t, n) or 0, _formula_lower(k, t, n))
-    upper = len(incumbent) if incumbent is not None else None
+    rank_bound = max(flattening_rank_bound(k, t, n) or 0, _formula_lower(k, t, n))
+    construction = best_constructive_cover(k, t, n)
+    upper = len(construction) if construction is not None else None
     start = w = max(1, rank_bound)
     support = None
     if start != upper and start <= budget and _catalog_size(k, n) <= cap:
@@ -527,9 +521,11 @@ def min_mod2_cover(
         cover = _cover_from_support(instance, support)
         if not verify_mod2_cover(cover).valid:
             raise InternalCheckError("search witness failed cover verification")
-        return SearchOutcome(k, t, n, "exact", w, w, w, cover, rank_bound, exhausted)
+        return SearchOutcome(k, t, n, "exact", w, w, w, cover, rank_bound, exhausted, upper)
     status, value = ("exact", w) if w == upper else ("interval", None)
-    return SearchOutcome(k, t, n, status, value, w, upper, incumbent, rank_bound, exhausted)
+    return SearchOutcome(
+        k, t, n, status, value, w, upper, construction, rank_bound, exhausted, upper
+    )
 
 
 # Largest cover check ``best_constructive_cover`` runs, in n^k * ceil(S / 64)
@@ -614,12 +610,12 @@ def exact_b(
     m: int,
     budget: Optional[int] = None,
     cap: int = DEFAULT_CAP,
-    rank_presolve: bool = True,
 ) -> ExactBResult:
     """max{n : minimum cover size of the (k,t,n) target <= m}, probed upward.
 
     Correct because restricting a cover to a smaller ground set keeps it
-    valid, so the minimum size is monotone in n.
+    valid, so the minimum size is monotone in n.  A ground size whose
+    construction fits m needs no search.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -629,15 +625,7 @@ def exact_b(
         constructive = best_constructive_cover(k, t, n)
         if constructive is None or len(constructive) > m:
             level_budget = min(m, budget) if budget is not None else m
-            out = min_mod2_cover(
-                k,
-                t,
-                n,
-                budget=level_budget,
-                cap=cap,
-                rank_presolve=rank_presolve,
-                incumbent=constructive,
-            )
+            out = min_mod2_cover(k, t, n, budget=level_budget, cap=cap)
             if not (out.exact and out.value <= m):
                 # f(n) > m settles every larger n too.
                 return ExactBResult(k, t, m, best if out.lower > m else None, best)
@@ -701,17 +689,15 @@ def bounds_table(
     if (k, t) == (2, 2):
         notes.append(ERRATUM_22)
     for n in n_values:
-        constructive_cover = best_constructive_cover(k, t, n)
-        if constructive_cover is None:
+        out = min_mod2_cover(k, t, n, budget=budget, cap=cap)
+        lower, exact, constructive = out.lower, out.value, out.constructive
+        if constructive is None:
             size, _ = _smallest_construction(k, t, n)
             raise ValueError(
                 f"the smallest construction at (k,t,n)=({k},{t},{n}) has {size} products "
                 f"on n^k = {n**k} cells, above the verification limit of "
                 f"{VERIFY_MAX_WORDS} words"
             )
-        constructive = len(constructive_cover)
-        out = min_mod2_cover(k, t, n, budget=budget, cap=cap, incumbent=constructive_cover)
-        lower, exact = out.lower, out.value
         upper = _formula_upper(k, t, n)
         if constructive > upper:
             raise InternalCheckError(

@@ -20,6 +20,7 @@ from oddtown import (
     build_inclusion_matrix,
     build_kt_oddtown_family,
     build_partition_cover,
+    build_search_instance,
     cover_size_lower_bound,
     cover_to_ok_biclique_cover,
     cover_to_tuple,
@@ -46,7 +47,13 @@ from oddtown import (
     wilson_rank,
 )
 from oddtown.covers import parity_functions_equal
-from oddtown.search import ERRATUM_22, best_constructive_cover, bounds_table, machine_rows
+from oddtown.search import (
+    ERRATUM_22,
+    _cover_from_support,
+    _exhaust_level,
+    bounds_table,
+    machine_rows,
+)
 from conftest import fixture_covers, greedy_oddtown_family
 
 
@@ -138,7 +145,13 @@ def test_03_b22_values():
             assert system.m <= system.ground_size + 1  # pair-size bound at p=2
 
     t0 = time.monotonic()
-    res3 = exact_b(2, 2, 3, rank_presolve=False)  # pure search refutation
+    # pure search refutation of n = 4 at m = 3: levels 1..3 are empty, while
+    # level 2 at n = 3 holds a cover
+    inst4 = build_search_instance(2, 2, 4)
+    assert [_exhaust_level(inst4, w) for w in (1, 2, 3)] == [None] * 3
+    inst3 = build_search_instance(2, 2, 3)
+    assert _exhaust_level(inst3, 1) is None and _exhaust_level(inst3, 2) is not None
+    res3 = exact_b(2, 2, 3)
     assert res3.value == 3
     assert time.monotonic() - t0 < 60.0
 
@@ -152,17 +165,18 @@ def test_03_b22_values():
 def test_04_f22_exact_search():
     watch = Stopwatch(300.0)
     for n, want in ((2, 2), (3, 2), (4, 4)):
-        out = min_mod2_cover(2, 2, n, rank_presolve=False)
-        assert out.exact and out.value == want
-        assert verify_mod2_cover(out.cover).valid
-        # refutation of every smaller weight came from exhausted levels
-        if want > 1:
-            assert out.levels_exhausted == (1, want - 1)
+        assert min_mod2_cover(2, 2, n).value == want
+        # the search alone: every smaller weight is an exhausted level, and
+        # the first nonempty level yields a verified cover
+        inst = build_search_instance(2, 2, n)
+        levels = [_exhaust_level(inst, w) for w in range(1, want + 1)]
+        assert levels[:-1] == [None] * (want - 1) and levels[-1] is not None
+        assert verify_mod2_cover(_cover_from_support(inst, levels[-1])).valid
 
     # Galois connection on the computed grid
     f = {}
     for n in range(1, 7):
-        out = min_mod2_cover(2, 2, n, incumbent=best_constructive_cover(2, 2, n))
+        out = min_mod2_cover(2, 2, n)
         assert out.exact
         f[n] = out.value
     assert [f[n] for n in range(2, 7)] == [2, 2, 4, 4, 6]

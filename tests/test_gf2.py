@@ -132,7 +132,7 @@ def test_gfp_rejects_malformed_data_and_widens_narrow_dtypes():
 
 
 def test_gfp_range_checked_on_direct_construction_only():
-    # from_rows reduces, so it skips the range scan; direct construction keeps it
+    # direct construction range-checks the entries; from_rows reduces them first
     for bad in ([[0, 5]], [[-1, 0]], [[3, 2**40]]):
         frozen = np.array(bad)
         frozen.flags.writeable = False

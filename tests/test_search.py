@@ -1,3 +1,5 @@
+import inspect
+import shlex
 from dataclasses import replace
 from itertools import combinations, permutations
 
@@ -23,6 +25,7 @@ from oddtown import (
     verify_mod2_cover,
 )
 from oddtown import search
+from oddtown.cli import main
 from oddtown.covers import all_cells
 from oddtown.gf2 import Gf2Matrix, InternalCheckError, rank_gf2
 from oddtown.search import (
@@ -54,6 +57,13 @@ def target_mask(n, k, t, cells):
         if len(set(idx)) >= t:
             mask |= 1 << pos
     return mask
+
+
+def pure_levels(k, t, n, top):
+    """Whether each weight level 1..top holds a support, exhausted in
+    ascending order on a fresh instance with no lower bound: the search alone."""
+    inst = build_search_instance(k, t, n)
+    return [_exhaust_level(inst, w) is not None for w in range(1, top + 1)]
 
 
 def instances_within_cap(max_k=5, max_n=None):
@@ -180,10 +190,8 @@ class TestMinMod2Cover:
 
     def test_pure_search_matches_presolve(self):
         for n in (2, 3, 4):
-            with_rank = min_mod2_cover(2, 2, n)
-            without = min_mod2_cover(2, 2, n, rank_presolve=False)
-            assert with_rank.value == without.value
-            assert without.levels_exhausted is not None or without.value == 1
+            value = min_mod2_cover(2, 2, n).value
+            assert pure_levels(2, 2, n, value) == [False] * (value - 1) + [True], n
 
     def test_symmetry_off_matches(self):
         # the orbit-canonical first columns only restrict the first DFS column,
@@ -212,9 +220,9 @@ class TestMinMod2Cover:
             return out.status, out.lower, out.upper, out.levels_exhausted
 
         # (3,3,4): its only level, w=3, is a meet-in-the-middle pass
-        assert summary(min_mod2_cover(3, 3, 4, budget=3)) == ("interval", 4, None, (3, 3))
+        assert summary(min_mod2_cover(3, 3, 4, budget=3)) == ("interval", 4, 13, (3, 3))
         # (4,3,3): 81 cells, so no level is searched at all
-        assert summary(min_mod2_cover(4, 3, 3)) == ("interval", 6, None, None)
+        assert summary(min_mod2_cover(4, 3, 3)) == ("interval", 6, 34, None)
         assert calls == [(3, 3, 4)]
         # (3,3,3): DFS at w=3, meet-in-the-middle at w=4 and 5, one orbit pass
         out = min_mod2_cover(3, 3, 3)
@@ -228,25 +236,20 @@ class TestMinMod2Cover:
         assert out.exact and out.value == 0 and len(out.cover) == 0
 
     def test_budget_interval(self):
-        out = min_mod2_cover(2, 2, 4, budget=3, rank_presolve=False)
-        assert not out.exact
-        assert out.lower == 4 and out.levels_exhausted == (1, 3)
+        # f(2,2,4) = 4: levels 1..3 are empty, level 4 is not
+        assert pure_levels(2, 2, 4, 4) == [False, False, False, True]
 
     @pytest.mark.parametrize("k,t,n", [(2, 2, 6), (3, 2, 4), (3, 3, 4)])
     def test_budget_interval_through_level_three_pass(self, k, t, n):
         # the catalogs with more than 4*10^6 column pairs refute w=3 by meet-in-the-middle
-        out = min_mod2_cover(k, t, n, budget=3, rank_presolve=False)
-        assert (out.status, out.lower, out.levels_exhausted) == ("interval", 4, (1, 3))
+        assert pure_levels(k, t, n, 3) == [False] * 3
 
     def test_incumbent_certifies(self):
-        cover = build_cover_33(3)
-        out = min_mod2_cover(3, 3, 3, budget=0, incumbent=cover)
-        # budget 0 runs no levels; the rank bound alone cannot reach 10
-        assert not out.exact and out.upper == 10
-
-    def test_incumbent_validated(self):
-        with pytest.raises(ValueError):
-            min_mod2_cover(3, 3, 2, incumbent=build_cover_33(3))
+        out = min_mod2_cover(3, 3, 3, budget=0)
+        # budget 0 runs no levels; the rank bound alone cannot reach the
+        # 6-product construction, which is the upper bound
+        assert (out.status, out.lower, out.upper, out.constructive) == ("interval", 3, 6, 6)
+        assert len(out.cover) == 6 and out.levels_exhausted is None
 
     def test_certificates_meet_without_catalog(self, monkeypatch):
         calls = []
@@ -258,31 +261,29 @@ class TestMinMod2Cover:
 
         monkeypatch.setattr(search, "build_search_instance", spy)
         # rank 6 meets the 6-product construction: no catalog is built
-        out = min_mod2_cover(2, 2, 6, incumbent=best_constructive_cover(2, 2, 6))
+        out = min_mod2_cover(2, 2, 6)
         assert (out.status, out.value, out.rank_bound, out.levels_exhausted) == ("exact", 6, 6, None)
         assert calls == []
-        # without the incumbent, level 4 is searched on the catalog
-        assert min_mod2_cover(2, 2, 4).value == 4
-        assert calls == [(2, 2, 4, search.DEFAULT_CAP)]
+        # rank 3 is below the 4-product construction: level 3 is searched on the catalog
+        out = min_mod2_cover(3, 2, 3)
+        assert (out.value, out.rank_bound, out.constructive) == (4, 3, 4)
+        assert calls == [(3, 2, 3, search.DEFAULT_CAP)]
 
     @pytest.mark.parametrize("k,t,n,lower,upper", [
         (2, 2, 7, 6, 6), (3, 3, 5, 5, 16), (4, 4, 4, 6, 24), (3, 2, 5, 5, 6), (5, 5, 5, 10, 120),
     ])
     def test_past_the_cap_certificates_answer(self, k, t, n, lower, upper):
-        incumbent = best_constructive_cover(k, t, n)
-        out = min_mod2_cover(k, t, n, incumbent=incumbent)
-        assert (out.lower, out.upper, out.rank_bound) == (lower, upper, lower)
+        out = min_mod2_cover(k, t, n)
+        assert (out.lower, out.upper, out.rank_bound, out.constructive) == (lower, upper, lower, upper)
         assert out.exact == (lower == upper) and out.levels_exhausted is None
-        assert out.cover is incumbent
+        assert out.cover.products == best_constructive_cover(k, t, n).products
 
     def test_closed_form_lower_bounds_past_the_rank_grid(self, monkeypatch):
         # 300^2 cells are past the unfolding bound; n - 1 still holds
-        out = min_mod2_cover(2, 2, 300, incumbent=best_constructive_cover(2, 2, 300))
+        out = min_mod2_cover(2, 2, 300)
         assert (out.status, out.lower, out.upper, out.rank_bound) == ("interval", 299, 300, 299)
-        out = min_mod2_cover(2, 2, 257, incumbent=best_constructive_cover(2, 2, 257))
+        out = min_mod2_cover(2, 2, 257)
         assert (out.status, out.value, out.rank_bound) == ("exact", 256, 256)
-        # the pure search uses no catalog-free bound
-        assert min_mod2_cover(2, 2, 300, rank_presolve=False).lower == 1
         # the Kneser bound is taken only while its matrix fits the direct limit
         calls = []
         monkeypatch.setattr(search, "cover_size_lower_bound", lambda *args: calls.append(args) or 0)
@@ -302,31 +303,28 @@ class TestMinMod2Cover:
         # w=3 and w=4 are refuted by meet-in-the-middle; w=5 is out of reach
         out = min_mod2_cover(3, 3, 4)
         assert out.status == "interval"
-        assert out.lower == 5 and out.upper is None
+        assert out.lower == 5 and out.upper == 13
         assert out.levels_exhausted == (3, 4)
 
     def test_pair_k3_n4_interval(self):
+        # level 4 is refuted, and the 5-product construction closes the gap
         out = min_mod2_cover(3, 2, 4)
-        assert out.status == "interval"
+        assert (out.status, out.value, out.constructive) == ("exact", 5, 5)
         assert out.lower == 5 and out.levels_exhausted == (4, 4)
 
     def test_witness_is_lex_min_without_symmetry(self):
-        out = min_mod2_cover(2, 2, 3)
+        value = min_mod2_cover(2, 2, 3).value
         inst = build_search_instance(2, 2, 3)
-        support = []
-        for p in out.cover.products:
-            parts = tuple(part.bits for part in p.parts)
-            support.append(inst.column_parts.index(parts))
         best = None
-        for sup in combinations(range(inst.num_columns), out.value):
+        for sup in combinations(range(inst.num_columns), value):
             acc = 0
             for j in sup:
                 acc ^= inst.columns[j]
             if acc == inst.target:
                 best = sup
                 break
-        assert tuple(support) == best
-        assert _search_weight_level(inst, inst.target, out.value) == best
+        assert _search_weight_level(inst, inst.target, value, inst.first_columns) == best
+        assert _search_weight_level(inst, inst.target, value) == best
 
 
 def _xor(cols, support):
@@ -494,8 +492,11 @@ class TestExactB:
         assert exact_b(2, 2, 4).value == 5
 
     def test_pure_search_variant(self):
-        res = exact_b(2, 2, 3, rank_presolve=False)
-        assert res.value == 3
+        # b(2,2,3) = 3: the search alone finds a weight-2 cover at n = 3 and
+        # refutes weights 1..3 at n = 4
+        assert pure_levels(2, 2, 3, 2) == [False, True]
+        assert pure_levels(2, 2, 4, 3) == [False] * 3
+        assert exact_b(2, 2, 3).value == 3
 
     def test_budget_exhaustion_brackets(self):
         res = exact_b(3, 3, 5, budget=2)
@@ -511,7 +512,7 @@ class TestExactB:
         # f(n) <= m iff b(m) >= n on the computed grid
         f = {}
         for n in range(1, 7):
-            out = min_mod2_cover(2, 2, n, incumbent=best_constructive_cover(2, 2, n))
+            out = min_mod2_cover(2, 2, n)
             assert out.exact
             f[n] = out.value
         b = {m: exact_b(2, 2, m).value for m in range(0, 5)}
@@ -652,3 +653,32 @@ class TestBestConstructive:
                             lambda n: Mod2Cover(2, 2, n, ()))
         with pytest.raises(InternalCheckError, match="closed form 4"):
             best_constructive_cover(2, 2, 4)
+
+
+class TestPublicSearchApi:
+    @pytest.mark.parametrize("function,params", [
+        (min_mod2_cover, ("k", "t", "n", "budget", "cap")),
+        (exact_b, ("k", "t", "m", "budget", "cap")),
+        (bounds_table, ("k", "t", "n_values", "budget", "cap")),
+    ])
+    def test_signatures(self, function, params):
+        # a new option fails here and needs a record in CHANGES.md
+        assert tuple(inspect.signature(function).parameters) == params
+
+    @pytest.mark.parametrize("command,calls", [
+        ("search --k 3 --t 3 --n 4 --budget 3", 1),  # the construction
+        ("search --k 3 --t 3 --n 3", 2),  # the construction and the witness
+        ("table --k 3 --t 3 --n-min 2 --n-max 4", 2),  # one construction per row with n >= t
+    ])
+    def test_each_cover_verified_once(self, command, calls, monkeypatch, capsys):
+        verified = []
+        real = search.verify_mod2_cover
+
+        def spy(cover):
+            verified.append(len(cover))
+            return real(cover)
+
+        monkeypatch.setattr(search, "verify_mod2_cover", spy)
+        assert main(shlex.split(command)) == 0
+        capsys.readouterr()
+        assert len(verified) == calls, verified
