@@ -4,18 +4,20 @@ The search is a per-weight-level exhaustion: levels are proven empty in
 ascending order (by depth-first branch and bound, or by a vectorized
 meet-in-the-middle pass when the cell grid fits in 64 bits), and the first
 level holding a solution yields the witness.  There is one meet-in-the-middle
-pass for weights 3, 4 and 5: the sums of one or two columns, shifted by the
-target, held as a sorted set (a hashed-slot screen in front of
-``searchsorted``), and the sums of the remaining columns streamed against it
-in blocks, keeping the smallest common value.  The depth-first engine then
-re-derives both halves of the support from that value.  Both engines use the
-value and coordinate permutations, which fix the target: a depth-first level
-starts only at columns least in their orbit, and the pass streams only the
-sums whose least column is, mapping each hit to the least value of its orbit.
-A presolve certifies the levels below the catalog-free lower bounds: the
-closed forms, and the maximum rank of the target's coordinate unfoldings,
-since each product unfolds to a rank-one matrix.  Every certificate that backs
-a reported value is recorded on the outcome.
+pass for weights 3, 4 and 5: it looks for the smallest common value of the
+sums of one or two columns shifted by the target and the sums of the
+remaining columns, holding the smaller side as a sorted set (a hashed-slot
+screen in front of ``searchsorted``) and streaming the other against it in
+blocks.  The depth-first engine then re-derives both halves of the support
+from that value; its last two levels are one vectorized lookup per node.
+Both engines use the value and coordinate permutations, which fix the
+target: a depth-first level starts only at columns least in their orbit, and
+the pass takes only the sums whose least column is, mapping each hit to the
+least value of its orbit.  A presolve certifies the levels below the
+catalog-free lower bounds: the closed forms, and the maximum rank of the
+target's coordinate unfoldings, since each product unfolds to a rank-one
+matrix.  Every certificate that backs a reported value is recorded on the
+outcome.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ DEFAULT_BUDGET = 8
 _DFS_NODE_CAP = 4_000_000
 _SYMMETRY_MAX_N = 5  # orbit canonicalization (n! value permutations) is skipped above this
 _RANK_MAX_CELLS = 65536  # largest target tensor the unfolding bound builds
+_STREAM_BLOCK = 1 << 16  # values per streamed block at w = 4: a few cache-sized temporaries
 
 
 class CapExceededError(ValueError):
@@ -81,6 +84,31 @@ class SearchInstance:
         for j, cm in enumerate(self.columns):
             index.setdefault(cm, []).append(j)
         return index
+
+    @cached_property
+    def words(self) -> Optional[np.ndarray]:
+        """The column masks as uint64; None when the grid has more than 64 cells."""
+        if len(self.cells) > 64:
+            return None
+        return np.array(self.columns, dtype=np.uint64)
+
+    @cached_property
+    def sorted_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """``words`` ascending, and the column index of each; equal masks keep
+        their indices ascending."""
+        order = np.argsort(self.words, kind="stable")
+        return self.words[order], order
+
+    @cached_property
+    def pair_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sums of two columns i < j of ``words``, grouped by i, and where
+        those of the columns after index i begin."""
+        words, m = self.words, self.num_columns
+        starts = np.cumsum(np.arange(m - 1, 0, -1))
+        sums = np.empty(starts[-1], dtype=np.uint64)
+        for i in range(m - 1):
+            sums[starts[i] - (m - 1 - i) : starts[i]] = words[i + 1 :] ^ words[i]
+        return sums, starts
 
     @cached_property
     def suffix_max_pop(self) -> list[int]:
@@ -315,6 +343,12 @@ def _search_weight_level(
     instance's columns XOR-ing to ``b_mask``, with columns explored in
     ascending index; None if the level is empty.  ``first_columns``, ascending,
     restricts only the smallest index used.
+
+    While the grid fits in 64 bits, the last two indices are one numpy step
+    per node: each candidate j1 XORs the residual into its column, and the
+    last column of the sorted words holding that value decides whether a
+    partner j2 > j1 exists.  The first such j1, with its least partner, is
+    the pair the depth-first loop would reach first.
     """
     col_masks = instance.columns
     m = len(col_masks)
@@ -322,6 +356,10 @@ def _search_weight_level(
         return () if b_mask == 0 else None
     value_index, suffix_max_pop = instance.value_index, instance.suffix_max_pop
     firsts = range(m) if first_columns is None else first_columns
+    words = instance.words
+    if words is not None:
+        values, order = instance.sorted_words
+        index = np.arange(m)
 
     def lookup_one(residual: int, after: int) -> Optional[int]:
         cands = value_index.get(residual)
@@ -332,7 +370,20 @@ def _search_weight_level(
                 return j
         return None
 
+    def lookup_pair(residual: int, lows: np.ndarray) -> Optional[tuple[int, int]]:
+        want = words[lows] ^ np.uint64(residual)
+        # the last of each wanted value; -1 (read as the largest) only below every value
+        top = np.searchsorted(values, want, side="right") - 1
+        found = np.flatnonzero((values[top] == want) & (order[top] > lows))
+        if found.size == 0:
+            return None
+        j1 = int(lows[found[0]])
+        return j1, lookup_one(residual ^ col_masks[j1], j1)
+
     def dfs(residual: int, last: int, remaining: int, chosen: list[int]) -> Optional[tuple[int, ...]]:
+        if remaining == 2 and words is not None:
+            got = lookup_pair(residual, index[last + 1 :])
+            return None if got is None else (*chosen, *got)
         if remaining == 1:
             j = lookup_one(residual, last)
             if j is None:
@@ -346,6 +397,8 @@ def _search_weight_level(
                 return got
         return None
 
+    if weight == 2 and words is not None:
+        return lookup_pair(b_mask, np.array(firsts, dtype=np.intp))
     for j0 in firsts:
         if j0 > m - weight:
             break
@@ -370,24 +423,24 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     instance's orbit-canonical first columns.  Larger ones fall back to one
     vectorized meet-in-the-middle pass, possible while the grid fits in 64
     bits and w <= 5.  It splits w = h + s, with h = 1 at w = 3 and h = 2 at
-    w = 4 and 5, and holds the h-sums (columns or pair sums) shifted by the
-    target in a ``_SortedSet``.  The common values v of the s-sums and the
-    held set form a set I that every value and coordinate permutation maps
+    w = 4 and 5.  The common values v of the s-sums and the h-sums shifted by
+    the target form a set I that every value and coordinate permutation maps
     onto itself, as they permute the columns and fix the target.  So the
-    pass streams only the s-sums whose least index i is orbit-canonical, one
-    block per i (the (s-1)-sums of the later columns, shifted by column i):
-    mapping an s-support so that its least index is as small as it gets
-    makes that index canonical, hence every orbit in I meets the stream.  The
-    least value over the orbits of the hits is then min I, the same v as an
-    unrestricted pass.  Without orbit columns every block is streamed and v
-    is the least hit.  The DFS engine then re-derives the lexicographically
-    first h-support of v ^ target and s-support of v.  Raises _LevelTooHard
-    when neither route is feasible.  Levels must be exhausted in ascending
-    order: the vectorized pass rules out index collisions between the halves
-    by appealing to the emptiness of lower levels.
+    pass takes only the s-sums whose least index i is orbit-canonical (the
+    (s-1)-sums of the later columns, shifted by column i): mapping an
+    s-support so that its least index is as small as it gets makes that
+    index canonical, hence every orbit in I is met.  The smaller side is
+    held in a ``_SortedSet`` and the other streamed against it in blocks: at
+    w = 4 the held side is those s-sums, at w = 3 and 5 the shifted h-sums.
+    The least value over the orbits of the hits is then min I, the same v as
+    an unrestricted pass; without orbit columns v is the least hit.  The DFS
+    engine then re-derives the lexicographically first h-support of
+    v ^ target and s-support of v.  Raises _LevelTooHard when neither route
+    is feasible.  Levels must be exhausted in ascending order: the
+    vectorized pass rules out index collisions between the halves by
+    appealing to the emptiness of lower levels.
     """
     m = instance.num_columns
-    cols = instance.columns
     b = instance.target
     if w == 0:
         return () if b == 0 else None
@@ -396,33 +449,26 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
         return _search_weight_level(instance, b, w, instance.first_columns)
     if w > m:
         return None
-    if len(instance.cells) > 64 or w > 5 or (w == 5 and comb(m, 3) > 8_000_000):
+    words = instance.words
+    if words is None or w > 5 or (w == 5 and comb(m, 3) > 8_000_000):
         raise _LevelTooHard(f"level {w} with {m} columns is out of reach")
 
-    cols_u = np.array(cols, dtype=np.uint64)
     h = 1 if w == 3 else 2
     s = w - h
-    # The h-sums, and where those of the columns after index i begin.
-    if h == 1:
-        sums, starts = cols_u, range(1, m)
-    else:
-        starts = np.cumsum(np.arange(m - 1, 0, -1))
-        sums = np.empty(starts[-1], dtype=np.uint64)
-        for i in range(m - 1):
-            sums[starts[i] - (m - 1 - i) : starts[i]] = cols_u[i + 1 :] ^ cols_u[i]
-    held = _SortedSet(sums ^ np.uint64(b))
-    if w == 4:  # the s-sums are pairs: single columns shifted by column i
-        sums, starts = cols_u, range(1, m)
-    # The s-sums with least index i, for orbit-canonical i only: the later
-    # (s-1)-sums shifted by column i.
+    shift = np.uint64(b)
     firsts = range(m) if instance.first_columns is None else instance.first_columns
-    hits = []
-    for i in firsts:
-        if i > m - s:
-            break
-        hits.append(held.common(sums[starts[i] :] ^ cols_u[i]))
-    v = _orbit_minimum(instance, np.concatenate(hits))
-    del sums, held
+    firsts = [i for i in firsts if i <= m - s]
+    if w == 4:
+        held = _SortedSet(np.concatenate([words[i + 1 :] ^ words[i] for i in firsts]))
+        sums = instance.pair_sums[0]
+        blocks = range(0, sums.size, _STREAM_BLOCK)
+        hits = np.concatenate([held.common(sums[lo : lo + _STREAM_BLOCK] ^ shift) for lo in blocks])
+    else:  # the h-sums are the (s-1)-sums; those after index i begin at starts[i]
+        sums, starts = (words, range(1, m)) if w == 3 else instance.pair_sums
+        held = _SortedSet(sums ^ shift)
+        hits = np.concatenate([held.common(sums[starts[i] :] ^ words[i]) for i in firsts])
+    del held
+    v = _orbit_minimum(instance, hits)
     if v is None:
         return None
     halves = (
@@ -535,6 +581,11 @@ def min_mod2_cover(
 VERIFY_MAX_WORDS = 10**9
 
 
+def _verify_words(k: int, n: int, size: int) -> int:
+    """What checking a cover of ``size`` products on the n^k grid is charged."""
+    return n**k * -(-size // 64)
+
+
 def _partition_cover_size(k: int, t: int, n: int) -> int:
     """Size of ``build_partition_cover(k, t, n)`` for n >= t, without walking
     the partitions: the full product, and per partition of [k] into r < t
@@ -574,7 +625,7 @@ def best_constructive_cover(k: int, t: int, n: int) -> Optional[Mod2Cover]:
     if n < t:
         return Mod2Cover(k, t, n, ())  # no cell has t distinct entries
     size, build = _smallest_construction(k, t, n)
-    if n**k * -(-size // 64) > VERIFY_MAX_WORDS:
+    if _verify_words(k, n, size) > VERIFY_MAX_WORDS:
         return None
     cover = build()
     if len(cover) != size:
@@ -615,20 +666,29 @@ def exact_b(
 
     Correct because restricting a cover to a smaller ground set keeps it
     valid, so the minimum size is monotone in n.  A ground size whose
-    construction fits m needs no search.
+    construction fits m needs no search: its closed-form size decides.  Only
+    the cover at the returned ground size, which certifies every smaller one
+    too, is built and verified: by ``min_mod2_cover`` if it searched there,
+    else here.
     """
+    _check_search_args(k, t, 0)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    best = 0
+    best, best_verified = 0, True
     n = 1
     while True:
-        constructive = best_constructive_cover(k, t, n)
-        if constructive is None or len(constructive) > m:
+        size = _smallest_construction(k, t, n)[0] if n >= t else 0
+        if size <= m and _verify_words(k, n, size) <= VERIFY_MAX_WORDS:
+            best_verified = False
+        else:
             level_budget = min(m, budget) if budget is not None else m
             out = min_mod2_cover(k, t, n, budget=level_budget, cap=cap)
             if not (out.exact and out.value <= m):
                 # f(n) > m settles every larger n too.
+                if not best_verified:
+                    best_constructive_cover(k, t, best)
                 return ExactBResult(k, t, m, best if out.lower > m else None, best)
+            best_verified = True
         best = n
         n += 1
 

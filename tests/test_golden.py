@@ -60,3 +60,24 @@ def test_search_workload_outputs(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out == stdout, command
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == FILES
+
+
+# The level-4 meet-in-the-middle pass at the full budget: (3,3,4) refutes
+# levels 3 and 4, and (3,2,4) refutes level 4, so the construction decides.
+LEVEL_FOUR_COMMANDS = [
+    ("search --k 3 --t 3 --n 4", "interval k=3 t=3 n=4 lower=5 upper=13\n"),
+    ("search --k 3 --t 2 --n 4 --out w324.json", "exact k=3 t=2 n=4 f=5 rank-bound=4\n"),
+]
+
+LEVEL_FOUR_FILES = {
+    "w324.json": "455adcd04537510a4856623c5c9ae9d31fba5a60d903de2613602467ede081d3",
+}
+
+
+def test_level_four_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command, stdout in LEVEL_FOUR_COMMANDS:
+        assert main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out == stdout, command
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == LEVEL_FOUR_FILES

@@ -2,6 +2,7 @@ import inspect
 import shlex
 from dataclasses import replace
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -365,6 +366,34 @@ def _level_reference(cols, b, w):
     return tuple(sorted(first[(w - h, v)] + first[(h, v ^ b)]))
 
 
+class TestWeightLevel:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=14, unique=True),
+            st.lists(st.integers(0, 7), min_size=1, max_size=14),  # repeated columns
+        ),
+        st.sampled_from([2, 3]),
+        st.sampled_from([20, 65]),  # the numpy pair step, and the lookup loop past 64 cells
+        st.data(),
+    )
+    def test_lex_first_support(self, cols, w, cells, data):
+        indices = range(len(cols))
+        b = data.draw(st.one_of(
+            st.integers(0, 2**12 - 1),
+            st.lists(st.sampled_from(indices), max_size=w).map(lambda sup: _xor(cols, sup)),
+        ))
+        firsts = sorted(data.draw(st.sets(st.sampled_from(indices))))
+        inst = SearchInstance(0, 0, 0, ((),) * cells, ((),) * len(cols), tuple(cols), b)
+        assert (inst.words is None) == (cells > 64)
+        for first_columns in (None, firsts):
+            want = next((
+                sup for sup in combinations(indices, w)
+                if _xor(cols, sup) == b and (first_columns is None or sup[0] in first_columns)
+            ), None)
+            assert _search_weight_level(inst, b, w, first_columns) == want, first_columns
+
+
 uint64s = st.lists(st.integers(0, 2**64 - 1), max_size=40)
 small_uint64s = st.lists(st.integers(0, 7), min_size=1, max_size=12)  # forces duplicates and hits
 
@@ -479,6 +508,23 @@ class TestMeetInTheMiddle:
         for w in levels:
             assert outcome(inst, w) == outcome(bare, w), (k, t, n, w)
 
+    def test_level_four_holds_the_restricted_pairs(self, monkeypatch):
+        # the pair sums whose least column is orbit-canonical are the smaller
+        # side at w = 4; the 5,693,625 pair sums are only streamed
+        inst = build_search_instance(3, 3, 4)
+        m = inst.num_columns
+        restricted = sum(m - 1 - i for i in inst.first_columns if i <= m - 2)
+        held = []
+
+        class Spy(_SortedSet):
+            def __init__(self, values):
+                held.append(values.size)
+                super().__init__(values)
+
+        monkeypatch.setattr(search, "_SortedSet", Spy)
+        assert _exhaust_level(inst, 4) is None
+        assert held == [restricted] and restricted == 192_381 < comb(m, 2)
+
     def test_membership_empty_sorted_side(self):
         empty = np.array([], dtype=np.uint64)
         got = _np_membership(empty, np.array([0, 7], dtype=np.uint64))
@@ -507,6 +553,24 @@ class TestExactB:
         # (3,2,5) is over the cap and its unfolding rank 5 does not exceed m = 5
         res = exact_b(3, 2, 5)
         assert not res.exact and res.at_least == 4
+
+    @pytest.mark.parametrize("k,t,m,built", [
+        (2, 2, 4, [6, 5]),  # the deciding n inside the search, then the certifying cover
+        (3, 2, 4, [4, 3]),
+        (3, 3, 5, [3, 4]),  # the search certifies n = 3 itself
+        (2, 2, 0, [2, 1]),
+    ])
+    def test_each_ground_size_built_once(self, k, t, m, built, monkeypatch):
+        calls = []
+        real = search.best_constructive_cover
+
+        def spy(k, t, n):
+            calls.append(n)
+            return real(k, t, n)
+
+        monkeypatch.setattr(search, "best_constructive_cover", spy)
+        exact_b(k, t, m)
+        assert calls == built
 
     def test_galois_connection(self):
         # f(n) <= m iff b(m) >= n on the computed grid
@@ -682,3 +746,8 @@ class TestPublicSearchApi:
         assert main(shlex.split(command)) == 0
         capsys.readouterr()
         assert len(verified) == calls, verified
+
+    @pytest.mark.parametrize("ground", ["--n 3", "--m 3"])
+    def test_both_entry_points_check_arguments_alike(self, ground, capsys):
+        assert main(shlex.split(f"search --k 3 --t 4 {ground}")) == 2
+        assert capsys.readouterr().out == "error: need 2 <= t <= k\n"
