@@ -5,9 +5,11 @@ A cover is an ordered multiset of products; parity verification counts
 multiplicity.  Cells of the target grid are 1-based k-tuples over [n].
 
 Cover verification, the parity difference of two covers and the biclique
-check are callers of the parity scan in ``setsystems``: a cover is scanned
-through its transposition (A_{j,i} = the products whose j-th part holds i),
-which is the set tuple that ``cover_to_tuple`` returns.
+check are callers of the one parity kernel in ``setsystems``: a cover is
+scanned through its transposition (A_{j,i} = the products whose j-th part
+holds i), which is the set tuple that ``cover_to_tuple`` returns, so a
+cell's coverage is the size of an AND of product masks, counted by a matrix
+product over the two halves of the coordinates.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def parity_functions_equal(a: Mod2Cover, b: Mod2Cover) -> bool:
     if (a.k, a.n) != (b.k, b.n):
         return False
     rows = _cover_rows(a.products + b.products, a.k, a.n)
-    return next(_parity_scan(rows, lambda prefix: 0), None) is None
+    return next(_parity_scan(rows, lambda left, right: 0), None) is None
 
 
 def verify_exact_gp_cover(cover: GpCover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
@@ -294,8 +296,12 @@ def verify_ok_biclique_cover(
             for v in side:
                 row[index[v]] |= 1 << b
     disjoint = graph.adjacency().data
+
+    def odd(left, right):
+        return Gf2Matrix.from_bitrows([disjoint[i] for i in left[:, 0].tolist()], nv).to_array()
+
     return _scan_report(
-        _parity_scan(rows, lambda prefix: disjoint[prefix[0]]), max_violations, "coverage",
+        _parity_scan(rows, odd), max_violations, "coverage",
         where=lambda idx: vertices[idx[0]] + vertices[idx[1]], full_count=True,
     )
 

@@ -4,9 +4,15 @@ All verifiers are exhaustive and report violation witnesses as 1-based index
 tuples together with the observed size/parity and the expected condition.
 Duplicate sets inside a family are legal; everything is checked by index.
 
-The grid verifiers (tuples here; covers, parity differences and bicliques in
-``covers``) share one parity scan over the m^k index tuples of k rows of
-bitmasks, refused above ``MAX_SCAN_CELLS`` tuples.
+The grid verifiers (tuples and skew pairs here; covers, parity differences
+and bicliques in ``covers``) share one parity kernel over the m^k index
+tuples of k rows of bitmasks, refused above ``MAX_SCAN_CELLS`` tuples.  It
+splits the coordinates in two halves, ANDs each half's masks per half-tuple,
+and counts every left x right intersection at once as a float32 product of
+0/1 bit matrices, a block of left tuples and a slice of the bits at a time,
+so apart from the packed masks its temporaries stay a few MB whatever m^k
+and the mask width are.  The caller gives the cells that must be odd as an
+array per block.
 """
 
 from __future__ import annotations
@@ -16,10 +22,14 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import gf2
 
 DEFAULT_VIOLATION_CAP = 16
 MAX_SCAN_CELLS = 10**8  # largest index grid a parity scan walks; larger ones raise ValueError
+_SCAN_BLOCK_CELLS = 1 << 19  # cells of the grid counted at once (left rows x right tuples)
+_SCAN_BLOCK_ENTRIES = 1 << 19  # entries of one 0/1 float32 operand of a count product
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,12 @@ class SubsetBits:
         return cls(ground_size, (1 << ground_size) - 1)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(e for e in range(1, self.ground_size + 1) if (self.bits >> (e - 1)) & 1)
+        out, bits = [], self.bits
+        while bits:
+            low = bits & -bits  # the lowest set bit
+            out.append(low.bit_length())
+            bits ^= low
+        return tuple(out)
 
     @property
     def size(self) -> int:
@@ -180,44 +195,104 @@ def _check_scan_size(count: int, what: str) -> None:
         raise ValueError(f"{what} exceed the scan limit of {MAX_SCAN_CELLS}")
 
 
+def _half_masks(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The AND of one mask from each row, over the index tuples in lexicographic order."""
+    masks = [-1]
+    for row in rows:
+        masks = [acc & a for acc in masks for a in row]
+    return masks
+
+
+def _tuples(lo: int, hi: int, m: int, width: int) -> np.ndarray:
+    """The index tuples lo, ..., hi-1 of [m]^width in lexicographic order, one per row."""
+    return np.stack(np.unravel_index(np.arange(lo, hi), (m,) * width), axis=1)
+
+
+def _bit_slice(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bits lo, ..., hi-1 of rows packed little-endian (``gf2._row_bytes``), as 0/1 float32."""
+    part = np.unpackbits(packed[:, lo // 8:(hi + 7) // 8], axis=1, bitorder="little")
+    return part[:, lo % 8:lo % 8 + hi - lo].astype(np.float32)
+
+
+def _and_counts(left: np.ndarray, right: np.ndarray, bits: int) -> np.ndarray:
+    """|a & b| for every packed row a of ``left`` and b of ``right``: one float32
+    product of 0/1 matrices per slice of fewer than 2^24 bits, so each product
+    is exact, summed in an integer array.  Rows with no byte set in a slice,
+    zero masks among them, are left out of its product: they count 0 there."""
+    counts = np.zeros((len(left), len(right)), dtype=np.int64)
+    step = max(1, min(_SCAN_BLOCK_ENTRIES // max(len(left), len(right)), (1 << 24) - 1))
+    for lo in range(0, bits, step):
+        hi = min(lo + step, bits)
+        cut = slice(lo // 8, (hi + 7) // 8)
+        rows_a = np.flatnonzero(left[:, cut].any(axis=1))
+        rows_b = np.flatnonzero(right[:, cut].any(axis=1))
+        product = _bit_slice(left[rows_a], lo, hi) @ _bit_slice(right[rows_b], lo, hi).T
+        counts[np.ix_(rows_a, rows_b)] += product.astype(np.int64)
+    return counts
+
+
 def _parity_scan(
-    rows: Sequence[Sequence[int]], odd: Callable[[tuple[int, ...]], int]
+    rows: Sequence[Sequence[int]], odd: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Index tuples whose intersection parity misses the target, in lexicographic order.
 
-    ``rows[j][i]`` is the bitmask A_{j,i}; the k rows share one length m.
-    ``odd(prefix)`` is the bitmask over the last index of the tuples, extending
-    the 0-based ``prefix`` of the first k-1 indices, whose intersection must
-    be odd.  Yields each mismatching 0-based tuple with its intersection size.
-    The prefix intersection is shared by a whole last row, and no list of the
-    m^k tuples is built; grids above ``MAX_SCAN_CELLS`` raise ValueError.
+    ``rows[j][i]`` is the bitmask A_{j,i}; the k rows share one length m.  The
+    first ceil(k/2) coordinates are the left half and the rest the right half;
+    ``odd(left, right)`` gets the 0-based tuples of one block of left tuples, a
+    (b, ceil(k/2)) array, and every right tuple, an (R, floor(k/2)) array, and
+    returns a (b, R) array, or one broadcast to it, that is nonzero on the
+    cells whose intersection must be odd.  Yields each mismatching 0-based
+    tuple with its intersection size.  Grids above ``MAX_SCAN_CELLS`` raise
+    ValueError before anything is built.
+
+    The masks of each half are ANDed per half-tuple, so the grid is the left
+    tuples x the right tuples in row-major order, which is the lexicographic
+    order of the cells.
     """
-    *lead, last = rows
-    _check_scan_size(len(last) ** len(rows), f"{len(last)}^{len(rows)} index tuples")
+    k, m = len(rows), len(rows[0])
+    _check_scan_size(m**k, f"{m}^{k} index tuples")
+    h = (k + 1) // 2
+    left, right = _half_masks(rows[:h]), _half_masks(rows[h:])
+    if not left:
+        return
+    bits = max(mask.bit_length() for mask in left + right)
+    nbytes = (bits + 7) // 8
+    right_bytes = gf2._row_bytes(right, nbytes)
+    right_idx = _tuples(0, len(right), m, k - h)
+    right_tuples = [tuple(r) for r in right_idx.tolist()]
+    step = max(1, _SCAN_BLOCK_CELLS // len(right))
+    for lo in range(0, len(left), step):
+        hi = min(lo + step, len(left))
+        counts = _and_counts(gf2._row_bytes(left[lo:hi], nbytes), right_bytes, bits)
+        left_idx = _tuples(lo, hi, m, h)
+        cells = np.flatnonzero((counts & 1) != odd(left_idx, right_idx))
+        left_tuples = left_idx.tolist()
+        for cell, count in zip(cells.tolist(), counts.ravel()[cells].tolist()):
+            i, j = divmod(cell, len(right))
+            yield tuple(left_tuples[i]) + right_tuples[j], count
 
-    def walk(prefix, acc):
-        if len(prefix) < len(lead):
-            for i, a in enumerate(lead[len(prefix)]):
-                yield from walk(prefix + (i,), acc & a)
-            return
-        want = odd(prefix)
-        for i, f in enumerate(last):
-            count = (acc & f).bit_count()
-            if (count ^ (want >> i)) & 1:
-                yield prefix + (i,), count
 
-    return walk((), -1)
+def _distinct_target(
+    m: int, t: int, flip: bool = False
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``odd`` for the (k,t) grid: at least t distinct indices (fewer, with ``flip``).
 
+    A cell's distinct count is d_L + |D_R - D_L| for the index sets D_L and D_R
+    of its left and right tuples; it is taken once per distinct set D_R, so the
+    cells cost one gather whatever the length of the right tuples."""
 
-def _distinct_target(m: int, t: int, flip: bool = False) -> Callable[[tuple[int, ...]], int]:
-    """``odd`` for the (k,t) grid: at least t distinct indices (fewer, with ``flip``)."""
-    full = (1 << m) - 1
-
-    def odd(prefix: tuple[int, ...]) -> int:
-        seen = set(prefix)
-        need = t - len(seen)  # new values the last index must bring
-        want = full if need <= 0 else full ^ sum(1 << i for i in seen) if need == 1 else 0
-        return want ^ full if flip else want
+    def odd(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        seen = np.zeros((len(left), m + 1), dtype=bool)  # column m: the padding, never seen
+        seen[np.arange(len(left))[:, None], left] = True
+        sets = np.sort(right, axis=1)
+        sets[:, 1:][sets[:, 1:] == sets[:, :-1]] = m  # repeats become padding
+        which = np.zeros(len(sets), dtype=np.int64)  # rank of each row among the distinct rows
+        for col in sets.T:
+            which = np.unique(which * (m + 1) + col, return_inverse=True)[1]
+        sets = sets[np.unique(which, return_index=True)[1]]
+        new = (sets < m).sum(axis=1) - sum(seen[:, col] for col in sets.T)
+        distinct = seen.sum(axis=1)[:, None] + new[:, which]
+        return (distinct >= t) ^ flip
 
     return odd
 
@@ -278,7 +353,7 @@ def verify_skew_oddtown(
     if a.ground_size != b.ground_size:
         raise ValueError("families live on different ground sets")
     rows = [[s.bits for s in a.sets], [s.bits for s in b.sets]]
-    mismatches = _parity_scan(rows, lambda prefix: 1 << prefix[0])
+    mismatches = _parity_scan(rows, lambda left, right: left == right.T)
     if not strict_symmetric:
         mismatches = (mm for mm in mismatches if mm[0][0] <= mm[0][1])
     return _scan_report(mismatches, max_violations, "intersection", full_count=True)

@@ -1,4 +1,5 @@
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -392,6 +393,41 @@ def reference_biclique_report(ok, cap):
     return VerifyReport(not found, tuple(found), False)
 
 
+# Product counts S at the 64-bit word edges; with n = 0 no product exists, so S = 0.
+WORD_EDGES = (0, 63, 64, 65)
+
+
+@st.composite
+def word_edge_covers(draw, ks=(2, 3, 4, 5), t_equals_k=False):
+    """Covers with S products, S drawn from ``WORD_EDGES``, k up to 5 and n from 0."""
+    k = draw(st.sampled_from(ks))
+    t = k if t_equals_k else draw(st.integers(2, k))
+    n = draw(st.integers(0, 3))
+    size = draw(st.sampled_from(WORD_EDGES)) if n else 0
+    products = draw(st.lists(products_of(k, n), min_size=size, max_size=size)) if n else []
+    return Mod2Cover(k, t, n, tuple(products))
+
+
+def parity_twin(a, data):
+    """a reordered, plus cancelling pairs, plus maybe one more product."""
+    products = list(data.draw(st.permutations(a.products)))
+    if a.products:
+        for p in data.draw(st.lists(st.sampled_from(a.products), max_size=2)):
+            products += [p, p]
+    if a.n:
+        products += data.draw(st.lists(products_of(a.k, a.n), max_size=1))
+    return Mod2Cover(a.k, a.t, a.n, tuple(products))
+
+
+def per_cell_equal(a, b):
+    return all(coverage_parity(a, idx) == coverage_parity(b, idx)
+               for idx in product(range(1, a.n + 1), repeat=a.k))
+
+
+# caps that truncate, and one that keeps every violation
+CAPS = st.sampled_from((1, 3, 10**6))
+
+
 class TestParityScanCrossChecks:
     @settings(max_examples=150, deadline=None)
     @given(small_covers(), st.integers(1, 5))
@@ -412,18 +448,8 @@ class TestParityScanCrossChecks:
     @settings(max_examples=150, deadline=None)
     @given(small_covers(), st.data())
     def test_parity_difference_matches_per_cell(self, a, data):
-        # b: a reordered, plus cancelling pairs, plus maybe one more product
-        products = list(data.draw(st.permutations(a.products)))
-        if a.products:
-            for p in data.draw(st.lists(st.sampled_from(a.products), max_size=2)):
-                products += [p, p]
-        products += data.draw(st.lists(products_of(a.k, a.n), max_size=1))
-        b = Mod2Cover(a.k, a.t, a.n, tuple(products))
-        per_cell = all(
-            coverage_parity(a, idx) == coverage_parity(b, idx)
-            for idx in product(range(1, a.n + 1), repeat=a.k)
-        )
-        assert parity_functions_equal(a, b) == per_cell
+        b = parity_twin(a, data)
+        assert parity_functions_equal(a, b) == per_cell_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(small_covers(ks=(2, 4), t_equals_k=True), st.integers(1, 5), st.data())
@@ -443,6 +469,41 @@ class TestParityScanCrossChecks:
         fewer = OkBicliqueCover(ok.n, ok.k, ok.bicliques[1:])
         report = verify_ok_biclique_cover(fewer)
         assert not report.valid and report == reference_biclique_report(fewer, 16)
+
+
+class TestParityScanWordEdges:
+    """The count products at S = 0, 63, 64 and 65, odd k, and n = 0; with the
+    block constants at 1-3, every left row and every 1-3 bits of S is a block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(word_edge_covers(), CAPS)
+    def test_cover_route(self, cover, cap):
+        assert verify_mod2_cover(cover, cap) == reference_cover_report(cover, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(word_edge_covers(), st.data())
+    def test_parity_difference(self, a, data):
+        b = parity_twin(a, data)
+        assert parity_functions_equal(a, b) == per_cell_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(word_edge_covers(ks=(2, 4), t_equals_k=True), CAPS)
+    def test_biclique(self, cover, cap):
+        ok = cover_to_ok_biclique_cover(cover)
+        assert verify_ok_biclique_cover(ok, cap) == reference_biclique_report(ok, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_covers(), word_edge_covers()), CAPS, st.data(),
+           st.integers(1, 3), st.integers(1, 3))
+    def test_tiny_blocks(self, cover, cap, data, cells, entries):
+        b = parity_twin(cover, data)
+        ok = cover_to_ok_biclique_cover(cover) if cover.k % 2 == 0 and cover.t == cover.k else None
+        with mock.patch.object(setsystems, "_SCAN_BLOCK_CELLS", cells), \
+                mock.patch.object(setsystems, "_SCAN_BLOCK_ENTRIES", entries):
+            assert verify_mod2_cover(cover, cap) == reference_cover_report(cover, cap)
+            assert parity_functions_equal(cover, b) == per_cell_equal(cover, b)
+            if ok is not None:
+                assert verify_ok_biclique_cover(ok, cap) == reference_biclique_report(ok, cap)
 
 
 class TestScanSizeGuard:

@@ -351,6 +351,29 @@ class TestCli:
         assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
         assert main(["bogus"]) == 2
 
+    def test_parser_built_once(self, monkeypatch, capsys):
+        from oddtown import cli as cli_mod
+
+        builds = []
+
+        def spy():
+            builds.append(1)
+            return real()
+
+        real = cli_mod.build_parser
+        monkeypatch.setattr(cli_mod, "build_parser", spy)
+        cli_mod._parser.cache_clear()
+        try:
+            assert main(["rank", "--n", "3", "--k", "1"]) == 2  # --p missing
+            assert main(["rank", "--n", "5", "--k", "1", "--l", "2", "--p", "2"]) == 0
+            assert main(["bogus"]) == 2
+            assert main(["search", "--k", "2", "--t", "2", "--n", "3"]) == 0
+        finally:
+            cli_mod._parser.cache_clear()
+        assert len(builds) == 1
+        out = capsys.readouterr().out
+        assert "formula=4 direct=4 agree=yes" in out and "exact k=2 t=2 n=3 f=" in out
+
     def test_internal_inconsistency_exit_code(self, tmp_path, monkeypatch, capsys):
         # force a constructor output to fail its verifier: must exit 3
         from oddtown import cli as cli_mod

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,14 @@ class TestSubsetBits:
             SubsetBits(3, 0b1000)
         with pytest.raises(ValueError):
             SubsetBits.from_elements(3, [4])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 200).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    def test_elements_match_the_ground_walk(self, n_bits):
+        n, bits = n_bits
+        walk = tuple(e for e in range(1, n + 1) if (bits >> (e - 1)) & 1)
+        assert SubsetBits(n, bits).elements() == walk
 
     def test_extra_element(self):
         s = sb(3, 1).with_extra_element()
@@ -356,9 +365,25 @@ def small_tuples(draw):
     return TupleSystem(k, t, m, n, fams)
 
 
+# ground sizes at the 64-bit word edges, and caps that truncate or keep every violation
+WORD_EDGES = st.sampled_from((0, 63, 64, 65))
+CAPS = st.sampled_from((1, 3, 10**6))
+
+
 @st.composite
-def family_pairs(draw):
-    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+def word_edge_tuples(draw):
+    """Tuple systems on a ground set of 0, 63, 64 or 65 elements, k up to 5, m from 0."""
+    k = draw(st.integers(2, 5))
+    t = draw(st.integers(2, k))
+    m = draw(st.integers(0, 3))
+    n = draw(WORD_EDGES)
+    fams = tuple(tuple(draw(st.lists(subsets(n), min_size=m, max_size=m))) for _ in range(k))
+    return TupleSystem(k, t, m, n, fams)
+
+
+@st.composite
+def family_pairs(draw, ground_sizes=st.integers(0, 4)):
+    n, m = draw(ground_sizes), draw(st.integers(0, 5))
     return tuple(SetFamily(n, tuple(draw(st.lists(subsets(n), min_size=m, max_size=m))))
                  for _ in range(2))
 
@@ -376,6 +401,32 @@ class TestParityScanCallers:
         a, b = pair
         got = verify_skew_oddtown(a, b, strict_symmetric=strict, max_violations=cap)
         assert got == reference_skew_report(a, b, strict, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(word_edge_tuples(), st.booleans(), CAPS)
+    def test_tuple_at_word_edges(self, system, complemented, cap):
+        got = verify_bollobas_tuple(system, complemented=complemented, max_violations=cap)
+        assert got == reference_tuple_report(system, complemented, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_pairs(WORD_EDGES), st.booleans(), CAPS)
+    def test_skew_at_word_edges(self, pair, strict, cap):
+        a, b = pair
+        got = verify_skew_oddtown(a, b, strict_symmetric=strict, max_violations=cap)
+        assert got == reference_skew_report(a, b, strict, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_tuples(), word_edge_tuples()), family_pairs(WORD_EDGES),
+           st.booleans(), CAPS, st.integers(1, 3), st.integers(1, 3))
+    def test_tiny_blocks(self, system, pair, flag, cap, cells, entries):
+        # every left row and every 1-3 bits of the ground set is a block
+        a, b = pair
+        with mock.patch.object(setsystems, "_SCAN_BLOCK_CELLS", cells), \
+                mock.patch.object(setsystems, "_SCAN_BLOCK_ENTRIES", entries):
+            got = verify_bollobas_tuple(system, complemented=flag, max_violations=cap)
+            assert got == reference_tuple_report(system, flag, cap)
+            got = verify_skew_oddtown(a, b, strict_symmetric=flag, max_violations=cap)
+            assert got == reference_skew_report(a, b, flag, cap)
 
     def test_oversized_grid_refused(self):
         empty = (SubsetBits(1, 0),) * 100
