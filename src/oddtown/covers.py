@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 from math import comb, perm
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from . import gf2
 from .gf2 import Gf2Matrix, InternalCheckError
 from .ranks import OrderedKneserView
 from .setsystems import (
@@ -28,6 +32,7 @@ from .setsystems import (
     TupleSystem,
     VerifyReport,
     _check_scan_size,
+    _element_lists,
     _Collector,
     _distinct_target,
     _parity_scan,
@@ -66,52 +71,74 @@ class KPartiteProduct:
     def covers_cell(self, idx: Sequence[int]) -> bool:
         return all(idx[j] in self.parts[j] for j in range(len(self.parts)))
 
-@dataclass(frozen=True)
-class Mod2Cover:
+class _Cover:
+    """Products held as one read-only uint8 array ``parts`` of shape (S, k, ceil(n/8)):
+    parts[s, j] is part j of product s in the ``gf2._row_bytes`` layout (element e
+    is bit (e-1) % 8 of byte (e-1) // 8).  ``products`` views them as
+    ``KPartiteProduct``s, built on first access; a cover made from products
+    keeps those.  Covers are read-only values, equal when fields and parts are."""
+
+    def __init__(self, products: Iterable[KPartiteProduct], parts: Optional[np.ndarray], **fields):
+        self.__dict__.update(fields, _fields=tuple(fields.values()))
+        k, n = self.k, self.n
+        if n < 0:
+            raise ValueError("ground size must be nonnegative")
+        width = (n + 7) // 8
+        if parts is None:
+            products = tuple(products)
+            if any(p.k != k or p.ground_size != n for p in products):
+                raise ValueError("all products must share the cover's k and ground size")
+            masks = [part.bits for p in products for part in p.parts]
+            parts = gf2._row_bytes(masks, width).reshape(len(products), k, width)
+            self.__dict__["products"] = products
+        if not (isinstance(parts, np.ndarray) and parts.dtype == np.uint8
+                and parts.shape[1:] == (k, width) and not parts.flags.writeable):
+            raise ValueError(f"parts must be a read-only uint8 array of shape (S, {k}, {width})")
+        if n % 8 and (parts[..., -1] >> n % 8).any():
+            raise ValueError("membership bits extend beyond the ground set")
+        if not parts.any(axis=2).all():
+            raise ValueError("parts must be nonempty")
+        self.__dict__["parts"] = parts
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._fields == other._fields
+                and np.array_equal(self.parts, other.parts))
+
+    @cached_property
+    def products(self) -> tuple[KPartiteProduct, ...]:
+        size, k, width = self.parts.shape
+        sets = [SubsetBits(self.n, b) for b in gf2._row_ints(self.parts.reshape(size * k, width))]
+        return tuple(KPartiteProduct(tuple(sets[i:i + k])) for i in range(0, size * k, k))
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+
+class Mod2Cover(_Cover):
     """Candidate modulo-2 cover of the target with >= t distinct indices."""
 
-    k: int
-    t: int
-    n: int
-    products: tuple[KPartiteProduct, ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, k: int, t: int, n: int, products: Iterable[KPartiteProduct] = (),
+                 *, parts: Optional[np.ndarray] = None):
+        if k < 2:
             raise ValueError("k must be at least 2")
-        if not (2 <= self.t <= self.k):
+        if not (2 <= t <= k):
             raise ValueError("t must satisfy 2 <= t <= k")
-        if self.n < 0:
-            raise ValueError("ground size must be nonnegative")
-        for p in self.products:
-            if p.k != self.k or p.ground_size != self.n:
-                raise ValueError("all products must share the cover's k and ground size")
-
-    def __len__(self) -> int:
-        return len(self.products)
+        super().__init__(products, parts, k=k, t=t, n=n)
 
 
-@dataclass(frozen=True)
-class GpCover:
+class GpCover(_Cover):
     """Products with pairwise disjoint parts, targeting the complete k-graph."""
 
-    k: int
-    n: int
-    products: tuple[KPartiteProduct, ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, n: int, products: Iterable[KPartiteProduct] = (),
+                 *, parts: Optional[np.ndarray] = None):
+        if k < 1:
             raise ValueError("k must be at least 1")
-        for p in self.products:
-            if p.k != self.k or p.ground_size != self.n:
-                raise ValueError("all products must share the cover's k and ground size")
-            union = 0
-            for part in p.parts:
-                if union & part.bits:
-                    raise ValueError("parts of a disjoint product overlap")
-                union |= part.bits
-
-    def __len__(self) -> int:
-        return len(self.products)
+        super().__init__(products, parts, k=k, n=n)
+        if (_bits(self.parts, n).sum(axis=1) > 1).any():
+            raise ValueError("parts of a disjoint product overlap")
 
 
 Vertex = tuple[int, ...]
@@ -157,20 +184,43 @@ def coverage_parity(cover: Mod2Cover, idx: Sequence[int]) -> int:
     for v in idx:
         if not (1 <= v <= cover.n):
             raise ValueError(f"index entry {v} outside [1, {cover.n}]")
-    count = sum(1 for p in cover.products if p.covers_cell(idx))
-    return count & 1
+    return sum(1 for p in cover.products if p.covers_cell(idx)) & 1
 
 
-def _cover_rows(products: Sequence[KPartiteProduct], k: int, n: int) -> list[list[int]]:
+def _bits(parts: np.ndarray, n: int) -> np.ndarray:
+    """The parts as a 0/1 (S, k, n) array."""
+    return np.unpackbits(parts, axis=2, count=n, bitorder="little")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """The parts array of a 0/1 (S, k, n) array, leaving out products with an empty part."""
+    return _frozen(np.packbits(bits[bits.any(axis=2).all(axis=1)], axis=2, bitorder="little"))
+
+
+def _part_lists(parts: np.ndarray) -> list:
+    """The element lists of a cover's parts, one list of k per product."""
+    size, k, width = parts.shape
+    lists = _element_lists(parts.reshape(size * k, width))
+    return [lists[i:i + k] for i in range(0, size * k, k)]
+
+
+def _cover_rows(parts: np.ndarray, n: int) -> list[list[int]]:
     """The transposition of the products: row j, index i is the bitmask of the
     products whose j-th part contains i + 1."""
-    return [Gf2Matrix.from_bitrows([p.parts[j].bits for p in products], n).column_masks()
-            for j in range(k)]
+    bits = _bits(parts, n)
+    return [gf2._row_ints(np.packbits(bits[:, j].T, axis=1, bitorder="little"))
+            for j in range(parts.shape[1])]
 
 
 def verify_mod2_cover(cover: Mod2Cover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Exhaustive parity check over all n^k cells: edges odd, non-edges even."""
-    rows = _cover_rows(cover.products, cover.k, cover.n)
+    _check_scan_size(cover.n**cover.k, f"{cover.n}^{cover.k} index tuples")  # before the rows
+    rows = _cover_rows(cover.parts, cover.n)
     mismatches = _parity_scan(rows, _distinct_target(cover.n, cover.t))
     return _scan_report(mismatches, max_violations, "coverage")
 
@@ -183,26 +233,22 @@ def parity_functions_equal(a: Mod2Cover, b: Mod2Cover) -> bool:
     """
     if (a.k, a.n) != (b.k, b.n):
         return False
-    rows = _cover_rows(a.products + b.products, a.k, a.n)
+    _check_scan_size(a.n**a.k, f"{a.n}^{a.k} index tuples")  # before the rows
+    rows = _cover_rows(np.concatenate([a.parts, b.parts]), a.n)
     return next(_parity_scan(rows, lambda left, right: 0), None) is None
 
 
 def verify_exact_gp_cover(cover: GpCover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Each k-subset of [n] covered exactly once (one vertex in each part)."""
-    subsets, products = comb(cover.n, cover.k), len(cover.products)
+    subsets, products = comb(cover.n, cover.k), len(cover)
     _check_scan_size(subsets * products, f"{subsets} subsets x {products} products")
+    masks = list(zip(*(gf2._row_ints(cover.parts[:, j]) for j in range(cover.k))))
     col = _Collector(max_violations)
     for subset in combinations(range(1, cover.n + 1), cover.k):
-        sbits = 0
-        for e in subset:
-            sbits |= 1 << (e - 1)
-        count = 0
-        for p in cover.products:
-            if all((sbits & part.bits).bit_count() == 1 for part in p.parts):
-                count += 1
-        if count != 1:
-            if not col.add(subset, count, "covered exactly once"):
-                return col.report()
+        sbits = sum(1 << (e - 1) for e in subset)
+        count = sum(all((sbits & part).bit_count() == 1 for part in parts) for parts in masks)
+        if count != 1 and not col.add(subset, count, "covered exactly once"):
+            break
     return col.report()
 
 
@@ -214,45 +260,39 @@ def cover_to_tuple(cover: Mod2Cover) -> TupleSystem:
     conversion is syntactic: the output verifies as a tuple exactly when the
     input verifies as a cover.
     """
-    m_products = len(cover.products)
     families = tuple(
-        tuple(SubsetBits(m_products, bits) for bits in row)
-        for row in _cover_rows(cover.products, cover.k, cover.n)
+        tuple(SubsetBits(len(cover), bits) for bits in row)
+        for row in _cover_rows(cover.parts, cover.n)
     )
-    return TupleSystem(cover.k, cover.t, cover.n, m_products, families)
+    return TupleSystem(cover.k, cover.t, cover.n, len(cover), families)
 
 
 def tuple_to_cover(system: TupleSystem) -> Mod2Cover:
     """Inverse correspondence: one product per ground element.
 
     A ground element that is missing from every set of some family would give
-    an empty part; such products cover nothing and are dropped with a warning,
-    which leaves the coverage parity untouched.
+    an empty part; such products cover nothing and are dropped, with one
+    warning per call, which leaves the coverage parity untouched.
     """
-    columns = [Gf2Matrix.from_bitrows([s.bits for s in fam], system.ground_size).column_masks()
-               for fam in system.families]
-    products = []
-    for g in range(system.ground_size):
-        parts = [col[g] for col in columns]
-        if 0 in parts:
-            warnings.warn(
-                f"ground element {g + 1} gives an empty part in coordinate {parts.index(0) + 1}; "
-                "product dropped",
-                stacklevel=2,
-            )
-            continue
-        products.append(KPartiteProduct(tuple(SubsetBits(system.m, bits) for bits in parts)))
-    return Mod2Cover(system.k, system.t, system.m, tuple(products))
+    g = system.ground_size
+    rows = np.stack([gf2._row_bytes([s.bits for s in fam], (g + 7) // 8) for fam in system.families])
+    bits = _bits(rows, g).transpose(2, 0, 1)  # ground element x family x set
+    empty = ~bits.any(axis=2)
+    dropped = np.flatnonzero(empty.any(axis=1))
+    if dropped.size:
+        first = dropped[0]
+        warnings.warn(
+            f"{dropped.size} of {g} ground elements give an empty part, so their products are "
+            f"dropped; the first is ground element {first + 1}, empty in coordinate "
+            f"{np.argmax(empty[first]) + 1}",
+            stacklevel=2,
+        )
+    return Mod2Cover(system.k, system.t, system.m, parts=_packed(bits))
 
 
-def _ordered_vertices(parts: Sequence[SubsetBits]) -> tuple[Vertex, ...]:
+def _ordered_vertices(parts: Sequence[Sequence[int]]) -> tuple[Vertex, ...]:
     """Tuples drawing one element per part, kept only if all entries distinct."""
-    pools = [p.elements() for p in parts]
-    out = []
-    for combo in product(*pools):
-        if len(set(combo)) == len(combo):
-            out.append(combo)
-    return tuple(out)
+    return tuple(combo for combo in product(*parts) if len(set(combo)) == len(combo))
 
 
 def cover_to_ok_biclique_cover(cover: Mod2Cover) -> OkBicliqueCover:
@@ -267,13 +307,9 @@ def cover_to_ok_biclique_cover(cover: Mod2Cover) -> OkBicliqueCover:
     if cover.t != cover.k:
         raise ValueError("requires t = k")
     kappa = cover.k // 2
-    bicliques = []
-    for p in cover.products:
-        left = _ordered_vertices(p.parts[:kappa])
-        right = _ordered_vertices(p.parts[kappa:])
-        if left and right:
-            bicliques.append((left, right))
-    return OkBicliqueCover(cover.n, kappa, tuple(bicliques))
+    halves = [(_ordered_vertices(p[:kappa]), _ordered_vertices(p[kappa:]))
+              for p in _part_lists(cover.parts)]
+    return OkBicliqueCover(cover.n, kappa, tuple((lo, hi) for lo, hi in halves if lo and hi))
 
 
 def verify_ok_biclique_cover(
@@ -317,11 +353,9 @@ def permute_gp_cover(cover: GpCover) -> Mod2Cover:
     report = verify_exact_gp_cover(cover)
     if not report.valid:
         raise ValueError(f"input is not an exact cover: {report.violations[:1]}")
-    out = []
-    for p in cover.products:
-        for perm in permutations(range(cover.k)):
-            out.append(KPartiteProduct(tuple(p.parts[j] for j in perm)))
-    return Mod2Cover(cover.k, cover.k, cover.n, tuple(out))
+    perms = list(permutations(range(cover.k)))
+    parts = cover.parts[:, perms].reshape(len(cover) * len(perms), *cover.parts.shape[1:])
+    return Mod2Cover(cover.k, cover.k, cover.n, parts=_frozen(parts))
 
 
 def link_cover(
@@ -351,20 +385,10 @@ def link_cover(
     if not (1 <= coordinate <= cover.k):
         raise ValueError(f"coordinate {coordinate} outside [1, {cover.k}]")
 
-    # Drop the element's bit and shift the bits above it down by one.
-    low = (1 << (element - 1)) - 1
-    products = []
-    for p in cover.products:
-        if element not in p.parts[coordinate - 1]:
-            continue
-        parts = [
-            SubsetBits(cover.n - 1, (part.bits & low) | (part.bits >> element << (element - 1)))
-            for j, part in enumerate(p.parts)
-            if j != coordinate - 1
-        ]
-        if all(part.bits for part in parts):
-            products.append(KPartiteProduct(tuple(parts)))
-    out = Mod2Cover(cover.k - 1, cover.k - 1, cover.n - 1, tuple(products))
+    bits = _bits(cover.parts, cover.n)
+    bits = bits[bits[:, coordinate - 1, element - 1] == 1]
+    bits = np.delete(np.delete(bits, coordinate - 1, axis=1), element - 1, axis=2)
+    out = Mod2Cover(cover.k - 1, cover.k - 1, cover.n - 1, parts=_packed(bits))
     report = verify_mod2_cover(out)
     if not report.valid:
         raise InternalCheckError(f"link of a valid cover failed to verify: {report.violations[:3]}")
@@ -375,9 +399,5 @@ def restrict_cover(cover: Mod2Cover, new_n: int) -> Mod2Cover:
     """Restrict every part to [new_n], dropping products with an emptied part."""
     if not (0 <= new_n <= cover.n):
         raise ValueError("new ground size must be between 0 and n")
-    products = []
-    for p in cover.products:
-        parts = [part.restricted(new_n) for part in p.parts]
-        if all(part.bits for part in parts):
-            products.append(KPartiteProduct(tuple(parts)))
-    return Mod2Cover(cover.k, cover.t, new_n, tuple(products))
+    bits = _bits(cover.parts, cover.n)[:, :, :new_n]
+    return Mod2Cover(cover.k, cover.t, new_n, parts=_packed(bits))

@@ -7,13 +7,19 @@ and every file ends with a newline, so a load/save cycle is byte-identical.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
-from .covers import GpCover, KPartiteProduct, Mod2Cover
-from .setsystems import SetFamily, SubsetBits, TupleSystem
+import numpy as np
+
+from .covers import GpCover, Mod2Cover, _frozen, _part_lists
+from .gf2 import InternalCheckError, _row_bytes, _row_ints
+from .setsystems import SetFamily, SubsetBits, TupleSystem, _element_lists
 
 PathLike = Union[str, Path]
+
+MAX_PACKED_BYTES = 1 << 24  # largest load: one row of ceil(n/8) bytes per set or part
 
 
 class FileFormatError(ValueError):
@@ -30,18 +36,65 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _parse_set(value, where: str, n: int) -> SubsetBits:
+def _walk_set(value, where: str, n: int) -> None:
+    """Raise the message for the first bad element of one set, if any."""
     _require(isinstance(value, list), where, "expected an array of elements")
-    prev = bits = 0
+    prev = 0
     for pos, e in enumerate(value):
         if isinstance(e, bool) or not isinstance(e, int) or not prev < e <= n:
             at = f"{where}[{pos}]"  # formatted only for the error
             _as_int(e, at)
             _require(1 <= e <= n, at, f"element {e} outside [1, {n}]")
             raise FileFormatError(f"{at}: elements must be strictly increasing")
-        bits |= 1 << (e - 1)
         prev = e
-    return SubsetBits(n, bits)
+
+
+def _pack_sets(sets: list, n: int) -> Optional[np.ndarray]:
+    """The element lists as (len(sets), ceil(n/8)) rows in the ``gf2._row_bytes``
+    layout, from one vector pass; None unless every set is a list of strictly
+    increasing ints in [1, n] (bools, floats and ints beyond int64 are refused)."""
+    if not set(map(type, sets)) <= {list}:
+        return None
+    flat = list(chain.from_iterable(sets))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        e = np.array(flat, dtype=np.int64) - 1  # the bit of each element
+    except OverflowError:
+        return None
+    width = max(0, (n + 7) // 8)
+    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    bit = np.repeat(np.arange(len(sets)) * 8 * width, lens) + e  # in the whole array
+    if e.size and (e.min() < 0 or e.max() >= n or (np.diff(bit) <= 0).any()):
+        return None  # with every bit in its row, bit rises exactly when each set does
+    out = np.zeros(len(sets) * width, dtype=np.uint8)
+    np.bitwise_or.at(out, bit >> 3, (1 << (bit & 7)).astype(np.uint8))
+    return out.reshape(len(sets), width)
+
+
+def _parse_sets(groups, count: int, n: int, noun: str) -> np.ndarray:
+    """The ``count`` sets of the lists that ``groups()`` yields, each with its
+    position (a name and indices), packed by one vector pass; ``groups`` raises
+    its structural errors in place.  Where the pass rejects, walking the sets in
+    file order raises the message for the first bad position."""
+    if count * ((n + 7) // 8) > MAX_PACKED_BYTES:
+        raise ValueError(f"{count} {noun} of {(n + 7) // 8} bytes each exceed the load limit "
+                         f"of {MAX_PACKED_BYTES} bytes")
+    try:
+        rows = _pack_sets(list(chain.from_iterable(group for group, _ in groups())), n)
+    except ValueError:
+        rows = None
+    if rows is None:
+        for group, (name, *indices) in groups():
+            where = name + "".join(f"[{i}]" for i in indices)
+            for i, s in enumerate(group):
+                _walk_set(s, f"{where}[{i}]", n)
+        raise InternalCheckError("the vector pass rejected a file the walk accepts")
+    return rows
+
+
+def _set_lists(sets, n: int) -> list[list[int]]:
+    return _element_lists(_row_bytes([s.bits for s in sets], (n + 7) // 8))
 
 
 def _dump(obj: dict, path: PathLike) -> None:
@@ -59,7 +112,7 @@ def _load_json(path: PathLike) -> dict:
 
 
 def family_to_dict(family: SetFamily) -> dict:
-    return {"n": family.ground_size, "sets": [list(s.elements()) for s in family.sets]}
+    return {"n": family.ground_size, "sets": _set_lists(family.sets, family.ground_size)}
 
 
 def save_family(family: SetFamily, path: PathLike) -> None:
@@ -71,16 +124,19 @@ def load_family(path: PathLike) -> SetFamily:
     n = _as_int(data.get("n"), "n")
     sets = data.get("sets")
     _require(isinstance(sets, list), "sets", "expected an array of sets")
-    return SetFamily(n, tuple(_parse_set(s, f"sets[{i}]", n) for i, s in enumerate(sets)))
+    rows = _parse_sets(lambda: [(sets, ("sets",))], len(sets), n, "sets")
+    return SetFamily(n, tuple(SubsetBits(n, bits) for bits in _row_ints(rows)))
 
 
 def tuple_to_dict(system: TupleSystem) -> dict:
+    m = system.m
+    lists = _set_lists(chain.from_iterable(system.families), system.ground_size)
     return {
         "n": system.ground_size,
         "k": system.k,
         "t": system.t,
-        "m": system.m,
-        "families": [[list(s.elements()) for s in fam] for fam in system.families],
+        "m": m,
+        "families": [lists[j * m:(j + 1) * m] for j in range(system.k)],
     }
 
 
@@ -96,37 +152,36 @@ def load_tuple(path: PathLike) -> TupleSystem:
     m = _as_int(data.get("m"), "m")
     families = data.get("families")
     _require(isinstance(families, list) and len(families) == k, "families", f"expected {k} families")
-    parsed = []
-    for j, fam in enumerate(families):
-        where = f"families[{j}]"
-        _require(isinstance(fam, list) and len(fam) == m, where, f"expected {m} sets")
-        parsed.append(tuple(_parse_set(s, f"{where}[{i}]", n) for i, s in enumerate(fam)))
-    return TupleSystem(k, t, m, n, tuple(parsed))
+
+    def groups():
+        for j, fam in enumerate(families):
+            _require(isinstance(fam, list) and len(fam) == m, f"families[{j}]", f"expected {m} sets")
+            yield fam, ("families", j)
+
+    sets = [SubsetBits(n, bits) for bits in _row_ints(_parse_sets(groups, k * m, n, "sets"))]
+    return TupleSystem(k, t, m, n, tuple(tuple(sets[j * m:(j + 1) * m]) for j in range(k)))
 
 
-def _products_to_lists(products) -> list:
-    return [[list(part.elements()) for part in p.parts] for p in products]
-
-
-def _parse_products(data, where: str, n: int, k: int) -> tuple[KPartiteProduct, ...]:
+def _parse_products(data, where: str, n: int, k: int) -> np.ndarray:
+    """The (S, k, ceil(n/8)) parts array of the products."""
     _require(isinstance(data, list), where, "expected an array of products")
-    out = []
-    for s, prod in enumerate(data):
-        pw = f"{where}[{s}]"
-        _require(isinstance(prod, list) and len(prod) == k, pw, f"expected {k} parts")
-        parts = tuple(_parse_set(part, f"{pw}[{j}]", n) for j, part in enumerate(prod))
-        _require(all(p.bits for p in parts), pw, "parts must be nonempty")
-        out.append(KPartiteProduct(parts))
-    return tuple(out)
+
+    def groups():  # the positions are formatted only for an error
+        for s, prod in enumerate(data):
+            if not (isinstance(prod, list) and len(prod) == k):
+                raise FileFormatError(f"{where}[{s}]: expected {k} parts")
+            yield prod, (where, s)
+            if not all(prod):
+                raise FileFormatError(f"{where}[{s}]: parts must be nonempty")
+            if not prod:
+                raise ValueError("a product needs at least one part")
+
+    rows = _parse_sets(groups, len(data) * k, n, "parts")
+    return _frozen(rows.reshape(len(data), max(k, 0), rows.shape[1]))  # k < 1: no products
 
 
 def cover_to_dict(cover: Mod2Cover) -> dict:
-    return {
-        "n": cover.n,
-        "k": cover.k,
-        "t": cover.t,
-        "products": _products_to_lists(cover.products),
-    }
+    return {"n": cover.n, "k": cover.k, "t": cover.t, "products": _part_lists(cover.parts)}
 
 
 def save_cover(cover: Mod2Cover, path: PathLike) -> None:
@@ -138,11 +193,11 @@ def load_cover(path: PathLike) -> Mod2Cover:
     n = _as_int(data.get("n"), "n")
     k = _as_int(data.get("k"), "k")
     t = _as_int(data.get("t"), "t")
-    return Mod2Cover(k, t, n, _parse_products(data.get("products"), "products", n, k))
+    return Mod2Cover(k, t, n, parts=_parse_products(data.get("products"), "products", n, k))
 
 
 def gp_cover_to_dict(cover: GpCover) -> dict:
-    return {"n": cover.n, "k": cover.k, "products": _products_to_lists(cover.products)}
+    return {"n": cover.n, "k": cover.k, "products": _part_lists(cover.parts)}
 
 
 def save_gp_cover(cover: GpCover, path: PathLike) -> None:
@@ -154,8 +209,8 @@ def load_gp_cover(path: PathLike) -> GpCover:
     _require("t" not in data, "t", "a disjoint-product cover file carries no t field")
     n = _as_int(data.get("n"), "n")
     k = _as_int(data.get("k"), "k")
-    products = _parse_products(data.get("products"), "products", n, k)
+    parts = _parse_products(data.get("products"), "products", n, k)
     try:
-        return GpCover(k, n, products)
+        return GpCover(k, n, parts=parts)
     except ValueError as exc:
         raise FileFormatError(f"products: {exc}") from exc

@@ -71,7 +71,7 @@ class Gf2Matrix:
     def from_array(cls, a: np.ndarray) -> "Gf2Matrix":
         """From a 2-D array whose nonzero entries are the ones."""
         packed = np.packbits(a, axis=1, bitorder="little")
-        return cls(a.shape[0], a.shape[1], tuple(int.from_bytes(r, "little") for r in packed))
+        return cls(a.shape[0], a.shape[1], tuple(_row_ints(packed)))
 
     @classmethod
     def from_bitrows(cls, bitrows: Sequence[int], cols: int) -> "Gf2Matrix":
@@ -149,6 +149,11 @@ def _row_bytes(bitrows: Sequence[int], width: int) -> np.ndarray:
     little-endian, so bit j of a row is bit j % 8 of byte j // 8."""
     packed = b"".join(row.to_bytes(width, "little") for row in bitrows)
     return np.frombuffer(packed, dtype=np.uint8).reshape(len(bitrows), width)
+
+
+def _row_ints(packed: np.ndarray) -> list[int]:
+    """The rows of a 2-D uint8 array as ints, little-endian: the inverse of ``_row_bytes``."""
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def _check_modulus(p: int) -> None:

@@ -82,12 +82,6 @@ class SubsetBits:
             raise ValueError("ground sizes differ")
         return SubsetBits(self.ground_size, self.bits & other.bits)
 
-    def restricted(self, new_ground: int) -> "SubsetBits":
-        """Intersection with [new_ground], re-typed over the smaller ground."""
-        if new_ground > self.ground_size:
-            raise ValueError("can only restrict to a smaller ground")
-        return SubsetBits(new_ground, self.bits & ((1 << new_ground) - 1))
-
     def with_extra_element(self) -> "SubsetBits":
         """The same set with a fresh ground element n+1 appended to it."""
         return SubsetBits(self.ground_size + 1, self.bits | (1 << self.ground_size))
@@ -188,6 +182,19 @@ class _Collector:
 
     def report(self) -> VerifyReport:
         return VerifyReport(not self.items, tuple(self.items), self.truncated)
+
+
+def _element_lists(rows: np.ndarray) -> list[list[int]]:
+    """The element lists of packed rows (the ``gf2._row_bytes`` layout): one
+    list per distinct row, shared by the rows equal to it."""
+    if not rows.size:
+        return [[] for _ in rows]
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    bits = np.unpackbits(distinct.view(np.uint8).reshape(len(distinct), -1), axis=1,
+                         bitorder="little")
+    table = [(np.flatnonzero(row) + 1).tolist() for row in bits]
+    return [table[i] for i in inverse.tolist()]
 
 
 def _check_scan_size(count: int, what: str) -> None:

@@ -1,6 +1,8 @@
+import warnings
 from itertools import permutations, product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from oddtown import (
     verify_ok_biclique_cover,
 )
 from oddtown.covers import parity_functions_equal
+from oddtown.fileio import load_cover, save_cover
 from oddtown import setsystems
 from oddtown.setsystems import VerifyReport, Violation
 
@@ -534,3 +537,88 @@ class TestScanSizeGuard:
         big = Mod2Cover(6, 2, 100, ())
         with pytest.raises(ValueError, match="scan limit"):
             parity_functions_equal(big, big)
+
+
+# --- the packed part array ------------------------------------------------------
+
+
+def packed_reference(cover):
+    """The parts array written out from the products, one byte at a time."""
+    width = (cover.n + 7) // 8
+    return np.array([[[(part.bits >> 8 * b) & 0xFF for b in range(width)] for part in p.parts]
+                     for p in cover.products], dtype=np.uint8).reshape(len(cover), cover.k, width)
+
+
+class TestPackedParts:
+    def test_products_view_round_trips_for_constructions(self, cover_pool):
+        for c in [*cover_pool, trivial_gp_cover(5, 3), build_b22_pair(4)]:
+            if not hasattr(c, "parts"):
+                c = tuple_to_cover(c)
+            assert np.array_equal(c.parts, packed_reference(c))
+            fields = (c.k, c.t, c.n) if isinstance(c, Mod2Cover) else (c.k, c.n)
+            again = type(c)(*fields, parts=c.parts)
+            assert again.products == c.products and again == c
+            assert type(c)(*fields, c.products) == c
+
+    def test_products_view_round_trips_for_loads(self, cover_pool, tmp_path):
+        for i, c in enumerate(cover_pool):
+            path = tmp_path / f"c{i}.json"
+            save_cover(c, path)
+            loaded = load_cover(path)
+            assert "products" not in vars(loaded)  # built on first access only
+            assert loaded.products == c.products and loaded == c
+
+    def test_products_view_round_trips_through_tuples(self, cover_pool):
+        for c in cover_pool:
+            back = tuple_to_cover(cover_to_tuple(c))
+            assert back == c and back.products == c.products
+
+    def test_derived_view_is_cached_and_read_only(self):
+        c = permute_gp_cover(trivial_gp_cover(4, 2))
+        assert c.products is c.products
+        with pytest.raises(AttributeError):
+            c.products = ()
+        with pytest.raises(AttributeError):
+            c.n = 5
+        with pytest.raises(ValueError):
+            c.parts[0, 0, 0] = 3
+
+    def test_array_checks(self):
+        good = np.array([[[1], [2]]], dtype=np.uint8)
+        good.flags.writeable = False
+        assert Mod2Cover(2, 2, 2, parts=good).products == (prod(2, [1], [2]),)
+        writeable = good.copy()
+        wrong_dtype = good.astype(np.int64)
+        wrong_dtype.flags.writeable = False
+        for bad in (writeable, wrong_dtype, good.reshape(1, 2), good[:, :1], np.ones((1, 2, 2), np.uint8)):
+            with pytest.raises(ValueError, match="read-only uint8 array of shape"):
+                Mod2Cover(2, 2, 2, parts=bad)
+        beyond = np.array([[[1], [4]]], dtype=np.uint8)
+        beyond.flags.writeable = False
+        with pytest.raises(ValueError, match="beyond the ground set"):
+            Mod2Cover(2, 2, 2, parts=beyond)
+        empty = np.array([[[1], [0]]], dtype=np.uint8)
+        empty.flags.writeable = False
+        with pytest.raises(ValueError, match="parts must be nonempty"):
+            Mod2Cover(2, 2, 2, parts=empty)
+        overlap = np.array([[[3], [2]]], dtype=np.uint8)
+        overlap.flags.writeable = False
+        with pytest.raises(ValueError, match="overlap"):
+            GpCover(2, 2, parts=overlap)
+        with pytest.raises(ValueError, match="share the cover's k and ground size"):
+            Mod2Cover(2, 2, 3, (prod(2, [1], [2]),))
+
+    def test_one_warning_per_tuple_to_cover(self):
+        from oddtown import TupleSystem
+
+        # ground elements 2, 3 and 5 are in no set of family B
+        a = (SubsetBits.from_elements(5, [1, 2, 3, 4, 5]),)
+        b = (SubsetBits.from_elements(5, [1, 4]),)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cover = tuple_to_cover(TupleSystem(2, 2, 1, 5, (a, b)))
+        assert [str(w.message) for w in caught] == [
+            "3 of 5 ground elements give an empty part, so their products are dropped; "
+            "the first is ground element 2, empty in coordinate 2"
+        ]
+        assert cover.products == (prod(1, [1], [1]), prod(1, [1], [1]))

@@ -4,11 +4,16 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oddtown import build_b22_pair, build_cover_33, trivial_gp_cover
+from oddtown import build_b22_pair, build_cover_33, fileio, trivial_gp_cover
 from oddtown.cli import main
+from oddtown.covers import GpCover, KPartiteProduct, Mod2Cover
+from oddtown.gf2 import InternalCheckError
 from oddtown.fileio import (
     FileFormatError,
     load_cover,
@@ -20,7 +25,7 @@ from oddtown.fileio import (
     save_gp_cover,
     save_tuple,
 )
-from oddtown.setsystems import SetFamily
+from oddtown.setsystems import SetFamily, SubsetBits, TupleSystem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -386,3 +391,249 @@ class TestCli:
                      "--out", str(tmp_path / "c.json")])
         assert code == 3
         assert "internal inconsistency" in capsys.readouterr().out
+
+
+# --- the vector pass against the element walk --------------------------------
+
+def _walk_set(value, where, n):
+    """The element-by-element parse that the vector pass replaced, kept as the
+    reference: the mask of one set, or the positioned message."""
+    if not isinstance(value, list):
+        raise FileFormatError(f"{where}: expected an array of elements")
+    prev = bits = 0
+    for pos, e in enumerate(value):
+        at = f"{where}[{pos}]"
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise FileFormatError(f"{at}: expected an integer")
+        if not 1 <= e <= n:
+            raise FileFormatError(f"{at}: element {e} outside [1, {n}]")
+        if e <= prev:
+            raise FileFormatError(f"{at}: elements must be strictly increasing")
+        bits |= 1 << (e - 1)
+        prev = e
+    return bits
+
+
+def _walk_cover(doc, gp):
+    n, k = doc["n"], doc["k"]
+    products = doc["products"]
+    if not isinstance(products, list):
+        raise FileFormatError("products: expected an array of products")
+    parsed = []
+    for s, prod in enumerate(products):
+        pw = f"products[{s}]"
+        if not (isinstance(prod, list) and len(prod) == k):
+            raise FileFormatError(f"{pw}: expected {k} parts")
+        parts = [_walk_set(part, f"{pw}[{j}]", n) for j, part in enumerate(prod)]
+        if not all(parts):
+            raise FileFormatError(f"{pw}: parts must be nonempty")
+        parsed.append(KPartiteProduct(tuple(SubsetBits(n, bits) for bits in parts)))
+    if not gp:
+        return Mod2Cover(k, doc["t"], n, parsed)
+    try:
+        return GpCover(k, n, parsed)
+    except ValueError as exc:
+        raise FileFormatError(f"products: {exc}") from exc
+
+
+def _walk_family(doc):
+    n, sets = doc["n"], doc["sets"]
+    return SetFamily(n, tuple(SubsetBits(n, _walk_set(s, f"sets[{i}]", n)) for i, s in enumerate(sets)))
+
+
+def _walk_tuple(doc):
+    n, k, m, families = doc["n"], doc["k"], doc["m"], doc["families"]
+    if not (isinstance(families, list) and len(families) == k):
+        raise FileFormatError(f"families: expected {k} families")
+    parsed = []
+    for j, fam in enumerate(families):
+        if not (isinstance(fam, list) and len(fam) == m):
+            raise FileFormatError(f"families[{j}]: expected {m} sets")
+        parsed.append(tuple(SubsetBits(n, _walk_set(s, f"families[{j}][{i}]", n))
+                            for i, s in enumerate(fam)))
+    return TupleSystem(k, doc["t"], m, n, tuple(parsed))
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (ValueError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def _masks(obj):
+    if isinstance(obj, tuple):  # an error
+        return obj
+    if hasattr(obj, "products"):
+        return [[part.bits for part in p.parts] for p in obj.products]
+    if hasattr(obj, "families"):
+        return [[s.bits for s in fam] for fam in obj.families]
+    return [s.bits for s in obj.sets]
+
+
+GROUND_SIZES = (0, 1, 2, 3, 7, 8, 9, 63, 64, 65)
+ODD_ELEMENTS = (True, False, 1.0, 2.5, 2**64, -2**64, 2**63, "1", None, [1])
+
+
+@st.composite
+def element_lists(draw, n):
+    """Mostly valid sets of [n]; otherwise bad elements, repeats or descents."""
+    kind = draw(st.integers(0, 9))
+    if kind < 7:  # empty only now and then
+        return sorted(draw(st.sets(st.integers(1, max(n, 1)), min_size=kind < 6, max_size=6)))
+    if kind == 7:
+        return draw(st.sampled_from([0, 1.5, "x", {"a": 1}]))  # not a list
+    items = st.one_of(st.integers(-1, n + 2), st.sampled_from(ODD_ELEMENTS))
+    return draw(st.lists(items, max_size=6))
+
+
+@st.composite
+def products_docs(draw, gp):
+    n = draw(st.sampled_from(GROUND_SIZES))
+    k = draw(st.sampled_from((2, 3, 2, 3, 1, 0)))
+    products = []
+    for _ in range(draw(st.integers(0, 5))):
+        width = k if draw(st.integers(0, 5)) != 3 else draw(st.integers(0, 4))
+        if gp and draw(st.booleans()):  # disjoint parts: element e + 1 goes to part owner[e]
+            owner = draw(st.lists(st.integers(0, width), min_size=n, max_size=n))
+            products.append([[e + 1 for e in range(n) if owner[e] == j] for j in range(width)])
+        else:
+            products.append([draw(element_lists(n)) for _ in range(width)])
+    if draw(st.integers(0, 20)) == 13:
+        products = {"products": products}
+    doc = {"n": n, "k": k, "t": draw(st.sampled_from((2, 3, 2))), "products": products}
+    if gp:
+        del doc["t"]
+    return doc
+
+
+class TestVectorParse:
+    """The vector pass accepts exactly what the element walk accepts, gives the
+    same masks, and where it rejects the walk's message comes out."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cover_loads_match_the_walk(self, data):
+        gp = data.draw(st.booleans())
+        doc = data.draw(products_docs(gp))
+        load = load_gp_cover if gp else load_cover
+        with mock.patch.object(fileio, "_load_json", return_value=doc):
+            got = _outcome(load, "doc.json")
+        assert _masks(got) == _masks(_outcome(_walk_cover, doc, gp))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_family_loads_match_the_walk(self, data):
+        n = data.draw(st.sampled_from(GROUND_SIZES))
+        doc = {"n": n, "sets": data.draw(st.lists(element_lists(n), max_size=6))}
+        with mock.patch.object(fileio, "_load_json", return_value=doc):
+            got = _outcome(load_family, "doc.json")
+        assert _masks(got) == _masks(_outcome(_walk_family, doc))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_tuple_loads_match_the_walk(self, data):
+        n = data.draw(st.sampled_from(GROUND_SIZES))
+        k, m = data.draw(st.sampled_from((2, 3))), data.draw(st.integers(0, 3))
+        families = [data.draw(st.lists(element_lists(n), min_size=m, max_size=m))
+                    for _ in range(k)]
+        if data.draw(st.integers(0, 8)) == 5:
+            families[-1] = families[-1][1:] if m else [[]]  # a wrong set count
+        if data.draw(st.integers(0, 8)) == 5:
+            families = families[1:]  # a wrong family count
+        doc = {"n": n, "k": k, "t": 2, "m": m, "families": families}
+        with mock.patch.object(fileio, "_load_json", return_value=doc):
+            got = _outcome(load_tuple, "doc.json")
+        assert _masks(got) == _masks(_outcome(_walk_tuple, doc))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_pack_sets_accepts_what_the_walk_accepts(self, data):
+        n = data.draw(st.sampled_from(GROUND_SIZES))
+        sets = data.draw(st.lists(element_lists(n), max_size=6))
+        try:
+            want = [_walk_set(s, "s", n) for s in sets]
+        except FileFormatError:
+            want = None
+        rows = fileio._pack_sets(sets, n)
+        if want is None:
+            assert rows is None
+        else:
+            assert rows.shape == (len(sets), (n + 7) // 8)
+            assert [int.from_bytes(r, "little") for r in rows] == want
+
+    def test_ints_beyond_int64_fall_back_to_the_walk(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 3, "k": 2, "t": 2, "products": [[[1], [2**64]]]}))
+        with pytest.raises(FileFormatError) as info:
+            load_cover(path)
+        assert str(info.value) == f"products[0][1][0]: element {2**64} outside [1, 3]"
+
+    def test_parsed_parts_are_packed_little_endian(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 9, "k": 2, "t": 2,
+                                    "products": [[[1, 8, 9], [2]], [[9], [1, 2, 3]]]}))
+        cover = load_cover(path)
+        assert cover.parts.tolist() == [[[0x81, 1], [2, 0]], [[0, 1], [7, 0]]]
+        assert not cover.parts.flags.writeable
+
+
+class TestLoadLimit:
+    @pytest.mark.parametrize("kind, doc, message", [
+        ("cover", {"n": 10**9, "k": 2, "t": 2, "products": [[[1], [2]]]},
+         "error: 2 parts of 125000000 bytes each exceed the load limit of 16777216 bytes\n"),
+        ("gp-cover", {"n": 10**8, "k": 2, "products": [[[1], [2]], [[3], [4]]]},
+         "error: 4 parts of 12500000 bytes each exceed the load limit of 16777216 bytes\n"),
+        ("tuple", {"n": 10**8, "k": 2, "t": 2, "m": 1, "families": [[[1]], [[2]]]},
+         "error: 2 sets of 12500000 bytes each exceed the load limit of 16777216 bytes\n"),
+        ("family-oddtown", {"n": 2**27 + 1, "sets": [[1]]},
+         "error: 1 sets of 16777217 bytes each exceed the load limit of 16777216 bytes\n"),
+    ])
+    def test_oversized_packed_array_refused(self, tmp_path, capsys, kind, doc, message):
+        # refused before the array is allocated: the elements are never read
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        with mock.patch.object(fileio, "_pack_sets", side_effect=AssertionError("packed")):
+            assert main(["verify", "--kind", kind, "--file", str(path)]) == 2
+        assert capsys.readouterr().out == message
+
+    def test_limit_is_inclusive(self, tmp_path):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"n": 8 * fileio.MAX_PACKED_BYTES, "sets": [[1]]}))
+        assert load_family(path).sets[0].bits == 1
+
+
+class TestGridRefusedBeforeTransposition:
+    @pytest.mark.parametrize("n, message", [
+        (3 * 10**6, "error: 3000000^2 index tuples exceed the scan limit of 100000000"),
+        (10**8, "error: 2 parts of 12500000 bytes each exceed the load limit of 16777216 bytes"),
+    ])
+    def test_huge_declared_n_exits_at_once(self, tmp_path, n, message):
+        # neither the n x S transposition nor, past the load limit, the packed
+        # parts are built; run in a subprocess, so that an unguarded build
+        # cannot exhaust the suite
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"n": {n}, "k": 2, "t": 2, "products": [[[1], [2]]]}}\n')
+        code = (
+            "import sys, time\n"
+            "from oddtown.cli import main\n"
+            "start = time.perf_counter()\n"
+            f"rc = main(['verify', '--kind', 'cover', '--file', {str(path)!r}])\n"
+            "print(rc, time.perf_counter() - start)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        printed, verdict = proc.stdout.splitlines()
+        assert printed == message
+        rc, seconds = verdict.split()
+        assert rc == "2" and float(seconds) < 1.0
+
+    @pytest.mark.parametrize("argv", [[], ["--parity-diff", "SELF"]])
+    def test_transposition_never_built(self, tmp_path, capsys, argv):
+        path = tmp_path / "c.json"
+        path.write_text('{"n": 20000, "k": 2, "t": 2, "products": [[[1], [2]]]}\n')
+        argv = [str(path) if a == "SELF" else a for a in argv]
+        with mock.patch("oddtown.covers._cover_rows", side_effect=AssertionError("built")):
+            assert main(["verify", "--kind", "cover", "--file", str(path), *argv]) == 2
+        assert capsys.readouterr().out == (
+            "error: 20000^2 index tuples exceed the scan limit of 100000000\n")
