@@ -12,7 +12,9 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .covers import GpCover, KPartiteProduct, Mod2Cover, tuple_to_cover
+import numpy as np
+
+from .covers import GpCover, Mod2Cover, _frozen, _nonempty
 from .gf2 import Gf2Matrix
 from .ranks import binomial_mod_p, subsets_colex
 from .setsystems import SetFamily, SubsetBits, TupleSystem, verify_bollobas_tuple
@@ -159,31 +161,37 @@ def build_kt_oddtown_family(t: int, n: int) -> SetFamily:
     return SetFamily(ground, tuple(SubsetBits(ground, bits) for bits in columns))
 
 
-def _pattern_products(pattern: PatternPartition, n: int) -> Iterator[KPartiteProduct]:
+def _singletons(n: int) -> np.ndarray:
+    """The parts every construction indexes, in the ``gf2._row_bytes`` layout:
+    row e of the (n+1, ceil(n/8)) table is {e+1} and row n is [n]."""
+    table = np.zeros((n + 1, (n + 7) // 8), dtype=np.uint8)
+    e = np.arange(n)
+    table[e, e // 8] = 1 << e % 8
+    table[n] = np.packbits(np.ones(n, dtype=bool), bitorder="little")
+    return table
+
+
+def _pattern_products(pattern: PatternPartition, n: int, table: np.ndarray) -> np.ndarray:
     """Exact-once cover of the cells whose coincidence pattern equals ``pattern``.
 
     If the pattern has a singleton block, that block rides free over the values
     not pinned elsewhere and the other blocks are pinned to distinct values
     (cost (n)_{r-1}); otherwise all blocks are pinned (cost (n)_r).  Freeing a
     block that spans two or more coordinates would also cover refinements of
-    the pattern, which is why only singleton blocks may be free.
+    the pattern, which is why only singleton blocks may be free.  A free part
+    is empty when the pinned values take all of [n]; the caller drops it.
     """
-    k = pattern.k
-    blocks = pattern.blocks
-    singles = [b for b in blocks if len(b) == 1]
+    singles = [b for b in pattern.blocks if len(b) == 1]
     free_block = singles[0] if singles else None
-    pinned = [b for b in blocks if b is not free_block]
-    for values in permutations(range(1, n + 1), len(pinned)):
-        by_coord: dict[int, SubsetBits] = {}
-        for block, v in zip(pinned, values):
-            for coord in block:
-                by_coord[coord] = SubsetBits.from_elements(n, [v])
-        if free_block is not None:
-            rest = SubsetBits(n, SubsetBits.full(n).bits ^ sum(1 << (v - 1) for v in values))
-            if rest.bits == 0:
-                continue
-            by_coord[free_block[0]] = rest
-        yield KPartiteProduct(tuple(by_coord[c] for c in range(1, k + 1)))
+    pinned = [b for b in pattern.blocks if b is not free_block]
+    values = np.fromiter(permutations(range(n), len(pinned)), np.dtype((np.intp, len(pinned))))
+    index = np.full((len(values), pattern.k), n)
+    for block, column in zip(pinned, values.T):
+        index[:, np.subtract(block, 1)] = column[:, None]
+    parts = table[index]
+    if free_block is not None:  # indexed at [n], it gives up the pinned values
+        parts[:, free_block[0] - 1] ^= np.bitwise_or.reduce(table[values], axis=1)
+    return parts
 
 
 def build_partition_cover(k: int, t: int, n: int) -> Mod2Cover:
@@ -198,12 +206,9 @@ def build_partition_cover(k: int, t: int, n: int) -> Mod2Cover:
         raise ValueError("need 2 <= t <= k")
     if n < 1:
         raise ValueError("need n >= 1")
-    products: list[KPartiteProduct] = []
-    for pattern in set_partitions(k, t - 1):
-        products.extend(_pattern_products(pattern, n))
-    full = SubsetBits.full(n)
-    products.append(KPartiteProduct(tuple(full for _ in range(k))))
-    return Mod2Cover(k, t, n, tuple(products))
+    table = _singletons(n)
+    parts = [_pattern_products(p, n, table) for p in set_partitions(k, t - 1)]
+    return Mod2Cover(k, t, n, parts=_nonempty(np.concatenate(parts + [table[[[n] * k]]])))
 
 
 def build_cover_t2(k: int, n: int) -> Mod2Cover:
@@ -222,15 +227,10 @@ def build_cover_33(n: int) -> Mod2Cover:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    full = SubsetBits.full(n)
-    products = []
-    for i in range(1, n + 1):
-        s = SubsetBits.from_elements(n, [i])
-        products.append(KPartiteProduct((s, s, full)))
-        products.append(KPartiteProduct((s, full, s)))
-        products.append(KPartiteProduct((full, s, s)))
-    products.append(KPartiteProduct((full, full, full)))
-    return Mod2Cover(3, 3, n, tuple(products))
+    i, full = np.arange(n), np.full(n, n)
+    index = np.stack([[i, i, full], [i, full, i], [full, i, i]]).transpose(2, 0, 1).reshape(-1, 3)
+    index = np.vstack([index, [[n] * 3]])
+    return Mod2Cover(3, 3, n, parts=_frozen(_singletons(n)[index]))
 
 
 def build_cover_43(n: int) -> Mod2Cover:
@@ -241,46 +241,34 @@ def build_cover_43(n: int) -> Mod2Cover:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    base = build_cover_t2(4, n)
-    products = list(base.products)
-    for pattern in set_partitions(4, 2):
-        if pattern.block_count == 2:
-            products.extend(_pattern_products(pattern, n))
-    return Mod2Cover(4, 3, n, tuple(products))
+    table = _singletons(n)
+    repairs = [_pattern_products(p, n, table) for p in set_partitions(4, 2) if p.block_count == 2]
+    parts = np.concatenate([build_cover_t2(4, n).parts, *repairs])
+    return Mod2Cover(4, 3, n, parts=_nonempty(parts))
 
 
 def build_cover_22(n: int) -> Mod2Cover:
     """Best constructive pair cover: n-1 products for odd n, n for even n.
 
+    Even n: the singleton/complement pair {i} x ([n] - {i}) does it directly.
     Odd n: the size-n singleton/complement pair over the even ground [n-1],
-    pushed through the tuple-to-cover correspondence.  Even n: the plain
-    singleton/complement pair of size n does it directly.
+    pushed through the tuple-to-cover correspondence, gives {i, n} x ([n] - {i})
+    for i < n (none at n = 1, whose lone cell is a non-edge).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n == 1:
-        return Mod2Cover(2, 2, 1, ())  # lone cell is a non-edge: cover nothing
-    if n % 2 == 1:
-        return tuple_to_cover(build_b22_pair(n - 1))
-    full = SubsetBits.full(n)
-    products = []
-    for i in range(1, n + 1):
-        a = SubsetBits.from_elements(n, [i])
-        b = SubsetBits(n, full.bits ^ a.bits)
-        products.append(KPartiteProduct((a, b)))
-    return Mod2Cover(2, 2, n, tuple(products))
+    table = _singletons(n)
+    singles = table[:n - n % 2]
+    pair = [singles | table[n - 1] if n % 2 else singles, table[n] ^ singles]
+    return Mod2Cover(2, 2, n, parts=_frozen(np.stack(pair, axis=1)))
 
 
 def trivial_gp_cover(n: int, k: int) -> GpCover:
     """All C(n,k) products of k distinct singletons; an exact-once cover."""
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
-    products = []
-    for subset in combinations(range(1, n + 1), k):
-        products.append(
-            KPartiteProduct(tuple(SubsetBits.from_elements(n, [e]) for e in subset))
-        )
-    return GpCover(k, n, tuple(products))
+    index = np.fromiter(combinations(range(n), k), np.dtype((np.intp, k)))
+    return GpCover(k, n, parts=_frozen(_singletons(n)[index]))
 
 
 def _intersect_all(sets: Sequence[SubsetBits]) -> SubsetBits:

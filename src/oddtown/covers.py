@@ -74,9 +74,9 @@ class KPartiteProduct:
 class _Cover:
     """Products held as one read-only uint8 array ``parts`` of shape (S, k, ceil(n/8)):
     parts[s, j] is part j of product s in the ``gf2._row_bytes`` layout (element e
-    is bit (e-1) % 8 of byte (e-1) // 8).  ``products`` views them as
-    ``KPartiteProduct``s, built on first access; a cover made from products
-    keeps those.  Covers are read-only values, equal when fields and parts are."""
+    is bit (e-1) % 8 of byte (e-1) // 8).  Products given instead are packed, not
+    kept: ``products`` is always a view of ``parts``, built on first access.
+    Covers are read-only values, equal when fields and parts are."""
 
     def __init__(self, products: Iterable[KPartiteProduct], parts: Optional[np.ndarray], **fields):
         self.__dict__.update(fields, _fields=tuple(fields.values()))
@@ -84,13 +84,14 @@ class _Cover:
         if n < 0:
             raise ValueError("ground size must be nonnegative")
         width = (n + 7) // 8
+        products = tuple(products)
         if parts is None:
-            products = tuple(products)
             if any(p.k != k or p.ground_size != n for p in products):
                 raise ValueError("all products must share the cover's k and ground size")
             masks = [part.bits for p in products for part in p.parts]
             parts = gf2._row_bytes(masks, width).reshape(len(products), k, width)
-            self.__dict__["products"] = products
+        elif products:
+            raise ValueError("give a cover its products or its parts, not both")
         if not (isinstance(parts, np.ndarray) and parts.dtype == np.uint8
                 and parts.shape[1:] == (k, width) and not parts.flags.writeable):
             raise ValueError(f"parts must be a read-only uint8 array of shape (S, {k}, {width})")
@@ -197,9 +198,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _nonempty(parts: np.ndarray) -> np.ndarray:
+    """The parts array, read-only, leaving out products with an empty part."""
+    return _frozen(parts[parts.any(axis=2).all(axis=1)])
+
+
 def _packed(bits: np.ndarray) -> np.ndarray:
     """The parts array of a 0/1 (S, k, n) array, leaving out products with an empty part."""
-    return _frozen(np.packbits(bits[bits.any(axis=2).all(axis=1)], axis=2, bitorder="little"))
+    return _nonempty(np.packbits(bits, axis=2, bitorder="little"))
 
 
 def _part_lists(parts: np.ndarray) -> list:
@@ -258,8 +264,10 @@ def cover_to_tuple(cover: Mod2Cover) -> TupleSystem:
     The output has one ground element per product and one index per cover
     vertex; A_{j,i} collects the products whose j-th part contains i.  The
     conversion is syntactic: the output verifies as a tuple exactly when the
-    input verifies as a cover.
+    input verifies as a cover.  A grid past the scan limit is refused first: no
+    verifier could check the tuple, whose m^k index grid is the cover's n^k.
     """
+    _check_scan_size(cover.n**cover.k, f"{cover.n}^{cover.k} index tuples")
     families = tuple(
         tuple(SubsetBits(len(cover), bits) for bits in row)
         for row in _cover_rows(cover.parts, cover.n)

@@ -568,7 +568,7 @@ def min_mod2_cover(
 # words for S products.  On one 2-vCPU machine, one call each: verifying the
 # (6,6,9) permuted singleton cover (5.0e8 words) takes 0.2-0.4 s, and the
 # (6,6,10) partition cover (2.2e9 words, 142,271 products) 2.5-2.8 s after
-# 4-5 s to build it.  The words are a cost model from before the blocked
+# 0.23-0.24 s to build it.  The words are a cost model from before the blocked
 # parity scan; the limit is kept so that the verdicts stay as they are.
 VERIFY_MAX_WORDS = 10**9
 

@@ -1,9 +1,15 @@
-from itertools import product
+import time
+import tracemalloc
+from itertools import combinations, permutations, product
 from math import comb
 
+import numpy as np
 import pytest
 
 from oddtown import (
+    GpCover,
+    KPartiteProduct,
+    Mod2Cover,
     PatternPartition,
     SubsetBits,
     TupleSystem,
@@ -22,6 +28,7 @@ from oddtown import (
     set_partitions,
     stirling2,
     trivial_gp_cover,
+    tuple_to_cover,
     verify_bollobas_tuple,
     verify_exact_gp_cover,
     verify_kt_oddtown,
@@ -253,6 +260,110 @@ class TestNamedCovers:
         c = build_cover_22(n)
         assert len(c) == (n if n % 2 == 0 else n - 1)
         assert verify_mod2_cover(c).valid
+
+
+# --- reference: the constructions built one product object at a time ---------------
+
+
+def single(n, e):
+    return SubsetBits.from_elements(n, [e])
+
+
+def reference_pattern_products(pattern, n):
+    singles = [b for b in pattern.blocks if len(b) == 1]
+    free_block = singles[0] if singles else None
+    pinned = [b for b in pattern.blocks if b is not free_block]
+    for values in permutations(range(1, n + 1), len(pinned)):
+        by_coord = {c: single(n, v) for block, v in zip(pinned, values) for c in block}
+        if free_block is not None:
+            rest = SubsetBits(n, SubsetBits.full(n).bits ^ sum(1 << (v - 1) for v in values))
+            if rest.bits == 0:
+                continue
+            by_coord[free_block[0]] = rest
+        yield KPartiteProduct(tuple(by_coord[c] for c in range(1, pattern.k + 1)))
+
+
+def reference_partition_products(k, t, n):
+    products = [p for pattern in set_partitions(k, t - 1)
+                for p in reference_pattern_products(pattern, n)]
+    return products + [KPartiteProduct((SubsetBits.full(n),) * k)]
+
+
+def reference_cover_33(n):
+    full = SubsetBits.full(n)
+    products = []
+    for i in range(1, n + 1):
+        s = single(n, i)
+        products += [KPartiteProduct(p) for p in ((s, s, full), (s, full, s), (full, s, s))]
+    return Mod2Cover(3, 3, n, products + [KPartiteProduct((full,) * 3)])
+
+
+def reference_cover_43(n):
+    repairs = [p for pattern in set_partitions(4, 2) if pattern.block_count == 2
+               for p in reference_pattern_products(pattern, n)]
+    return Mod2Cover(4, 3, n, reference_partition_products(4, 2, n) + repairs)
+
+
+def reference_cover_22(n):
+    # even n: ({i}, [n] - {i}); odd n, through the (n-1) singleton/complement
+    # pair: ({i, n}, [n] - {i}) for i < n
+    full = SubsetBits.full(n).bits
+    rows = range(1, n + 1) if n % 2 == 0 else range(1, n)
+    extra = 0 if n % 2 == 0 else 1 << (n - 1)
+    return Mod2Cover(2, 2, n, [KPartiteProduct((SubsetBits(n, (1 << (i - 1)) | extra),
+                                                SubsetBits(n, full ^ 1 << (i - 1))))
+                               for i in rows])
+
+
+def reference_trivial_gp_cover(n, k):
+    subsets = combinations(range(1, n + 1), k)
+    return GpCover(k, n, [KPartiteProduct(tuple(single(n, e) for e in s)) for s in subsets])
+
+
+class TestPackedConstructions:
+    """The constructions index one singleton table; their parts must be the
+    bytes of the product-by-product builders above."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_partition_cover_matches_reference(self, k):
+        for t in range(2, k + 1):
+            for n in range(1, 6 if k == 6 else 8):
+                want = Mod2Cover(k, t, n, reference_partition_products(k, t, n))
+                got = build_partition_cover(k, t, n)
+                assert got == want and not got.parts.flags.writeable, (k, t, n)
+
+    def test_named_covers_match_reference(self):
+        for n in range(1, 21):
+            assert build_cover_33(n) == reference_cover_33(n), n
+            assert build_cover_43(n) == reference_cover_43(n), n
+            assert build_cover_22(n) == reference_cover_22(n), n
+            if n % 2 and n > 1:  # the odd case is the correspondent of the even pair
+                assert build_cover_22(n) == tuple_to_cover(build_b22_pair(n - 1)), n
+
+    def test_trivial_gp_cover_matches_reference(self):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                assert trivial_gp_cover(n, k) == reference_trivial_gp_cover(n, k), (n, k)
+
+    def test_products_view_is_not_stored(self):
+        c = build_cover_43(3)
+        assert "products" not in vars(c)
+        assert isinstance(c.parts, np.ndarray) and len(c.products) == len(c)
+
+    def test_large_partition_cover_stays_packed(self):
+        # 92,944 products of 6 parts: 1.1 MB packed; one object per part took
+        # over 100 MB and seconds to build
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            c = build_partition_cover(6, 6, 9)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c) == 92944 and c.parts.shape == (92944, 6, 2)
+        assert peak < 16 * 2**20, peak
+        assert seconds < 5, seconds
 
 
 class TestTrivialGpCover:

@@ -608,6 +608,21 @@ class TestPackedParts:
         with pytest.raises(ValueError, match="share the cover's k and ground size"):
             Mod2Cover(2, 2, 3, (prod(2, [1], [2]),))
 
+    def test_products_and_parts_together_refused(self):
+        parts = np.array([[[1], [2]]], dtype=np.uint8)
+        parts.flags.writeable = False
+        with pytest.raises(ValueError, match="its products or its parts, not both"):
+            Mod2Cover(2, 2, 3, (prod(3, [1], [3]),), parts=parts)
+        with pytest.raises(ValueError, match="its products or its parts, not both"):
+            GpCover(2, 3, [prod(3, [1], [3])], parts=parts)
+        assert Mod2Cover(2, 2, 3, (), parts=parts).products == (prod(3, [1], [2]),)
+
+    def test_given_products_are_packed_not_kept(self):
+        given = (prod(3, [1], [2, 3]), prod(3, [3], [1]))
+        c = Mod2Cover(2, 2, 3, given)
+        assert "products" not in vars(c)
+        assert c.products == given and c.products is not given
+
     def test_one_warning_per_tuple_to_cover(self):
         from oddtown import TupleSystem
 

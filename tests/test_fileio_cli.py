@@ -628,6 +628,28 @@ class TestGridRefusedBeforeTransposition:
         rc, seconds = verdict.split()
         assert rc == "2" and float(seconds) < 1.0
 
+    def test_cover_to_tuple_refused_before_any_set(self, tmp_path):
+        # the output tuple's m^k grid is the cover's n^k grid: no verifier could
+        # check it, and building its k*n sets took seconds and hundreds of MB
+        path = tmp_path / "c.json"
+        path.write_text('{"n": 1000000, "k": 2, "t": 2, "products": []}')
+        out = tmp_path / "t.json"
+        code = (
+            "import sys, time\n"
+            "from oddtown.cli import main\n"
+            "start = time.perf_counter()\n"
+            f"rc = main(['convert', '--direction', 'cover-to-tuple', '--in', {str(path)!r}, "
+            f"'--out', {str(out)!r}])\n"
+            "print(rc, time.perf_counter() - start)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        printed, verdict = proc.stdout.splitlines()
+        assert printed == "error: 1000000^2 index tuples exceed the scan limit of 100000000"
+        rc, seconds = verdict.split()
+        assert rc == "2" and float(seconds) < 1.0
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [[], ["--parity-diff", "SELF"]])
     def test_transposition_never_built(self, tmp_path, capsys, argv):
         path = tmp_path / "c.json"
