@@ -14,10 +14,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .covers import GpCover, Mod2Cover, _frozen, _nonempty
-from .gf2 import Gf2Matrix
+from .covers import GpCover, Mod2Cover, _nonempty
+from .gf2 import Gf2Matrix, _row_bytes
 from .ranks import binomial_mod_p, subsets_colex
-from .setsystems import SetFamily, SubsetBits, TupleSystem, verify_bollobas_tuple
+from .setsystems import SetFamily, TupleSystem, _and_rows, _frozen, verify_bollobas_tuple
 
 
 def stirling2(k: int, t: int) -> int:
@@ -119,10 +119,10 @@ def build_b22_pair(n: int) -> TupleSystem:
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("ground size must be even and at least 2")
-    full = SubsetBits.full(n)
-    a_sets = [SubsetBits.from_elements(n, [i]) for i in range(1, n + 1)] + [full]
-    b_sets = [SubsetBits(n, full.bits ^ (1 << (i - 1))) for i in range(1, n + 1)] + [full]
-    return TupleSystem(2, 2, n + 1, n, (tuple(a_sets), tuple(b_sets)))
+    table = _singletons(n)
+    complements = table ^ table[n]
+    complements[n] = table[n]
+    return TupleSystem(2, 2, n + 1, n, rows=_frozen(np.stack([table, complements])))
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def build_kt_oddtown_family(t: int, n: int) -> SetFamily:
         raise ValueError(f"inadmissible n={n} for t={t}: {detail}")
     ground = comb(n, t - 1)
     columns = Gf2Matrix.from_bitrows(subsets_colex(n, t - 1), n).column_masks()
-    return SetFamily(ground, tuple(SubsetBits(ground, bits) for bits in columns))
+    return SetFamily(ground, rows=_row_bytes(columns, (ground + 7) // 8))
 
 
 def _singletons(n: int) -> np.ndarray:
@@ -271,13 +271,6 @@ def trivial_gp_cover(n: int, k: int) -> GpCover:
     return GpCover(k, n, parts=_frozen(_singletons(n)[index]))
 
 
-def _intersect_all(sets: Sequence[SubsetBits]) -> SubsetBits:
-    acc = SubsetBits.full(sets[0].ground_size)
-    for s in sets:
-        acc = acc & s
-    return acc
-
-
 def reduce_tuple_to_pair(system: TupleSystem) -> TupleSystem:
     """Collapse a valid (k,t)-tuple to a set pair witnessing the size bound.
 
@@ -292,29 +285,24 @@ def reduce_tuple_to_pair(system: TupleSystem) -> TupleSystem:
     """
     if not verify_bollobas_tuple(system).valid:
         raise ValueError("input tuple is not valid")
-    k, t, m, n = system.k, system.t, system.m, system.ground_size
-    fams = system.families
-    a_side: list[SubsetBits] = []
-    b_side: list[SubsetBits] = []
+    k, t, m, rows = system.k, system.t, system.m, system.rows
     if 2 * t - 2 <= k:
-        for idx in combinations(range(m), t - 1):
-            a_side.append(_intersect_all([fams[s][idx[s]] for s in range(t - 1)]))
-            b_sets = [fams[t - 1 + s][idx[s]] for s in range(t - 1)]
-            b_sets += [fams[j][idx[0]] for j in range(2 * t - 2, k)]
-            b_side.append(_intersect_all(b_sets))
+        idx = np.fromiter(combinations(range(m), t - 1), np.dtype((np.intp, t - 1)))
+        a_side = _and_rows(rows[:t - 1], idx)
+        b_idx = np.hstack([idx] + [idx[:, :1]] * (k - 2 * t + 2))
+        b_side = _and_rows(rows[t - 1:], b_idx)
     else:
         alpha = 2 * t - k - 2
         r = k - t + 1
         if m <= alpha:
             raise ValueError(f"need m > {alpha} to pin the leading families")
-        pinned = [fams[j][j] for j in range(alpha)]
-        for idx in combinations(range(alpha, m), r):
-            a_sets = pinned + [fams[alpha + s][idx[s]] for s in range(r)]
-            a_side.append(_intersect_all(a_sets))
-            b_side.append(_intersect_all([fams[t - 1 + s][idx[s]] for s in range(r)]))
-    if not a_side:
+        idx = np.fromiter(combinations(range(alpha, m), r), np.dtype((np.intp, r)))
+        pinned = np.broadcast_to(np.arange(alpha), (len(idx), alpha))
+        a_side = _and_rows(rows[:alpha + r], np.hstack([pinned, idx]))
+        b_side = _and_rows(rows[t - 1:t - 1 + r], idx)
+    if not len(idx):
         raise ValueError("reduction produced no index set; m is too small")
-    return TupleSystem(2, 2, len(a_side), n, (tuple(a_side), tuple(b_side)))
+    return TupleSystem(2, 2, len(idx), system.ground_size, rows=_frozen(np.stack([a_side, b_side])))
 
 
 def reduce_triple_b33(system: TupleSystem, anchor: int = 1) -> TupleSystem:
@@ -331,8 +319,5 @@ def reduce_triple_b33(system: TupleSystem, anchor: int = 1) -> TupleSystem:
         raise ValueError(f"anchor {anchor} out of range")
     if not verify_bollobas_tuple(system).valid:
         raise ValueError("input tuple is not valid")
-    base = system.families[0][anchor - 1]
-    others = [i for i in range(system.m) if i != anchor - 1]
-    f1 = tuple(base & system.families[1][i] for i in others)
-    f2 = tuple(base & system.families[2][i] for i in others)
-    return TupleSystem(2, 2, len(others), system.ground_size, (f1, f2))
+    pair = system.rows[0, anchor - 1] & np.delete(system.rows[1:], anchor - 1, axis=1)
+    return TupleSystem(2, 2, system.m - 1, system.ground_size, rows=_frozen(pair))

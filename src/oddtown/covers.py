@@ -35,6 +35,8 @@ from .setsystems import (
     _element_lists,
     _Collector,
     _distinct_target,
+    _frozen,
+    _Packed,
     _parity_scan,
     _scan_report,
 )
@@ -71,48 +73,26 @@ class KPartiteProduct:
     def covers_cell(self, idx: Sequence[int]) -> bool:
         return all(idx[j] in self.parts[j] for j in range(len(self.parts)))
 
-class _Cover:
+
+class _Cover(_Packed):
     """Products held as one read-only uint8 array ``parts`` of shape (S, k, ceil(n/8)):
-    parts[s, j] is part j of product s in the ``gf2._row_bytes`` layout (element e
-    is bit (e-1) % 8 of byte (e-1) // 8).  Products given instead are packed, not
-    kept: ``products`` is always a view of ``parts``, built on first access.
-    Covers are read-only values, equal when fields and parts are."""
+    parts[s, j] is part j of product s.  ``products`` is a view of it."""
+
+    _ARRAY, _OBJECTS, _NOUN = "parts", "products", "cover"
 
     def __init__(self, products: Iterable[KPartiteProduct], parts: Optional[np.ndarray], **fields):
-        self.__dict__.update(fields, _fields=tuple(fields.values()))
-        k, n = self.k, self.n
-        if n < 0:
-            raise ValueError("ground size must be nonnegative")
-        width = (n + 7) // 8
-        products = tuple(products)
-        if parts is None:
-            if any(p.k != k or p.ground_size != n for p in products):
-                raise ValueError("all products must share the cover's k and ground size")
-            masks = [part.bits for p in products for part in p.parts]
-            parts = gf2._row_bytes(masks, width).reshape(len(products), k, width)
-        elif products:
-            raise ValueError("give a cover its products or its parts, not both")
-        if not (isinstance(parts, np.ndarray) and parts.dtype == np.uint8
-                and parts.shape[1:] == (k, width) and not parts.flags.writeable):
-            raise ValueError(f"parts must be a read-only uint8 array of shape (S, {k}, {width})")
-        if n % 8 and (parts[..., -1] >> n % 8).any():
-            raise ValueError("membership bits extend beyond the ground set")
-        if not parts.any(axis=2).all():
+        super().__init__(fields["n"], products, parts, (None, fields["k"]), **fields)
+        if not self.parts.any(axis=2).all():
             raise ValueError("parts must be nonempty")
-        self.__dict__["parts"] = parts
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self._fields == other._fields
-                and np.array_equal(self.parts, other.parts))
+    def _masks(self, products: tuple) -> list[int]:
+        if any(p.k != self.k or p.ground_size != self.n for p in products):
+            raise ValueError("all products must share the cover's k and ground size")
+        return [part.bits for p in products for part in p.parts]
 
     @cached_property
     def products(self) -> tuple[KPartiteProduct, ...]:
-        size, k, width = self.parts.shape
-        sets = [SubsetBits(self.n, b) for b in gf2._row_ints(self.parts.reshape(size * k, width))]
-        return tuple(KPartiteProduct(tuple(sets[i:i + k])) for i in range(0, size * k, k))
+        return tuple(map(KPartiteProduct, self._view(self.n)))
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -193,11 +173,6 @@ def _bits(parts: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(parts, axis=2, count=n, bitorder="little")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _nonempty(parts: np.ndarray) -> np.ndarray:
     """The parts array, read-only, leaving out products with an empty part."""
     return _frozen(parts[parts.any(axis=2).all(axis=1)])
@@ -208,19 +183,10 @@ def _packed(bits: np.ndarray) -> np.ndarray:
     return _nonempty(np.packbits(bits, axis=2, bitorder="little"))
 
 
-def _part_lists(parts: np.ndarray) -> list:
-    """The element lists of a cover's parts, one list of k per product."""
-    size, k, width = parts.shape
-    lists = _element_lists(parts.reshape(size * k, width))
-    return [lists[i:i + k] for i in range(0, size * k, k)]
-
-
-def _cover_rows(parts: np.ndarray, n: int) -> list[list[int]]:
-    """The transposition of the products: row j, index i is the bitmask of the
-    products whose j-th part contains i + 1."""
-    bits = _bits(parts, n)
-    return [gf2._row_ints(np.packbits(bits[:, j].T, axis=1, bitorder="little"))
-            for j in range(parts.shape[1])]
+def _cover_rows(parts: np.ndarray, n: int) -> np.ndarray:
+    """The transposition of the products, read-only, of shape (k, n, ceil(S/8)):
+    row j, index i holds the products whose j-th part contains i + 1."""
+    return _frozen(np.packbits(_bits(parts, n).transpose(1, 2, 0), axis=2, bitorder="little"))
 
 
 def verify_mod2_cover(cover: Mod2Cover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
@@ -268,11 +234,7 @@ def cover_to_tuple(cover: Mod2Cover) -> TupleSystem:
     verifier could check the tuple, whose m^k index grid is the cover's n^k.
     """
     _check_scan_size(cover.n**cover.k, f"{cover.n}^{cover.k} index tuples")
-    families = tuple(
-        tuple(SubsetBits(len(cover), bits) for bits in row)
-        for row in _cover_rows(cover.parts, cover.n)
-    )
-    return TupleSystem(cover.k, cover.t, cover.n, len(cover), families)
+    return TupleSystem(cover.k, cover.t, cover.n, len(cover), rows=_cover_rows(cover.parts, cover.n))
 
 
 def tuple_to_cover(system: TupleSystem) -> Mod2Cover:
@@ -283,8 +245,7 @@ def tuple_to_cover(system: TupleSystem) -> Mod2Cover:
     warning per call, which leaves the coverage parity untouched.
     """
     g = system.ground_size
-    rows = np.stack([gf2._row_bytes([s.bits for s in fam], (g + 7) // 8) for fam in system.families])
-    bits = _bits(rows, g).transpose(2, 0, 1)  # ground element x family x set
+    bits = _bits(system.rows, g).transpose(2, 0, 1)  # ground element x family x set
     empty = ~bits.any(axis=2)
     dropped = np.flatnonzero(empty.any(axis=1))
     if dropped.size:
@@ -316,7 +277,7 @@ def cover_to_ok_biclique_cover(cover: Mod2Cover) -> OkBicliqueCover:
         raise ValueError("requires t = k")
     kappa = cover.k // 2
     halves = [(_ordered_vertices(p[:kappa]), _ordered_vertices(p[kappa:]))
-              for p in _part_lists(cover.parts)]
+              for p in _element_lists(cover.parts)]
     return OkBicliqueCover(cover.n, kappa, tuple((lo, hi) for lo, hi in halves if lo and hi))
 
 
@@ -339,6 +300,8 @@ def verify_ok_biclique_cover(
         for row, side in zip(rows, sides):
             for v in side:
                 row[index[v]] |= 1 << b
+    width = (len(cover.bicliques) + 7) // 8
+    rows = gf2._row_bytes(rows[0] + rows[1], width).reshape(2, nv, width)
     disjoint = graph.adjacency().data
 
     def odd(left, right):

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from math import prod
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .covers import GpCover, Mod2Cover, _frozen, _part_lists
-from .gf2 import InternalCheckError, _row_bytes, _row_ints
-from .setsystems import SetFamily, SubsetBits, TupleSystem, _element_lists
+from .covers import GpCover, Mod2Cover
+from .gf2 import InternalCheckError
+from .setsystems import SetFamily, TupleSystem, _element_lists, _frozen
 
 PathLike = Union[str, Path]
 
@@ -72,11 +73,13 @@ def _pack_sets(sets: list, n: int) -> Optional[np.ndarray]:
     return out.reshape(len(sets), width)
 
 
-def _parse_sets(groups, count: int, n: int, noun: str) -> np.ndarray:
-    """The ``count`` sets of the lists that ``groups()`` yields, each with its
-    position (a name and indices), packed by one vector pass; ``groups`` raises
-    its structural errors in place.  Where the pass rejects, walking the sets in
-    file order raises the message for the first bad position."""
+def _parse_sets(groups, shape: tuple, n: int, noun: str) -> np.ndarray:
+    """The sets of the lists that ``groups()`` yields, each with its position (a
+    name and indices), packed by one vector pass into a read-only array of
+    ``shape`` sets; ``groups`` raises its structural errors in place.  Where the
+    pass rejects, walking the sets in file order raises the message for the
+    first bad position."""
+    count = prod(shape)
     if count * ((n + 7) // 8) > MAX_PACKED_BYTES:
         raise ValueError(f"{count} {noun} of {(n + 7) // 8} bytes each exceed the load limit "
                          f"of {MAX_PACKED_BYTES} bytes")
@@ -90,11 +93,7 @@ def _parse_sets(groups, count: int, n: int, noun: str) -> np.ndarray:
             for i, s in enumerate(group):
                 _walk_set(s, f"{where}[{i}]", n)
         raise InternalCheckError("the vector pass rejected a file the walk accepts")
-    return rows
-
-
-def _set_lists(sets, n: int) -> list[list[int]]:
-    return _element_lists(_row_bytes([s.bits for s in sets], (n + 7) // 8))
+    return _frozen(rows.reshape(*shape, rows.shape[1]))
 
 
 def _dump(obj: dict, path: PathLike) -> None:
@@ -112,7 +111,7 @@ def _load_json(path: PathLike) -> dict:
 
 
 def family_to_dict(family: SetFamily) -> dict:
-    return {"n": family.ground_size, "sets": _set_lists(family.sets, family.ground_size)}
+    return {"n": family.ground_size, "sets": _element_lists(family.rows)}
 
 
 def save_family(family: SetFamily, path: PathLike) -> None:
@@ -124,20 +123,12 @@ def load_family(path: PathLike) -> SetFamily:
     n = _as_int(data.get("n"), "n")
     sets = data.get("sets")
     _require(isinstance(sets, list), "sets", "expected an array of sets")
-    rows = _parse_sets(lambda: [(sets, ("sets",))], len(sets), n, "sets")
-    return SetFamily(n, tuple(SubsetBits(n, bits) for bits in _row_ints(rows)))
+    return SetFamily(n, rows=_parse_sets(lambda: [(sets, ("sets",))], (len(sets),), n, "sets"))
 
 
 def tuple_to_dict(system: TupleSystem) -> dict:
-    m = system.m
-    lists = _set_lists(chain.from_iterable(system.families), system.ground_size)
-    return {
-        "n": system.ground_size,
-        "k": system.k,
-        "t": system.t,
-        "m": m,
-        "families": [lists[j * m:(j + 1) * m] for j in range(system.k)],
-    }
+    return {"n": system.ground_size, "k": system.k, "t": system.t, "m": system.m,
+            "families": _element_lists(system.rows)}
 
 
 def save_tuple(system: TupleSystem, path: PathLike) -> None:
@@ -158,8 +149,8 @@ def load_tuple(path: PathLike) -> TupleSystem:
             _require(isinstance(fam, list) and len(fam) == m, f"families[{j}]", f"expected {m} sets")
             yield fam, ("families", j)
 
-    sets = [SubsetBits(n, bits) for bits in _row_ints(_parse_sets(groups, k * m, n, "sets"))]
-    return TupleSystem(k, t, m, n, tuple(tuple(sets[j * m:(j + 1) * m]) for j in range(k)))
+    rows = _parse_sets(groups, (k, max(m, 0)), n, "sets")  # k = 0: no sets, m unchecked
+    return TupleSystem(k, t, m, n, rows=rows)
 
 
 def _parse_products(data, where: str, n: int, k: int) -> np.ndarray:
@@ -176,12 +167,11 @@ def _parse_products(data, where: str, n: int, k: int) -> np.ndarray:
             if not prod:
                 raise ValueError("a product needs at least one part")
 
-    rows = _parse_sets(groups, len(data) * k, n, "parts")
-    return _frozen(rows.reshape(len(data), max(k, 0), rows.shape[1]))  # k < 1: no products
+    return _parse_sets(groups, (len(data), max(k, 0)), n, "parts")  # k < 1: no products
 
 
 def cover_to_dict(cover: Mod2Cover) -> dict:
-    return {"n": cover.n, "k": cover.k, "t": cover.t, "products": _part_lists(cover.parts)}
+    return {"n": cover.n, "k": cover.k, "t": cover.t, "products": _element_lists(cover.parts)}
 
 
 def save_cover(cover: Mod2Cover, path: PathLike) -> None:
@@ -197,7 +187,7 @@ def load_cover(path: PathLike) -> Mod2Cover:
 
 
 def gp_cover_to_dict(cover: GpCover) -> dict:
-    return {"n": cover.n, "k": cover.k, "products": _part_lists(cover.parts)}
+    return {"n": cover.n, "k": cover.k, "products": _element_lists(cover.parts)}
 
 
 def save_gp_cover(cover: GpCover, path: PathLike) -> None:

@@ -4,22 +4,27 @@ All verifiers are exhaustive and report violation witnesses as 1-based index
 tuples together with the observed size/parity and the expected condition.
 Duplicate sets inside a family are legal; everything is checked by index.
 
+Families, tuple systems and covers (in ``covers``) hold their sets one way:
+as one read-only uint8 array in the ``gf2._row_bytes`` layout (``_Packed``).
+
 The grid verifiers (tuples and skew pairs here; covers, parity differences
 and bicliques in ``covers``) share one parity kernel over the m^k index
-tuples of k rows of bitmasks, refused above ``MAX_SCAN_CELLS`` tuples.  It
-splits the coordinates in two halves, ANDs each half's masks per half-tuple,
-and counts every left x right intersection at once as a float32 product of
-0/1 bit matrices, a block of left tuples and a slice of the bits at a time,
-so apart from the packed masks its temporaries stay a few MB whatever m^k
-and the mask width are.  The caller gives the cells that must be odd as an
-array per block.
+tuples of such a (k, m, w) array, refused above ``MAX_SCAN_CELLS`` tuples.
+It drops the byte columns no set reaches, splits the coordinates in two
+halves, ANDs each half's rows per half-tuple by one gather (the left half a
+block of bounded cells and bytes at a time), and counts every left x right
+intersection at once as a float32 product of 0/1 bit matrices, a slice of
+the bits at a time, so besides the input and the right half its temporaries
+stay a few tens of MB whatever m^k and the row width are.  The caller gives
+the cells that must be odd as an array per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -30,6 +35,7 @@ DEFAULT_VIOLATION_CAP = 16
 MAX_SCAN_CELLS = 10**8  # largest index grid a parity scan walks; larger ones raise ValueError
 _SCAN_BLOCK_CELLS = 1 << 19  # cells of the grid counted at once (left rows x right tuples)
 _SCAN_BLOCK_ENTRIES = 1 << 19  # entries of one 0/1 float32 operand of a count product
+_SCAN_BLOCK_BYTES = 1 << 24  # packed bytes of one block of left rows
 
 
 @dataclass(frozen=True)
@@ -77,74 +83,120 @@ class SubsetBits:
     def __contains__(self, element: int) -> bool:
         return 1 <= element <= self.ground_size and bool((self.bits >> (element - 1)) & 1)
 
-    def __and__(self, other: "SubsetBits") -> "SubsetBits":
-        if self.ground_size != other.ground_size:
-            raise ValueError("ground sizes differ")
-        return SubsetBits(self.ground_size, self.bits & other.bits)
-
     def with_extra_element(self) -> "SubsetBits":
         """The same set with a fresh ground element n+1 appended to it."""
         return SubsetBits(self.ground_size + 1, self.bits | (1 << self.ground_size))
 
 
-@dataclass(frozen=True)
-class SetFamily:
-    """Ordered, index-addressed family of subsets of a common ground set."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    ground_size: int
-    sets: tuple[SubsetBits, ...]
 
-    def __post_init__(self) -> None:
-        for i, s in enumerate(self.sets):
+class _Packed:
+    """Sets over [n] held as one read-only uint8 array whose last axis is one set
+    in the ``gf2._row_bytes`` layout: ceil(n/8) bytes, element e at bit (e-1) % 8
+    of byte (e-1) // 8.  Sets given as objects (``_OBJECTS``, turned into masks
+    by ``_masks``) are packed, not kept: the object view is built on first
+    access.  Read-only values, equal when fields and array are.  ``lead`` is the
+    array's shape before the byte axis, None where any length goes."""
+
+    def __init__(self, n: int, given: Iterable, array: Optional[np.ndarray], lead: tuple, /, **fields):
+        self.__dict__.update(fields, _fields=tuple(fields.values()))
+        if n < 0:
+            raise ValueError("ground size must be nonnegative")
+        width = (n + 7) // 8
+        given = tuple(given)
+        if array is None:
+            shape = tuple(len(given) if d is None else d for d in lead)
+            array = gf2._row_bytes(self._masks(given), width).reshape(*shape, width)
+        elif given:
+            raise ValueError(f"give a {self._NOUN} its {self._OBJECTS} or its {self._ARRAY}, not both")
+        want = lead + (width,)
+        if not (isinstance(array, np.ndarray) and array.dtype == np.uint8
+                and array.ndim == len(want) and not array.flags.writeable
+                and all(d in (None, size) for d, size in zip(want, array.shape))):
+            dims = ", ".join("S" if d is None else str(d) for d in want)
+            raise ValueError(f"{self._ARRAY} must be a read-only uint8 array of shape ({dims})")
+        if n % 8 and (array[..., -1] >> n % 8).any():
+            raise ValueError("membership bits extend beyond the ground set")
+        self.__dict__[self._ARRAY] = array
+
+    def _view(self, n: int) -> tuple:
+        """The sets as ``SubsetBits``, nested as the array's leading axes."""
+        array = getattr(self, self._ARRAY)
+        masks = gf2._row_ints(array.reshape(prod(array.shape[:-1]), array.shape[-1]))
+        return _nest([SubsetBits(n, bits) for bits in masks], array.shape[:-1])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._fields == other._fields
+                and np.array_equal(getattr(self, self._ARRAY), getattr(other, self._ARRAY)))
+
+
+class SetFamily(_Packed):
+    """Ordered, index-addressed family of subsets of a common ground set, held
+    as one (m, ceil(n/8)) array ``rows``."""
+
+    _ARRAY, _OBJECTS, _NOUN = "rows", "sets", "family"
+
+    def __init__(self, ground_size: int, sets: Iterable[SubsetBits] = (),
+                 *, rows: Optional[np.ndarray] = None):
+        super().__init__(ground_size, sets, rows, (None,), ground_size=ground_size)
+
+    def _masks(self, sets: tuple) -> list[int]:
+        for i, s in enumerate(sets):
             if s.ground_size != self.ground_size:
                 raise ValueError(f"set {i + 1} has ground size {s.ground_size}, expected {self.ground_size}")
+        return [s.bits for s in sets]
 
     @classmethod
     def from_lists(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
         return cls(ground_size, tuple(SubsetBits.from_elements(ground_size, s) for s in sets))
 
+    @cached_property
+    def sets(self) -> tuple[SubsetBits, ...]:
+        return self._view(self.ground_size)
+
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.rows)
 
     def __getitem__(self, i: int) -> SubsetBits:
         return self.sets[i]
 
-    def __iter__(self):
-        return iter(self.sets)
 
+class TupleSystem(_Packed):
+    """k ordered families of m subsets each, a candidate (k,t)-tuple, held as one
+    (k, m, ceil(n/8)) array ``rows``: rows[j, i] is A_{j+1,i+1}."""
 
-@dataclass(frozen=True)
-class TupleSystem:
-    """k ordered families of m subsets each, a candidate (k,t)-tuple."""
+    _ARRAY, _OBJECTS, _NOUN = "rows", "families", "tuple system"
 
-    k: int
-    t: int
-    m: int
-    ground_size: int
-    families: tuple[tuple[SubsetBits, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, k: int, t: int, m: int, ground_size: int,
+                 families: Iterable[Sequence[SubsetBits]] = (), *, rows: Optional[np.ndarray] = None):
+        if k < 2:
             raise ValueError("k must be at least 2")
-        if not (2 <= self.t <= self.k):
+        if not (2 <= t <= k):
             raise ValueError("t must satisfy 2 <= t <= k")
-        if len(self.families) != self.k:
-            raise ValueError(f"expected {self.k} families, got {len(self.families)}")
-        for j, fam in enumerate(self.families):
-            if len(fam) != self.m:
-                raise ValueError(f"family {j + 1} has {len(fam)} sets, expected {self.m}")
-            for s in fam:
-                if s.ground_size != self.ground_size:
-                    raise ValueError("all subsets must share the tuple's ground size")
+        super().__init__(ground_size, families, rows, (k, m), k=k, t=t, m=m, ground_size=ground_size)
+
+    def _masks(self, families: tuple) -> list[int]:
+        if [len(fam) for fam in families] != [self.m] * self.k:
+            raise ValueError(f"expected {self.k} families of {self.m} sets")
+        if any(s.ground_size != self.ground_size for fam in families for s in fam):
+            raise ValueError("all subsets must share the tuple's ground size")
+        return [s.bits for fam in families for s in fam]
 
     @classmethod
     def diagonal(cls, family: SetFamily, k: int, t: int) -> "TupleSystem":
         """The tuple with every one of the k families equal to ``family``."""
-        fam = tuple(family.sets)
-        return cls(k, t, len(fam), family.ground_size, tuple(fam for _ in range(k)))
+        rows = np.broadcast_to(family.rows, (max(k, 0), *family.rows.shape))  # k < 2 raises below
+        return cls(k, t, len(family), family.ground_size, rows=rows)
 
-    def family(self, j: int) -> tuple[SubsetBits, ...]:
-        return self.families[j - 1]
+    @cached_property
+    def families(self) -> tuple[tuple[SubsetBits, ...], ...]:
+        return self._view(self.ground_size)
 
 
 @dataclass(frozen=True)
@@ -184,17 +236,25 @@ class _Collector:
         return VerifyReport(not self.items, tuple(self.items), self.truncated)
 
 
-def _element_lists(rows: np.ndarray) -> list[list[int]]:
-    """The element lists of packed rows (the ``gf2._row_bytes`` layout): one
-    list per distinct row, shared by the rows equal to it."""
+def _nest(items: list, lead: tuple) -> tuple:
+    """Items in row-major order as tuples nested in the shape ``lead``."""
+    for axis in range(len(lead) - 1, 0, -1):
+        items = [tuple(items[i * lead[axis]:(i + 1) * lead[axis]]) for i in range(prod(lead[:axis]))]
+    return tuple(items)
+
+
+def _element_lists(array: np.ndarray) -> tuple:
+    """The element lists of packed sets (the ``gf2._row_bytes`` layout on the last
+    axis), nested as the array's leading axes; equal rows share one list."""
+    rows = array.reshape(prod(array.shape[:-1]), array.shape[-1])
     if not rows.size:
-        return [[] for _ in rows]
+        return _nest([[] for _ in rows], array.shape[:-1])
     keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
     distinct, inverse = np.unique(keys, return_inverse=True)
     bits = np.unpackbits(distinct.view(np.uint8).reshape(len(distinct), -1), axis=1,
                          bitorder="little")
     table = [(np.flatnonzero(row) + 1).tolist() for row in bits]
-    return [table[i] for i in inverse.tolist()]
+    return _nest([table[i] for i in inverse.tolist()], array.shape[:-1])
 
 
 def _check_scan_size(count: int, what: str) -> None:
@@ -202,17 +262,17 @@ def _check_scan_size(count: int, what: str) -> None:
         raise ValueError(f"{what} exceed the scan limit of {MAX_SCAN_CELLS}")
 
 
-def _half_masks(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The AND of one mask from each row, over the index tuples in lexicographic order."""
-    masks = [-1]
-    for row in rows:
-        masks = [acc & a for acc in masks for a in row]
-    return masks
-
-
 def _tuples(lo: int, hi: int, m: int, width: int) -> np.ndarray:
     """The index tuples lo, ..., hi-1 of [m]^width in lexicographic order, one per row."""
     return np.stack(np.unravel_index(np.arange(lo, hi), (m,) * width), axis=1)
+
+
+def _and_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The AND over j of the packed rows rows[j, idx[:, j]]: one row per index tuple."""
+    out = rows[0, idx[:, 0]]
+    for j in range(1, idx.shape[1]):
+        out &= rows[j, idx[:, j]]
+    return out
 
 
 def _bit_slice(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -239,39 +299,39 @@ def _and_counts(left: np.ndarray, right: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _parity_scan(
-    rows: Sequence[Sequence[int]], odd: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rows: np.ndarray, odd: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Index tuples whose intersection parity misses the target, in lexicographic order.
 
-    ``rows[j][i]`` is the bitmask A_{j,i}; the k rows share one length m.  The
-    first ceil(k/2) coordinates are the left half and the rest the right half;
-    ``odd(left, right)`` gets the 0-based tuples of one block of left tuples, a
-    (b, ceil(k/2)) array, and every right tuple, an (R, floor(k/2)) array, and
-    returns a (b, R) array, or one broadcast to it, that is nonzero on the
-    cells whose intersection must be odd.  Yields each mismatching 0-based
-    tuple with its intersection size.  Grids above ``MAX_SCAN_CELLS`` raise
-    ValueError before anything is built.
+    ``rows`` is a (k, m, w) uint8 array: rows[j, i] is the set A_{j,i} in the
+    ``gf2._row_bytes`` layout.  The first ceil(k/2) coordinates are the left
+    half and the rest the right half; ``odd(left, right)`` gets the 0-based
+    tuples of one block of left tuples, a (b, ceil(k/2)) array, and every right
+    tuple, an (R, floor(k/2)) array, and returns a (b, R) array, or one
+    broadcast to it, that is nonzero on the cells whose intersection must be
+    odd.  Yields each mismatching 0-based tuple with its intersection size.
+    Grids above ``MAX_SCAN_CELLS`` raise ValueError before anything is built.
 
-    The masks of each half are ANDed per half-tuple, so the grid is the left
+    The sets of each half are ANDed per half-tuple, so the grid is the left
     tuples x the right tuples in row-major order, which is the lexicographic
-    order of the cells.
+    order of the cells.  The left tuples are gathered a block at a time, of at
+    most ``_SCAN_BLOCK_CELLS`` cells and ``_SCAN_BLOCK_BYTES`` bytes.
     """
-    k, m = len(rows), len(rows[0])
+    k, m, _ = rows.shape
     _check_scan_size(m**k, f"{m}^{k} index tuples")
-    h = (k + 1) // 2
-    left, right = _half_masks(rows[:h]), _half_masks(rows[h:])
-    if not left:
+    if m == 0:
         return
-    bits = max(mask.bit_length() for mask in left + right)
-    nbytes = (bits + 7) // 8
-    right_bytes = gf2._row_bytes(right, nbytes)
-    right_idx = _tuples(0, len(right), m, k - h)
+    h = (k + 1) // 2
+    used = rows.any(axis=(0, 1))
+    rows = rows if used.all() else rows[..., used]  # the bytes no set reaches count 0
+    width = rows.shape[2]
+    right_idx = _tuples(0, m ** (k - h), m, k - h)
+    right = _and_rows(rows[h:], right_idx)
     right_tuples = [tuple(r) for r in right_idx.tolist()]
-    step = max(1, _SCAN_BLOCK_CELLS // len(right))
-    for lo in range(0, len(left), step):
-        hi = min(lo + step, len(left))
-        counts = _and_counts(gf2._row_bytes(left[lo:hi], nbytes), right_bytes, bits)
-        left_idx = _tuples(lo, hi, m, h)
+    step = max(1, min(_SCAN_BLOCK_CELLS // len(right), _SCAN_BLOCK_BYTES // max(width, 1)))
+    for lo in range(0, m**h, step):
+        left_idx = _tuples(lo, min(lo + step, m**h), m, h)
+        counts = _and_counts(_and_rows(rows[:h], left_idx), right, 8 * width)
         cells = np.flatnonzero((counts & 1) != odd(left_idx, right_idx))
         left_tuples = left_idx.tolist()
         for cell, count in zip(cells.tolist(), counts.ravel()[cells].tolist()):
@@ -332,12 +392,13 @@ def intersection_parity(sets: Sequence[SubsetBits]) -> int:
 def verify_oddtown(family: SetFamily, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Every set odd, every pairwise intersection of distinct indices even."""
     col = _Collector(max_violations)
-    for i, s in enumerate(family.sets):
-        if s.size % 2 == 0:
-            if not col.add((i + 1,), s.size, "odd size"):
+    masks = gf2._row_ints(family.rows)
+    for i, bits in enumerate(masks):
+        if bits.bit_count() % 2 == 0:
+            if not col.add((i + 1,), bits.bit_count(), "odd size"):
                 return col.report()
-    for i, j in combinations(range(len(family.sets)), 2):
-        inter = family.sets[i].bits & family.sets[j].bits
+    for i, j in combinations(range(len(masks)), 2):
+        inter = masks[i] & masks[j]
         if inter.bit_count() % 2 == 1:
             if not col.add((i + 1, j + 1), inter.bit_count(), "even intersection"):
                 return col.report()
@@ -359,8 +420,7 @@ def verify_skew_oddtown(
         raise ValueError(f"family lengths differ: {len(a)} vs {len(b)}")
     if a.ground_size != b.ground_size:
         raise ValueError("families live on different ground sets")
-    rows = [[s.bits for s in a.sets], [s.bits for s in b.sets]]
-    mismatches = _parity_scan(rows, lambda left, right: left == right.T)
+    mismatches = _parity_scan(np.stack([a.rows, b.rows]), lambda left, right: left == right.T)
     if not strict_symmetric:
         mismatches = (mm for mm in mismatches if mm[0][0] <= mm[0][1])
     return _scan_report(mismatches, max_violations, "intersection", full_count=True)
@@ -378,12 +438,13 @@ def verify_kt_oddtown(
     count = sum(comb(m, d) for d in range(1, min(k, m) + 1))
     _check_scan_size(count, f"{count} subsets of at most {k} of the {m} sets")
     col = _Collector(max_violations)
+    masks = gf2._row_ints(family.rows)
     for d in range(1, min(k, m) + 1):
         want_odd = d < t
         for idx in combinations(range(m), d):
-            acc = family.sets[idx[0]].bits
+            acc = masks[idx[0]]
             for i in idx[1:]:
-                acc &= family.sets[i].bits
+                acc &= masks[i]
             size = acc.bit_count()
             if (size % 2 == 1) != want_odd:
                 ok = col.add(tuple(i + 1 for i in idx), size, "odd intersection" if want_odd else "even intersection")
@@ -403,9 +464,8 @@ def verify_bollobas_tuple(
     fewer than t of the indices are distinct.  ``complemented=True`` checks the
     opposite parity convention (odd exactly when fewer than t are distinct).
     """
-    rows = [[s.bits for s in fam] for fam in system.families]
     odd = _distinct_target(system.m, system.t, complemented)
-    return _scan_report(_parity_scan(rows, odd), max_violations, "intersection")
+    return _scan_report(_parity_scan(system.rows, odd), max_violations, "intersection")
 
 
 @dataclass(frozen=True)
@@ -424,7 +484,7 @@ def oddtown_certificate(family: SetFamily) -> OddtownCertificate:
     report = verify_oddtown(family)
     if not report.valid:
         raise ValueError("family does not satisfy the oddtown conditions")
-    dep = gf2.row_dependency([s.bits for s in family.sets], family.ground_size)
+    dep = gf2.row_dependency(gf2._row_ints(family.rows), family.ground_size)
     if dep is None:
         return OddtownCertificate(True, None)
     return OddtownCertificate(False, tuple(i + 1 for i in dep))
@@ -441,9 +501,8 @@ def reduce_33_oddtown(family: SetFamily, anchor: int = 1) -> SetFamily:
         raise ValueError("need at least two sets")
     if not (1 <= anchor <= len(family)):
         raise ValueError(f"anchor index {anchor} out of range")
-    base = family.sets[anchor - 1]
-    reduced = tuple(base & s for i, s in enumerate(family.sets) if i != anchor - 1)
-    return SetFamily(family.ground_size, reduced)
+    reduced = family.rows[anchor - 1] & np.delete(family.rows, anchor - 1, axis=0)
+    return SetFamily(family.ground_size, rows=_frozen(reduced))
 
 
 def add_shared_element(system: TupleSystem) -> TupleSystem:
@@ -452,5 +511,8 @@ def add_shared_element(system: TupleSystem) -> TupleSystem:
     Flips the parity of every cross-intersection by exactly one, bridging the
     two parity conventions of ``verify_bollobas_tuple``.
     """
-    fams = tuple(tuple(s.with_extra_element() for s in fam) for fam in system.families)
-    return TupleSystem(system.k, system.t, system.m, system.ground_size + 1, fams)
+    n = system.ground_size
+    rows = np.zeros((system.k, system.m, (n + 8) // 8), dtype=np.uint8)
+    rows[..., :system.rows.shape[2]] = system.rows
+    rows[..., n // 8] |= 1 << n % 8
+    return TupleSystem(system.k, system.t, system.m, n + 1, rows=_frozen(rows))

@@ -659,3 +659,57 @@ class TestGridRefusedBeforeTransposition:
             assert main(["verify", "--kind", "cover", "--file", str(path), *argv]) == 2
         assert capsys.readouterr().out == (
             "error: 20000^2 index tuples exceed the scan limit of 100000000\n")
+
+
+# --- tuple systems and families, packed from file to scan ---------------------
+
+NEGATIVE_TUPLE = '{"n": -1, "k": 2, "t": 2, "m": 0, "families": [[], []]}\n'
+NEGATIVE_FAMILY = '{"n": -5, "sets": []}\n'
+
+
+class TestPackedSetSystems:
+    @pytest.mark.parametrize("doc, argv", [
+        (NEGATIVE_TUPLE, ["verify", "--kind", "tuple", "--file", "IN"]),
+        (NEGATIVE_TUPLE, ["convert", "--direction", "tuple-to-cover", "--in", "IN", "--out", "OUT"]),
+        (NEGATIVE_FAMILY, ["verify", "--kind", "family-oddtown", "--file", "IN"]),
+        (NEGATIVE_FAMILY, ["verify", "--kind", "skew", "--file", "IN", "--second", "IN"]),
+    ], ids=["tuple", "tuple-to-cover", "family-oddtown", "skew"])
+    def test_negative_ground_size_refused(self, tmp_path, capsys, doc, argv):
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(doc)
+        argv = [{"IN": str(path), "OUT": str(out)}.get(a, a) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == "error: ground size must be nonnegative\n"
+        assert not out.exists()
+
+    def test_k_checked_before_the_rows_are_shaped(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"n": 3, "k": 0, "t": 2, "m": -1, "families": []}\n')
+        assert main(["verify", "--kind", "tuple", "--file", str(path)]) == 2
+        assert capsys.readouterr().out == "error: k must be at least 2\n"
+
+    def test_no_subset_objects_built(self, tmp_path, capsys):
+        from oddtown import (add_shared_element, build_cover_33, cover_to_tuple, reduce_33_oddtown,
+                             reduce_triple_b33, reduce_tuple_to_pair, verify_bollobas_tuple)
+
+        t, f, c, back = (str(tmp_path / name) for name in ("t.json", "f.json", "c.json", "b.json"))
+        runs = [
+            (["construct", "--name", "b22pair", "--n", "6", "--out", t], 0),
+            (["construct", "--name", "ktfamily", "--t", "3", "--n", "8", "--out", f], 0),
+            (["verify", "--kind", "tuple", "--file", t], 0),
+            (["verify", "--kind", "skew", "--file", f, "--second", f], 1),
+            (["verify", "--kind", "family-oddtown", "--file", f], 1),
+            (["verify", "--kind", "family-kt", "--k", "4", "--t", "3", "--file", f], 0),
+            (["convert", "--direction", "tuple-to-cover", "--in", t, "--out", c], 0),
+            (["convert", "--direction", "cover-to-tuple", "--in", c, "--out", back], 0),
+        ]
+        with mock.patch.object(SubsetBits, "__post_init__", side_effect=AssertionError("built")):
+            for argv, code in runs:
+                assert main(argv) == code, argv
+            pair = load_tuple(t)
+            assert verify_bollobas_tuple(reduce_tuple_to_pair(pair)).valid
+            assert verify_bollobas_tuple(reduce_triple_b33(cover_to_tuple(build_cover_33(3)))).valid
+            assert add_shared_element(pair).ground_size == 7
+            assert len(reduce_33_oddtown(load_family(f))) == 7
+        capsys.readouterr()
+        assert load_tuple(back) == pair

@@ -1,7 +1,10 @@
+import json
 import random
+import tracemalloc
 from itertools import combinations, product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from oddtown import (
     verify_skew_oddtown,
 )
 from oddtown import setsystems
+from oddtown.fileio import load_tuple
 from oddtown.setsystems import MAX_SCAN_CELLS, VerifyReport, Violation
 from conftest import greedy_oddtown_family
 
@@ -434,3 +438,93 @@ class TestParityScanCallers:
         assert 100**6 > MAX_SCAN_CELLS
         with pytest.raises(ValueError, match="100\\^6 index tuples exceed the scan limit"):
             verify_bollobas_tuple(system)
+
+
+def _read_only(array):
+    array = np.array(array, dtype=np.uint8)
+    array.flags.writeable = False
+    return array
+
+
+class TestPackedRows:
+    def test_views_round_trip(self):
+        a = (sb(9, 1, 9), sb(9, 2))
+        b = (sb(9), sb(9, 8, 9))
+        system = TupleSystem(2, 2, 2, 9, (a, b))
+        assert "families" not in vars(system)  # packed and dropped
+        assert system.families == (a, b) and system.families is system.families
+        assert np.array_equal(system.rows, [[[1, 1], [2, 0]], [[0, 0], [128, 1]]])
+        assert TupleSystem(2, 2, 2, 9, rows=system.rows) == system
+        fam = SetFamily(9, a)
+        assert fam.sets == a and len(fam) == 2 and fam[1] == sb(9, 2)
+        assert SetFamily(9, rows=fam.rows) == fam
+        assert fam != SetFamily(9, a[:1]) and fam != SetFamily(10, (sb(10, 1, 9), sb(10, 2)))
+        assert TupleSystem.diagonal(fam, 2, 2) == TupleSystem(2, 2, 2, 9, (a, a))
+
+    def test_read_only_values(self):
+        system = build_b22_pair(4)
+        with pytest.raises(AttributeError):
+            system.m = 3
+        with pytest.raises(ValueError):
+            system.rows[0, 0, 0] = 0
+
+    def test_array_checks(self):
+        rows = _read_only([[[1], [2]], [[2], [1]]])
+        assert TupleSystem(2, 2, 2, 2, rows=rows).families == ((sb(2, 1), sb(2, 2)), (sb(2, 2), sb(2, 1)))
+        for bad in (np.array(rows), rows.astype(np.int64), rows[:, :1], rows.reshape(2, 1, 2)):
+            with pytest.raises(ValueError, match="rows must be a read-only uint8 array of shape"):
+                TupleSystem(2, 2, 2, 2, rows=bad)
+        with pytest.raises(ValueError, match="beyond the ground set"):
+            TupleSystem(2, 2, 2, 1, rows=rows)
+        with pytest.raises(ValueError, match="its families or its rows, not both"):
+            TupleSystem(2, 2, 1, 2, ((sb(2, 1),), (sb(2, 2),)), rows=rows[:, :1])
+        with pytest.raises(ValueError, match="its sets or its rows, not both"):
+            SetFamily(2, (sb(2, 1),), rows=rows[0])
+        with pytest.raises(ValueError, match="rows must be a read-only uint8 array of shape \\(S, 1\\)"):
+            SetFamily(2, rows=rows)
+        for n in (-1, -9):
+            with pytest.raises(ValueError, match="ground size must be nonnegative"):
+                SetFamily(n, rows=_read_only(np.zeros((0, 0))))
+            with pytest.raises(ValueError, match="ground size must be nonnegative"):
+                TupleSystem(2, 2, 0, n, rows=_read_only(np.zeros((2, 0, 0))))
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 2"):
+                TupleSystem(k, 2, -1, -1, rows=rows)
+            with pytest.raises(ValueError, match="k must be at least 2"):
+                TupleSystem.diagonal(SetFamily(2, rows=rows[0]), k, 2)
+
+
+class TestParityScanMemory:
+    """The left half of the grid is gathered a block at a time, so a wide
+    tuple never holds all m^ceil(k/2) left rows at once."""
+
+    N = 1_118_472  # 139,809 bytes a set; the 120 sets fill the 2^24-byte load limit
+
+    @staticmethod
+    def check(system):
+        tracemalloc.start()
+        try:
+            report = verify_bollobas_tuple(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every intersection is {1}: odd, so every cell with a repeated index fails
+        assert report.violations[0] == Violation((1, 1, 1), 1, "even intersection")
+        assert report.truncated
+        assert peak < 64 * 2**20
+
+    def test_wide_tuple_file(self, tmp_path):
+        # k = t = 3, m = 40: every set {1} except A_{3,1} = {1, n}
+        families = [[[1]] * 40, [[1]] * 40, [[1, self.N]] + [[1]] * 39]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": self.N, "k": 3, "t": 3, "m": 40, "families": families}) + "\n")
+        assert path.stat().st_size == 669
+        self.check(load_tuple(path))
+
+    def test_every_byte_reached(self):
+        # as above, but A_{3,1} also holds 9, 17, ..., n - 7, so no byte column is unused
+        rows = np.zeros((3, 40, self.N // 8), dtype=np.uint8)
+        rows[..., 0] = 1
+        rows[2, 0] |= 1
+        rows[2, 0, -1] |= 0x80
+        self.check(TupleSystem(3, 3, 40, self.N, rows=_read_only(rows)))
