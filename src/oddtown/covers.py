@@ -8,8 +8,8 @@ Cover verification, the parity difference of two covers and the biclique
 check are callers of the one parity kernel in ``setsystems``: a cover is
 scanned through its transposition (A_{j,i} = the products whose j-th part
 holds i), which is the set tuple that ``cover_to_tuple`` returns, so a
-cell's coverage is the size of an AND of product masks, counted by a matrix
-product over the two halves of the coordinates.
+cell's coverage is the size of an AND of product masks, counted over the two
+halves of the coordinates pair by pair or by a matrix product.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb, perm
 from typing import Iterable, Optional, Sequence
 
@@ -31,8 +31,8 @@ from .setsystems import (
     SubsetBits,
     TupleSystem,
     VerifyReport,
+    _SCAN_BLOCK_ENTRIES,
     _check_scan_size,
-    _element_lists,
     _Collector,
     _distinct_target,
     _frozen,
@@ -214,13 +214,16 @@ def verify_exact_gp_cover(cover: GpCover, max_violations: int = DEFAULT_VIOLATIO
     """Each k-subset of [n] covered exactly once (one vertex in each part)."""
     subsets, products = comb(cover.n, cover.k), len(cover)
     _check_scan_size(subsets * products, f"{subsets} subsets x {products} products")
-    masks = list(zip(*(gf2._row_ints(cover.parts[:, j]) for j in range(cover.k))))
     col = _Collector(max_violations)
-    for subset in combinations(range(1, cover.n + 1), cover.k):
-        sbits = sum(1 << (e - 1) for e in subset)
-        count = sum(all((sbits & part).bit_count() == 1 for part in parts) for parts in masks)
-        if count != 1 and not col.add(subset, count, "covered exactly once"):
-            break
+    walk = combinations(range(cover.n), cover.k)
+    step = max(1, _SCAN_BLOCK_ENTRIES // max(1, products * cover.k**2))
+    while len(chunk := np.fromiter(islice(walk, step), np.dtype((np.intp, cover.k)))):
+        # hits[s, j, c]: the elements of subset c in part j of product s
+        hits = (cover.parts[:, :, chunk >> 3] >> (chunk & 7).astype(np.uint8) & 1).sum(axis=3)
+        count = (hits == 1).all(axis=1).sum(axis=0)
+        for i in np.flatnonzero(count != 1).tolist():
+            if not col.add(tuple((chunk[i] + 1).tolist()), int(count[i]), "covered exactly once"):
+                return col.report()
     return col.report()
 
 
@@ -259,9 +262,24 @@ def tuple_to_cover(system: TupleSystem) -> Mod2Cover:
     return Mod2Cover(system.k, system.t, system.m, parts=_packed(bits))
 
 
-def _ordered_vertices(parts: Sequence[Sequence[int]]) -> tuple[Vertex, ...]:
-    """Tuples drawing one element per part, kept only if all entries distinct."""
-    return tuple(combo for combo in product(*parts) if len(set(combo)) == len(combo))
+def _ordered_vertices(bits: np.ndarray) -> list[tuple[Vertex, ...]]:
+    """Per product of a 0/1 (S, kappa, n) part array, the tuples drawing one element
+    per part with all entries distinct, in lexicographic order."""
+    sizes = bits.sum(axis=2, dtype=np.intp)
+    reach = sizes.prod(axis=1)  # the tuples of each product, distinct or not
+    owner = np.repeat(np.arange(len(bits)), reach)
+    rest = np.arange(len(owner)) - np.repeat(np.cumsum(reach) - reach, reach)
+    entries = np.empty((len(owner), bits.shape[1]), dtype=np.intp)
+    for j in reversed(range(bits.shape[1])):  # the last entry varies fastest
+        size = sizes[owner, j]
+        elements = np.nonzero(bits[:, j])[1] + 1  # the part's elements, product after product
+        entries[:, j] = elements[np.repeat(np.cumsum(sizes[:, j]) - sizes[:, j], reach) + rest % size]
+        rest //= size
+    keep = np.ones(len(owner), dtype=bool)
+    for i, j in combinations(range(bits.shape[1]), 2):
+        keep &= entries[:, i] != entries[:, j]
+    tuples = iter(map(tuple, entries[keep].tolist()))
+    return [tuple(islice(tuples, c)) for c in np.bincount(owner[keep], minlength=len(bits)).tolist()]
 
 
 def cover_to_ok_biclique_cover(cover: Mod2Cover) -> OkBicliqueCover:
@@ -276,8 +294,8 @@ def cover_to_ok_biclique_cover(cover: Mod2Cover) -> OkBicliqueCover:
     if cover.t != cover.k:
         raise ValueError("requires t = k")
     kappa = cover.k // 2
-    halves = [(_ordered_vertices(p[:kappa]), _ordered_vertices(p[kappa:]))
-              for p in _element_lists(cover.parts)]
+    bits = _bits(cover.parts, cover.n)
+    halves = zip(_ordered_vertices(bits[:, :kappa]), _ordered_vertices(bits[:, kappa:]))
     return OkBicliqueCover(cover.n, kappa, tuple((lo, hi) for lo, hi in halves if lo and hi))
 
 

@@ -7,16 +7,21 @@ Duplicate sets inside a family are legal; everything is checked by index.
 Families, tuple systems and covers (in ``covers``) hold their sets one way:
 as one read-only uint8 array in the ``gf2._row_bytes`` layout (``_Packed``).
 
-The grid verifiers (tuples and skew pairs here; covers, parity differences
-and bicliques in ``covers``) share one parity kernel over the m^k index
-tuples of such a (k, m, w) array, refused above ``MAX_SCAN_CELLS`` tuples.
-It drops the byte columns no set reaches, splits the coordinates in two
-halves, ANDs each half's rows per half-tuple by one gather (the left half a
-block of bounded cells and bytes at a time), and counts every left x right
-intersection at once as a float32 product of 0/1 bit matrices, a slice of
-the bits at a time, so besides the input and the right half its temporaries
-stay a few tens of MB whatever m^k and the row width are.  The caller gives
-the cells that must be odd as an array per block.
+The grid verifiers (oddtown families, tuples and skew pairs here; covers,
+parity differences and bicliques in ``covers``) share one parity kernel over
+the m^k index tuples of such a (k, m, w) array, refused above
+``MAX_SCAN_CELLS`` tuples.  It drops the byte columns no set reaches, splits
+the coordinates in two halves, ANDs each half's rows per half-tuple by one
+gather (the left half a block of bounded cells and bytes at a time), and
+counts every left x right intersection of a block exactly, a slice of the
+bits at a time.  A bit held by c_L left and c_R right rows adds 1 to c_L*c_R
+cells: the bits for which that is few next to the block's cells are counted
+pair by pair into one ``np.bincount``, the others by a float32 product of 0/1
+bit matrices, so a near-exact cover costs about one term per covered cell
+while a full product such as [n]^k is one column of the product.  Besides the
+input and the right half the temporaries stay a few tens of MB whatever m^k
+and the row width are.  The caller gives the cells that must be odd as an
+array per block.
 """
 
 from __future__ import annotations
@@ -36,6 +41,21 @@ MAX_SCAN_CELLS = 10**8  # largest index grid a parity scan walks; larger ones ra
 _SCAN_BLOCK_CELLS = 1 << 19  # cells of the grid counted at once (left rows x right tuples)
 _SCAN_BLOCK_ENTRIES = 1 << 19  # entries of one 0/1 float32 operand of a count product
 _SCAN_BLOCK_BYTES = 1 << 24  # packed bytes of one block of left rows
+# ``_and_counts`` counts a bit pair by pair when its c_L*c_R pairs times
+# _PAIR_COST are fewer than the block's cells, and by the float32 product
+# otherwise.  On one 2-vCPU machine, one BLAS thread, 128-4096 swept over random
+# covers (k = 3, 4, 6, parts 3-30 % full) and three constructions: 128-256 were
+# fastest on the random covers (k = 3, n = 60: 50-67 ms against 80 ms at 1,024
+# and 92 ms at 4,096), the constructions did not move.
+_PAIR_COST = 256
+# A slice of a block is listed from its nonzero bytes when at most 1/_LIST_SHARE
+# of them are nonzero, else unpacked and summed.  Same machine, 400 x 1,248
+# random bits: unpacking and summing takes 0.16 ms at any density, listing 0.06
+# ms at 0.4 % nonzero bytes and 0.47 ms at 7.7 %; but a listing is needed
+# anyway for the bits counted pair by pair, and 2-16 swept alike.
+_LIST_SHARE = 8
+# the number of set bits of each byte value
+_BYTE_SIZES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -276,26 +296,118 @@ def _and_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _bit_slice(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Bits lo, ..., hi-1 of rows packed little-endian (``gf2._row_bytes``), as 0/1 float32."""
+    """Bits lo, ..., hi-1 of rows packed little-endian (``gf2._row_bytes``), as 0/1 uint8."""
     part = np.unpackbits(packed[:, lo // 8:(hi + 7) // 8], axis=1, bitorder="little")
-    return part[:, lo % 8:lo % 8 + hi - lo].astype(np.float32)
+    return part[:, lo % 8:lo % 8 + hi - lo]
+
+
+def _set_bits(packed: np.ndarray, lo: int, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The set bits g of rows packed little-endian (``gf2._row_bytes``) with
+    chosen[g - lo], as arrays of their rows and of g - lo.  Only the byte columns
+    holding a chosen bit are read, a 64-bit word at a time, and only the nonzero
+    bytes are unpacked."""
+    at = np.zeros(8 * ((lo % 8 + len(chosen) + 7) // 8) + 8, dtype=bool)
+    at[lo % 8:lo % 8 + len(chosen)] = chosen  # by bit of the byte columns from lo // 8, one spare
+    cols = np.flatnonzero(at.reshape(-1, 8).any(axis=1))
+    flat = np.zeros((len(packed), -(-len(cols) // 8) * 8), dtype=np.uint8)  # rows of whole words
+    flat[:, :len(cols)] = packed[:, lo // 8 + cols]
+    lanes = flat.view(np.uint64).ravel()
+    words = np.flatnonzero(lanes)
+    where = np.flatnonzero(lanes[words].view(np.uint8))
+    where = 8 * words[where >> 3] + (where & 7)  # the nonzero bytes of ``flat``
+    ones = np.flatnonzero(np.unpackbits(flat.ravel()[where], bitorder="little"))
+    rows, col = np.divmod(where[ones >> 3], flat.shape[1])
+    bit = 8 * cols[col] + (ones & 7)
+    keep = at[bit]
+    return rows[keep], bit[keep] - lo % 8
+
+
+def _slice_counts(packed: np.ndarray, lo: int, hi: int) -> tuple[Optional[np.ndarray], Optional[tuple]]:
+    """How many rows hold each bit lo <= g < hi, or None when no row holds any; and
+    the ``_set_bits`` listing of every bit when at most 1/_LIST_SHARE of the
+    slice's bytes are nonzero, else None (the slice is unpacked and summed)."""
+    block = packed[:, lo // 8:(hi + 7) // 8]
+    nonzero = np.count_nonzero(block)
+    if not nonzero:
+        return None, None
+    if nonzero * _LIST_SHARE > block.size:
+        return _bit_slice(packed, lo, hi).sum(axis=0, dtype=np.int32).astype(np.int64), None
+    listed = _set_bits(packed, lo, np.ones(hi - lo, dtype=bool))
+    return np.bincount(listed[1], minlength=hi - lo), listed
 
 
 def _and_counts(left: np.ndarray, right: np.ndarray, bits: int) -> np.ndarray:
-    """|a & b| for every packed row a of ``left`` and b of ``right``: one float32
-    product of 0/1 matrices per slice of fewer than 2^24 bits, so each product
-    is exact, summed in an integer array.  Rows with no byte set in a slice,
-    zero masks among them, are left out of its product: they count 0 there."""
-    counts = np.zeros((len(left), len(right)), dtype=np.int64)
+    """|a & b| for every packed row a of ``left`` and b of ``right``, as exact int64.
+
+    The bits go a slice of fewer than 2^24 at a time.  A bit held by c_L rows of
+    ``left`` and c_R rows of ``right`` adds 1 to c_L*c_R cells.  The bits with
+    c_L*c_R*_PAIR_COST at least the cell count are counted by one float32
+    product of 0/1 matrices per slice, exact below 2^24 terms.  The others are
+    counted pair by pair: their (left row, right row) pairs are listed as cell
+    indices, a bounded number at a time, and summed by ``np.bincount`` once a
+    cell count of them is held.  Slices that one side does not reach are skipped.
+    """
+    cells = len(left) * len(right)
+    counts = np.zeros(cells, dtype=np.int64)
+    grid = counts.reshape(len(left), len(right))
+    held: list[np.ndarray] = []
     step = max(1, min(_SCAN_BLOCK_ENTRIES // max(len(left), len(right)), (1 << 24) - 1))
     for lo in range(0, bits, step):
         hi = min(lo + step, bits)
-        cut = slice(lo // 8, (hi + 7) // 8)
-        rows_a = np.flatnonzero(left[:, cut].any(axis=1))
-        rows_b = np.flatnonzero(right[:, cut].any(axis=1))
-        product = _bit_slice(left[rows_a], lo, hi) @ _bit_slice(right[rows_b], lo, hi).T
-        counts[np.ix_(rows_a, rows_b)] += product.astype(np.int64)
-    return counts
+        count_a, listed_a = _slice_counts(left, lo, hi)
+        if count_a is None:
+            continue
+        count_b, listed_b = _slice_counts(right, lo, hi)
+        if count_b is None:
+            continue
+        pairs = count_a * count_b
+        dense = pairs * _PAIR_COST >= cells
+        if dense.any():
+            product = _bit_slice(left, lo, hi)[:, dense].astype(np.float32) \
+                @ _bit_slice(right, lo, hi)[:, dense].T.astype(np.float32)
+            grid += product.astype(np.int64)
+        sparse = (pairs > 0) & ~dense
+        if sparse.any():
+            held += _pair_cells(_sparse_bits(left, lo, sparse, listed_a),
+                                _sparse_bits(right, lo, sparse, listed_b), count_b * sparse, len(right))
+            if sum(map(len, held)) >= cells:
+                counts += np.bincount(np.concatenate(held), minlength=cells)
+                held = []
+    if held:
+        counts += np.bincount(np.concatenate(held), minlength=cells)
+    return grid
+
+
+def _sparse_bits(packed: np.ndarray, lo: int, sparse: np.ndarray, listed: Optional[tuple]) -> tuple:
+    """The ``_set_bits`` listing of the bits lo + g with sparse[g], taken from
+    ``listed``, the listing of every bit of the slice, when there is one."""
+    if listed is None:
+        return _set_bits(packed, lo, sparse)
+    keep = sparse[listed[1]]
+    return listed[0][keep], listed[1][keep]
+
+
+def _pair_cells(left: tuple, right: tuple, count_b: np.ndarray, width: int) -> list[np.ndarray]:
+    """The cells a * width + b of every left row a and right row b that share a
+    bit, from the ``_set_bits`` listings of the two sides, where count_b[g] is
+    the number of right rows of bit g; in arrays of about ``_SCAN_BLOCK_ENTRIES``
+    cells at most."""
+    rows, bit = right
+    rows = rows[np.argsort(bit, kind="stable")]  # the right rows of each bit, bit after bit
+    first = np.cumsum(count_b) - count_b  # where each bit starts in ``rows``
+    base, bit = left[0] * width, left[1]
+    reach = count_b[bit]  # the pairs each left entry makes
+    ends = np.cumsum(reach)
+    out, start = [], 0
+    while start < len(bit):
+        limit = ends[start] - reach[start] + _SCAN_BLOCK_ENTRIES
+        stop = max(start + 1, int(np.searchsorted(ends, limit, "right")))
+        k = reach[start:stop]
+        offset = ends[start:stop] - k
+        at = np.repeat(first[bit[start:stop]] - offset, k) + np.arange(offset[0], offset[0] + k.sum())
+        out.append(np.repeat(base[start:stop], k) + rows[at])
+        start = stop
+    return out
 
 
 def _parity_scan(
@@ -358,8 +470,7 @@ def _distinct_target(
             which = np.unique(which * (m + 1) + col, return_inverse=True)[1]
         sets = sets[np.unique(which, return_index=True)[1]]
         new = (sets < m).sum(axis=1) - sum(seen[:, col] for col in sets.T)
-        distinct = seen.sum(axis=1)[:, None] + new[:, which]
-        return (distinct >= t) ^ flip
+        return ((seen.sum(axis=1)[:, None] + new >= t) ^ flip)[:, which]  # a bool gather is cheap
 
     return odd
 
@@ -390,18 +501,24 @@ def intersection_parity(sets: Sequence[SubsetBits]) -> int:
 
 
 def verify_oddtown(family: SetFamily, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
-    """Every set odd, every pairwise intersection of distinct indices even."""
+    """Every set odd, every pairwise intersection of distinct indices even.
+
+    The even sets are reported first, then the pairs i < j in lexicographic
+    order: the cells above the diagonal of the parity scan of the family with
+    itself, whose target on the diagonal is each set's own parity.
+    """
+    m = len(family)
+    _check_scan_size(m**2, f"{m}^2 index tuples")
     col = _Collector(max_violations)
-    masks = gf2._row_ints(family.rows)
-    for i, bits in enumerate(masks):
-        if bits.bit_count() % 2 == 0:
-            if not col.add((i + 1,), bits.bit_count(), "odd size"):
-                return col.report()
-    for i, j in combinations(range(len(masks)), 2):
-        inter = masks[i] & masks[j]
-        if inter.bit_count() % 2 == 1:
-            if not col.add((i + 1, j + 1), inter.bit_count(), "even intersection"):
-                return col.report()
+    sizes = _BYTE_SIZES[family.rows].sum(axis=1, dtype=np.int64)
+    for i in np.flatnonzero(sizes % 2 == 0).tolist():
+        if not col.add((i + 1,), int(sizes[i]), "odd size"):
+            return col.report()
+    odd = sizes % 2 == 1
+    rows = np.broadcast_to(family.rows, (2, *family.rows.shape))
+    for (i, j), count in _parity_scan(rows, lambda left, right: (left == right.T) & odd[left]):
+        if i < j and not col.add((i + 1, j + 1), count, "even intersection"):
+            break
     return col.report()
 
 

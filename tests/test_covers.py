@@ -1,5 +1,5 @@
 import warnings
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from unittest import mock
 
 import numpy as np
@@ -33,7 +33,7 @@ from oddtown import (
 )
 from oddtown.covers import parity_functions_equal
 from oddtown.fileio import load_cover, save_cover
-from oddtown import setsystems
+from oddtown import covers, setsystems
 from oddtown.setsystems import VerifyReport, Violation
 
 
@@ -429,6 +429,44 @@ def per_cell_equal(a, b):
 
 # caps that truncate, and one that keeps every violation
 CAPS = st.sampled_from((1, 3, 10**6))
+# _PAIR_COST and _LIST_SHARE at their extremes: 0 counts every bit pair by pair
+# and lists every side, 2^30 (past every cell count here) does neither
+EXTREMES = (0, 1 << 30)
+
+
+@st.composite
+def gp_covers(draw):
+    """Disjoint covers: each product labels every element of [n] with a part or none."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(3, n)))
+    labels = st.lists(st.integers(0, k), min_size=n, max_size=n).filter(
+        lambda ls: set(range(1, k + 1)) <= set(ls))
+    return GpCover(k, n, tuple(
+        prod(n, *[[e + 1 for e in range(n) if ls[e] == j] for j in range(1, k + 1)])
+        for ls in draw(st.lists(labels, max_size=8))))
+
+
+def reference_gp_report(cover, cap):
+    """verify_exact_gp_cover by counting the products at each k-subset, in lex order."""
+    found = []
+    for subset in combinations(range(1, cover.n + 1), cover.k):
+        count = sum(all(len(set(subset) & set(p.elements())) == 1 for p in q.parts) for q in cover.products)
+        if count != 1:
+            found.append(Violation(subset, count, "covered exactly once"))
+            if len(found) >= cap:
+                return VerifyReport(False, tuple(found), True)
+    return VerifyReport(not found, tuple(found), False)
+
+
+def reference_fold(cover):
+    """cover_to_ok_biclique_cover by one filtered Cartesian product per half."""
+    kappa = cover.k // 2
+
+    def side(parts):
+        return tuple(v for v in product(*(p.elements() for p in parts)) if len(set(v)) == kappa)
+
+    halves = [(side(q.parts[:kappa]), side(q.parts[kappa:])) for q in cover.products]
+    return OkBicliqueCover(cover.n, kappa, tuple((lo, hi) for lo, hi in halves if lo and hi))
 
 
 class TestParityScanCrossChecks:
@@ -464,6 +502,19 @@ class TestParityScanCrossChecks:
             fewer = OkBicliqueCover(ok.n, ok.k, ok.bicliques[:drop] + ok.bicliques[drop + 1:])
             assert verify_ok_biclique_cover(fewer, cap) == reference_biclique_report(fewer, cap)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_covers(ks=(2, 4), t_equals_k=True),
+                     word_edge_covers(ks=(2, 4), t_equals_k=True)))
+    def test_fold_matches_cartesian_products(self, cover):
+        assert cover_to_ok_biclique_cover(cover) == reference_fold(cover)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gp_covers(), st.integers(1, 5), st.sampled_from((1, 1 << 19)))
+    def test_exact_gp_cover_matches_per_subset_count(self, cover, cap, entries):
+        # at 1 entry every subset is a block of its own
+        with mock.patch.object(covers, "_SCAN_BLOCK_ENTRIES", entries):
+            assert verify_exact_gp_cover(cover, cap) == reference_gp_report(cover, cap)
+
     @pytest.mark.parametrize("n", (4, 5))
     def test_biclique_valid_fold_with_one_removed(self, n):
         ok = cover_to_ok_biclique_cover(permute_gp_cover(trivial_gp_cover(n, 4)))
@@ -497,16 +548,19 @@ class TestParityScanWordEdges:
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(small_covers(), word_edge_covers()), CAPS, st.data(),
-           st.integers(1, 3), st.integers(1, 3))
-    def test_tiny_blocks(self, cover, cap, data, cells, entries):
+           st.integers(1, 3), st.integers(1, 3), st.sampled_from(EXTREMES))
+    def test_tiny_blocks(self, cover, cap, data, cells, entries, share):
         b = parity_twin(cover, data)
         ok = cover_to_ok_biclique_cover(cover) if cover.k % 2 == 0 and cover.t == cover.k else None
-        with mock.patch.object(setsystems, "_SCAN_BLOCK_CELLS", cells), \
-                mock.patch.object(setsystems, "_SCAN_BLOCK_ENTRIES", entries):
-            assert verify_mod2_cover(cover, cap) == reference_cover_report(cover, cap)
-            assert parity_functions_equal(cover, b) == per_cell_equal(cover, b)
-            if ok is not None:
-                assert verify_ok_biclique_cover(ok, cap) == reference_biclique_report(ok, cap)
+        for cost in EXTREMES:  # every bit pair by pair, then every bit by the product
+            with mock.patch.object(setsystems, "_SCAN_BLOCK_CELLS", cells), \
+                    mock.patch.object(setsystems, "_SCAN_BLOCK_ENTRIES", entries), \
+                    mock.patch.object(setsystems, "_PAIR_COST", cost), \
+                    mock.patch.object(setsystems, "_LIST_SHARE", share):
+                assert verify_mod2_cover(cover, cap) == reference_cover_report(cover, cap)
+                assert parity_functions_equal(cover, b) == per_cell_equal(cover, b)
+                if ok is not None:
+                    assert verify_ok_biclique_cover(ok, cap) == reference_biclique_report(ok, cap)
 
 
 class TestScanSizeGuard:

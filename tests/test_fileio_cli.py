@@ -180,6 +180,20 @@ class TestCli:
         assert proc.stdout == ("error: 2601668490 subsets of at most 5 of the 200 sets"
                                " exceed the scan limit of 100000000\n")
 
+    def test_four_thousand_singletons(self, tmp_path, capsys):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"n": 4000, "sets": [[i] for i in range(1, 4001)]}))
+        assert main(["verify", "--kind", "family-oddtown", "--file", str(path)]) == 0
+        assert capsys.readouterr().out == "valid m=4000 n=4000\n"
+
+    def test_oversized_oddtown_family_refused(self, tmp_path, capsys):
+        # 10,001 singletons: 10001^2 cells, refused before any pair is counted
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"n": 10_001, "sets": [[i] for i in range(1, 10_002)]}))
+        assert main(["verify", "--kind", "family-oddtown", "--file", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out == "error: 10001^2 index tuples exceed the scan limit of 100000000\n"
+
     def test_oversized_gp_cover_refused(self, tmp_path, capsys):
         path = tmp_path / "gp.json"
         path.write_text(json.dumps({"n": 40, "k": 8, "products": [

@@ -27,7 +27,7 @@ from oddtown import (
     verify_oddtown,
     verify_skew_oddtown,
 )
-from oddtown import setsystems
+from oddtown import gf2, setsystems
 from oddtown.fileio import load_tuple
 from oddtown.setsystems import MAX_SCAN_CELLS, VerifyReport, Violation
 from conftest import greedy_oddtown_family
@@ -94,6 +94,22 @@ class TestOddtown:
         fam = SetFamily.from_lists(4, [[1, 2]] * 40)
         report = verify_oddtown(fam, max_violations=5)
         assert not report.valid and report.truncated and len(report.violations) == 5
+
+    def test_four_thousand_singletons(self):
+        # 8 M pairs, read as the cells above the diagonal of the 4,000^2 parity scan
+        rows = np.zeros((4000, 500), dtype=np.uint8)
+        rows[np.arange(4000), np.arange(4000) // 8] = 1 << np.arange(4000) % 8
+        assert verify_oddtown(SetFamily(4000, rows=_read_only(rows))).valid
+        rows[0, 0] |= 2  # A_1 = {1, 2} meets A_2 = {2}
+        rows[3999, 499] |= 1 << 6  # A_4000 = {3999, 4000} meets A_3999 = {3999}
+        assert verify_oddtown(SetFamily(4000, rows=_read_only(rows))) == VerifyReport(False, (
+            Violation((1,), 2, "odd size"), Violation((4000,), 2, "odd size"),
+            Violation((1, 2), 1, "even intersection"), Violation((3999, 4000), 1, "even intersection")))
+
+    def test_oversized_family_refused(self):
+        family = SetFamily(1, rows=_read_only(np.zeros((10_001, 1))))
+        with pytest.raises(ValueError, match="^10001\\^2 index tuples exceed the scan limit of 100000000$"):
+            verify_oddtown(family)
 
     def test_random_families_obey_bound(self):
         rng = random.Random(7)
@@ -359,6 +375,18 @@ def reference_skew_report(a, b, strict, cap):
     return VerifyReport(not found, tuple(found), False)
 
 
+def reference_oddtown_report(family, cap):
+    found = []
+    for i, s in enumerate(family.sets):
+        if s.size % 2 == 0 and capped(found, cap, Violation((i + 1,), s.size, "odd size")):
+            return VerifyReport(False, tuple(found), True)
+    for i, j in combinations(range(len(family)), 2):
+        size = (family[i].bits & family[j].bits).bit_count()
+        if size % 2 and capped(found, cap, Violation((i + 1, j + 1), size, "even intersection")):
+            return VerifyReport(False, tuple(found), True)
+    return VerifyReport(not found, tuple(found), False)
+
+
 @st.composite
 def small_tuples(draw):
     k = draw(st.integers(2, 4))
@@ -372,6 +400,11 @@ def small_tuples(draw):
 # ground sizes at the 64-bit word edges, and caps that truncate or keep every violation
 WORD_EDGES = st.sampled_from((0, 63, 64, 65))
 CAPS = st.sampled_from((1, 3, 10**6))
+# the extremes of the kernel's split constants: with _PAIR_COST 0 every bit is
+# counted pair by pair, with 2^30 (past every cell count here) every bit that
+# makes a pair goes into the product; with _LIST_SHARE 0 every slice side is
+# listed from its nonzero bytes, with 2^30 every side that holds a bit is unpacked
+EXTREMES = (0, 1 << 30)
 
 
 @st.composite
@@ -419,18 +452,27 @@ class TestParityScanCallers:
         got = verify_skew_oddtown(a, b, strict_symmetric=strict, max_violations=cap)
         assert got == reference_skew_report(a, b, strict, cap)
 
+    @settings(max_examples=150, deadline=None)
+    @given(family_pairs(st.sampled_from((0, 2, 3, 63, 64, 65))), CAPS)
+    def test_oddtown_matches_per_pair_loop(self, pair, cap):
+        assert verify_oddtown(pair[0], cap) == reference_oddtown_report(pair[0], cap)
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(small_tuples(), word_edge_tuples()), family_pairs(WORD_EDGES),
-           st.booleans(), CAPS, st.integers(1, 3), st.integers(1, 3))
-    def test_tiny_blocks(self, system, pair, flag, cap, cells, entries):
-        # every left row and every 1-3 bits of the ground set is a block
+           st.booleans(), CAPS, st.integers(1, 3), st.integers(1, 3), st.sampled_from(EXTREMES))
+    def test_tiny_blocks(self, system, pair, flag, cap, cells, entries, share):
+        # every left row and every 1-3 bits of the ground set is a block; every
+        # bit is counted pair by pair, then by the product
         a, b = pair
-        with mock.patch.object(setsystems, "_SCAN_BLOCK_CELLS", cells), \
-                mock.patch.object(setsystems, "_SCAN_BLOCK_ENTRIES", entries):
-            got = verify_bollobas_tuple(system, complemented=flag, max_violations=cap)
-            assert got == reference_tuple_report(system, flag, cap)
-            got = verify_skew_oddtown(a, b, strict_symmetric=flag, max_violations=cap)
-            assert got == reference_skew_report(a, b, flag, cap)
+        for cost in EXTREMES:
+            with mock.patch.object(setsystems, "_SCAN_BLOCK_CELLS", cells), \
+                    mock.patch.object(setsystems, "_SCAN_BLOCK_ENTRIES", entries), \
+                    mock.patch.object(setsystems, "_PAIR_COST", cost), \
+                    mock.patch.object(setsystems, "_LIST_SHARE", share):
+                got = verify_bollobas_tuple(system, complemented=flag, max_violations=cap)
+                assert got == reference_tuple_report(system, flag, cap)
+                got = verify_skew_oddtown(a, b, strict_symmetric=flag, max_violations=cap)
+                assert got == reference_skew_report(a, b, flag, cap)
 
     def test_oversized_grid_refused(self):
         empty = (SubsetBits(1, 0),) * 100
@@ -438,6 +480,38 @@ class TestParityScanCallers:
         assert 100**6 > MAX_SCAN_CELLS
         with pytest.raises(ValueError, match="100\\^6 index tuples exceed the scan limit"):
             verify_bollobas_tuple(system)
+
+
+@st.composite
+def mixed_rows(draw, n):
+    """Packed rows over n bits: empty rows, singletons, a full box of bits shared by
+    several rows, and random rows."""
+    lo = draw(st.sampled_from((0, draw(st.integers(0, n - 1)))))
+    box = range(lo, draw(st.integers(lo + 1, n)))
+    rows = []
+    count = draw(st.integers(1, 40))
+    for kind in draw(st.lists(st.sampled_from(("empty", "single", "box", "random")),
+                              min_size=count, max_size=count)):
+        rows.append({"empty": lambda: 0, "single": lambda: 1 << draw(st.integers(0, n - 1)),
+                     "box": lambda: sum(1 << g for g in box),
+                     "random": lambda: draw(st.integers(0, (1 << n) - 1))}[kind]())
+    return gf2._row_bytes(rows, (n + 7) // 8)
+
+
+class TestAndCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 100).flatmap(lambda n: st.tuples(st.just(n), mixed_rows(n), mixed_rows(n))),
+           st.sampled_from((256, 1 << 19)), st.sampled_from((1, 8, 64, setsystems._PAIR_COST)),
+           st.sampled_from(EXTREMES + (setsystems._LIST_SHARE,)))
+    def test_matches_popcounts(self, drawn, entries, cost, share):
+        # several slices or one, and a per-bit split at costs that mix both halves
+        n, left, right = drawn
+        with mock.patch.object(setsystems, "_SCAN_BLOCK_ENTRIES", entries), \
+                mock.patch.object(setsystems, "_PAIR_COST", cost), \
+                mock.patch.object(setsystems, "_LIST_SHARE", share):
+            got = setsystems._and_counts(left, right, n)
+        masks = [gf2._row_ints(rows) for rows in (left, right)]
+        assert got.tolist() == [[(a & b).bit_count() for b in masks[1]] for a in masks[0]]
 
 
 def _read_only(array):
