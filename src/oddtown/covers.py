@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from math import comb, perm
 from typing import Iterable, Optional, Sequence
 
@@ -134,12 +134,25 @@ class OkBicliqueCover:
     bicliques: tuple[tuple[tuple[Vertex, ...], tuple[Vertex, ...]], ...]
 
     def __post_init__(self) -> None:
-        for left, right in self.bicliques:
-            for v in left + right:
-                if len(v) != self.k or len(set(v)) != self.k:
-                    raise ValueError(f"vertex {v} is not an ordered {self.k}-tuple of distinct elements")
-                if any(not (1 <= e <= self.n) for e in v):
-                    raise ValueError(f"vertex {v} has entries outside [1, {self.n}]")
+        """Reject the first vertex, left side before right, biclique by
+        biclique, that is not k distinct entries, else has one outside [n]."""
+        vertices = list(chain.from_iterable(chain.from_iterable(self.bicliques)))
+        sizes = np.fromiter(map(len, vertices), dtype=np.intp, count=len(vertices))
+        misfit = np.flatnonzero(sizes != self.k)
+        whole = int(misfit[0]) if misfit.size else len(vertices)  # the vertices before hold k entries
+        entries = np.fromiter(chain.from_iterable(vertices[:whole]), dtype=np.int64, count=whole * self.k)
+        entries = entries.reshape(whole, self.k)
+        ordered = np.sort(entries, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        bad = np.flatnonzero(repeated | ((entries < 1) | (entries > self.n)).any(axis=1))
+        first = int(bad[0]) if bad.size else whole
+        if first == len(vertices):
+            return
+        if first == whole or repeated[first]:
+            raise ValueError(
+                f"vertex {vertices[first]} is not an ordered {self.k}-tuple of distinct elements"
+            )
+        raise ValueError(f"vertex {vertices[first]} has entries outside [1, {self.n}]")
 
 
 def all_cells(n: int, k: int) -> list[tuple[int, ...]]:

@@ -103,10 +103,6 @@ class SubsetBits:
     def __contains__(self, element: int) -> bool:
         return 1 <= element <= self.ground_size and bool((self.bits >> (element - 1)) & 1)
 
-    def with_extra_element(self) -> "SubsetBits":
-        """The same set with a fresh ground element n+1 appended to it."""
-        return SubsetBits(self.ground_size + 1, self.bits | (1 << self.ground_size))
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False

@@ -255,6 +255,34 @@ class TestOkBicliqueCover:
         with pytest.raises(ValueError, match="outside"):
             OkBicliqueCover(3, 2, ((((1, 4),), ((2, 3),)),))
 
+    @staticmethod
+    def _first_vertex_error(n, k, bicliques):
+        """The check vertex by vertex: the message for the first bad vertex, or None."""
+        for left, right in bicliques:
+            for v in left + right:
+                if len(v) != k or len(set(v)) != k:
+                    return f"vertex {v} is not an ordered {k}-tuple of distinct elements"
+                if any(not (1 <= e <= n) for e in v):
+                    return f"vertex {v} has entries outside [1, {n}]"
+        return None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_vertex_validation_matches_the_vertex_walk(self, n, k, data):
+        from oddtown import OkBicliqueCover
+
+        good = st.permutations(range(1, n + 1)).map(lambda p: tuple(p[:k]))
+        bad = st.lists(st.integers(0, n + 1), min_size=max(0, k - 1), max_size=k + 1).map(tuple)
+        side = st.lists(st.one_of(good, good, bad), max_size=3).map(tuple)
+        bicliques = tuple(data.draw(st.lists(st.tuples(side, side), max_size=4)))
+        want = self._first_vertex_error(n, k, bicliques)
+        if want is None:
+            OkBicliqueCover(n, k, bicliques)
+        else:
+            with pytest.raises(ValueError) as err:
+                OkBicliqueCover(n, k, bicliques)
+            assert str(err.value) == want
+
 
 class TestPermuteGpCover:
     def test_trivial_3_2(self):

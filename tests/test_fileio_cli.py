@@ -258,7 +258,7 @@ class TestCli:
     def test_search_witness_bytes(self, tmp_path, capsys):
         out = tmp_path / "w.json"
         assert main(["search", "--k", "3", "--t", "3", "--n", "3", "--out", str(out)]) == 0
-        assert capsys.readouterr().out == "exact k=3 t=3 n=3 f=5 rank-bound=3\n"
+        assert capsys.readouterr().out == "exact k=3 t=3 n=3 f=5 rank-bound=4\n"
         assert out.read_bytes() == (
             b'{"n": 3, "k": 3, "t": 3, "products": [[[1], [1, 2, 3], [2, 3]], '
             b'[[2], [3], [1, 3]], [[1, 2], [1, 3], [3]], [[3], [2], [1, 2]], '
@@ -276,12 +276,12 @@ class TestCli:
         assert capsys.readouterr().out == f"exact-b k=2 t=2 m={m} b=7\n"
 
     def test_search_cap_exceeded(self, capsys):
-        # past the catalog cap the certificates answer: the unfolding rank and
+        # past the catalog cap the certificates answer: the flattening bound and
         # the construction meet at (2,2,7) and bracket (3,3,5) and (4,4,4)
         for k, t, n, verdict in (
             (2, 2, 7, "exact k=2 t=2 n=7 f=6 rank-bound=6"),
-            (3, 3, 5, "interval k=3 t=3 n=5 lower=5 upper=16"),
-            (4, 4, 4, "interval k=4 t=4 n=4 lower=6 upper=24"),
+            (3, 3, 5, "interval k=3 t=3 n=5 lower=6 upper=16"),
+            (4, 4, 4, "interval k=4 t=4 n=4 lower=7 upper=24"),
         ):
             assert main(["search", "--k", str(k), "--t", str(t), "--n", str(n)]) == 0
             assert capsys.readouterr().out == verdict + "\n"

@@ -8,6 +8,7 @@ benchmark's oracles.  A value here changes only with a record in CHANGES.md.
 import hashlib
 import shlex
 
+from oddtown import search
 from oddtown.cli import main
 
 ERRATUM = (
@@ -25,9 +26,9 @@ COMMANDS = [
     ("search --k 2 --t 2 --m 2", "exact-b k=2 t=2 m=2 b=3\n"),
     ("search --k 2 --t 2 --m 3", "exact-b k=2 t=2 m=3 b=3\n"),
     ("search --k 2 --t 2 --m 4", "exact-b k=2 t=2 m=4 b=5\n"),
-    ("search --k 3 --t 2 --n 3", "exact k=3 t=2 n=3 f=4 rank-bound=3\n"),
+    ("search --k 3 --t 2 --n 3", "exact k=3 t=2 n=3 f=4 rank-bound=4\n"),
     ("search --k 4 --t 2 --n 3", "exact k=4 t=2 n=3 f=4 rank-bound=4\n"),
-    ("search --k 3 --t 3 --n 3 --out w333.json", "exact k=3 t=3 n=3 f=5 rank-bound=3\n"),
+    ("search --k 3 --t 3 --n 3 --out w333.json", "exact k=3 t=3 n=3 f=5 rank-bound=4\n"),
     ("search --k 4 --t 3 --n 3", "interval k=4 t=3 n=3 lower=6 upper=34\n"),
     ("search --k 3 --t 3 --n 4 --budget 3", "interval k=3 t=3 n=4 lower=4 upper=13\n"),
     ("table --k 2 --t 2 --n-min 2 --n-max 6 --out table22.rows",
@@ -62,11 +63,34 @@ def test_search_workload_outputs(tmp_path, monkeypatch, capsys):
     assert written == FILES
 
 
+# The flattening bound is 4 at (3,3,3) and (3,3,4), which certifies level 3:
+# these budget-3 commands print what refuting that level by search printed,
+# and build no catalog.
+CATALOG_FREE = [
+    "search --k 3 --t 3 --n 4 --budget 3",
+    "table --k 3 --t 3 --n-min 2 --n-max 4 --out table33.rows",
+]
+
+
+def test_level_three_certified_without_catalog(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = search.build_search_instance
+    monkeypatch.setattr(search, "build_search_instance", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.chdir(tmp_path)
+    for command in CATALOG_FREE:
+        assert main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out == dict(COMMANDS)[command], command
+    assert calls == []
+    written = hashlib.sha256((tmp_path / "table33.rows").read_bytes()).hexdigest()
+    assert written == FILES["table33.rows"]
+
+
 # The level-4 meet-in-the-middle pass at the full budget: (3,3,4) refutes
-# levels 3 and 4, and (3,2,4) refutes level 4, so the construction decides.
+# level 4 and level 5 is out of reach.  At (3,2,4) the flattening bound meets
+# the construction, so no level is searched.
 LEVEL_FOUR_COMMANDS = [
     ("search --k 3 --t 3 --n 4", "interval k=3 t=3 n=4 lower=5 upper=13\n"),
-    ("search --k 3 --t 2 --n 4 --out w324.json", "exact k=3 t=2 n=4 f=5 rank-bound=4\n"),
+    ("search --k 3 --t 2 --n 4 --out w324.json", "exact k=3 t=2 n=4 f=5 rank-bound=5\n"),
 ]
 
 LEVEL_FOUR_FILES = {

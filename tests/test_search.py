@@ -155,6 +155,30 @@ def _unfolding_rank_reference(k, t, n):
     return best
 
 
+def _koszul_reference(tensor):
+    """The largest Koszul flattening bound block by block: every grouping
+    r = 1..k-1 (A the first coordinate, B the next r, C the rest), every set
+    partition of the values of A into d blocks and every p = 0..d-2."""
+    k, n = tensor.ndim, len(tensor)
+    best = 0
+    for r in range(1, k):
+        slices = tensor.reshape(n, n**r, -1)
+        nb, nc = slices.shape[1:]
+        for pi in set_partitions(n):
+            merged = [np.bitwise_xor.reduce(slices[[v - 1 for v in block]]) for block in pi.blocks]
+            d = len(merged)
+            for p in range(d - 1):
+                uppers, lowers = list(combinations(range(d), p + 1)), list(combinations(range(d), p))
+                m = np.zeros((len(uppers) * nc, len(lowers) * nb), dtype=bool)
+                for a, upper in enumerate(uppers):
+                    for b, lower in enumerate(lowers):
+                        if set(lower) < set(upper):
+                            (i,) = set(upper) - set(lower)
+                            m[a * nc : (a + 1) * nc, b * nb : (b + 1) * nb] = merged[i].T
+                best = max(best, -(-rank_gf2(Gf2Matrix.from_array(m)) // comb(d - 1, p)))
+    return best
+
+
 class TestFlatteningBound:
     def test_pair_target_rank(self):
         # the off-diagonal pair matrix has rank n (even) or n-1 (odd), also
@@ -170,8 +194,47 @@ class TestFlatteningBound:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 4), st.data())
     def test_matches_per_cell_reference(self, k, n, data):
+        # the p = 0 terms are the plain unfoldings; the Koszul terms only add
         t = data.draw(st.integers(2, k))
-        assert flattening_rank_bound(k, t, n) == _unfolding_rank_reference(k, t, n)
+        terms = search._flattening_terms(search._target_tensor(k, t, n)) if n else ()
+        plain = max((bound for _, _, p, bound in terms if p == 0), default=0)
+        assert plain == _unfolding_rank_reference(k, t, n)
+        assert flattening_rank_bound(k, t, n) >= plain
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 4), st.integers(2, 4), st.integers(0, 6), st.data())
+    def test_at_most_the_terms_of_a_sum(self, k, n, r, data):
+        # every term bounds the F_2 tensor rank, so no tensor summed from r
+        # products (subset indicators, nonempty per coordinate) exceeds r
+        mask = st.integers(1, (1 << n) - 1)
+        tensor = np.zeros((n,) * k, dtype=bool)
+        for _ in range(r):
+            product = np.ones((), dtype=bool)
+            for m in data.draw(st.lists(mask, min_size=k, max_size=k)):
+                product = np.multiply.outer(product, (m >> np.arange(n)) & 1 == 1)
+            tensor ^= product
+        assert all(bound <= r for *_, bound in search._flattening_terms(tensor))
+
+    def test_at_most_every_verified_construction(self):
+        for k in range(2, 6):
+            for t in range(2, k + 1):
+                for n in range(t, 8):
+                    if n**k <= 65536:
+                        cover = best_constructive_cover(k, t, n)
+                        assert flattening_rank_bound(k, t, n) <= len(cover), (k, t, n)
+
+    def test_integer_partition_merges_match_every_merge(self):
+        # on targets, one merge per integer partition of n, r <= (k-1)/2 and
+        # the halved range of p reach the largest term over every set
+        # partition, every r and every p (n <= 5, at most 1,024 cells)
+        for k in (3, 4, 5):
+            for t in range(2, k + 1):
+                for n in range(t, 6 if k < 5 else 5):
+                    target = search._target_tensor(k, t, n)
+                    assert flattening_rank_bound(k, t, n) == _koszul_reference(target), (k, t, n)
+        # the raised bounds: the unfolding ranks are 3, 5, 6 and 10
+        raised = [flattening_rank_bound(*ktn) for ktn in [(3, 3, 3), (3, 3, 5), (4, 4, 4), (5, 5, 5)]]
+        assert raised == [4, 6, 7, 13]
 
     def test_grid_limit(self):
         assert flattening_rank_bound(2, 2, 256) == 256  # 65536 cells: built
@@ -220,14 +283,14 @@ class TestMinMod2Cover:
         def summary(out):
             return out.status, out.lower, out.upper, out.levels_exhausted
 
-        # (3,3,4): its only level, w=3, is a meet-in-the-middle pass
-        assert summary(min_mod2_cover(3, 3, 4, budget=3)) == ("interval", 4, 13, (3, 3))
+        # (3,3,4): the flattening bound 4 certifies its only level, w=3
+        assert summary(min_mod2_cover(3, 3, 4, budget=3)) == ("interval", 4, 13, None)
         # (4,3,3): 81 cells, so no level is searched at all
         assert summary(min_mod2_cover(4, 3, 3)) == ("interval", 6, 34, None)
-        assert calls == [(3, 3, 4)]
-        # (3,3,3): DFS at w=3, meet-in-the-middle at w=4 and 5, one orbit pass
+        assert calls == []
+        # (3,3,3): meet-in-the-middle at w=4 and 5, one orbit pass
         out = min_mod2_cover(3, 3, 3)
-        assert calls == [(3, 3, 4), (3, 3, 3)]
+        assert calls == [(3, 3, 3)]
         assert support_of(out) == (47, 74, 129, 156, 211)
 
     def test_edgeless_target(self):
@@ -247,9 +310,9 @@ class TestMinMod2Cover:
 
     def test_incumbent_certifies(self):
         out = min_mod2_cover(3, 3, 3, budget=0)
-        # budget 0 runs no levels; the rank bound alone cannot reach the
+        # budget 0 runs no levels; the flattening bound alone cannot reach the
         # 6-product construction, which is the upper bound
-        assert (out.status, out.lower, out.upper, out.constructive) == ("interval", 3, 6, 6)
+        assert (out.status, out.lower, out.upper, out.constructive) == ("interval", 4, 6, 6)
         assert len(out.cover) == 6 and out.levels_exhausted is None
 
     def test_certificates_meet_without_catalog(self, monkeypatch):
@@ -265,13 +328,17 @@ class TestMinMod2Cover:
         out = min_mod2_cover(2, 2, 6)
         assert (out.status, out.value, out.rank_bound, out.levels_exhausted) == ("exact", 6, 6, None)
         assert calls == []
-        # rank 3 is below the 4-product construction: level 3 is searched on the catalog
+        # the Koszul flattening bound 4 meets the 4-product construction at (3,2,3)
         out = min_mod2_cover(3, 2, 3)
-        assert (out.value, out.rank_bound, out.constructive) == (4, 3, 4)
-        assert calls == [(3, 2, 3, search.DEFAULT_CAP)]
+        assert (out.status, out.value, out.rank_bound, out.levels_exhausted) == ("exact", 4, 4, None)
+        assert calls == []
+        # bound 4 is below the 6-product construction: levels 4 and 5 are searched on the catalog
+        out = min_mod2_cover(3, 3, 3)
+        assert (out.value, out.rank_bound, out.constructive) == (5, 4, 6)
+        assert calls == [(3, 3, 3, search.DEFAULT_CAP)]
 
     @pytest.mark.parametrize("k,t,n,lower,upper", [
-        (2, 2, 7, 6, 6), (3, 3, 5, 5, 16), (4, 4, 4, 6, 24), (3, 2, 5, 5, 6), (5, 5, 5, 10, 120),
+        (2, 2, 7, 6, 6), (3, 3, 5, 6, 16), (4, 4, 4, 7, 24), (3, 2, 5, 6, 6), (5, 5, 5, 13, 120),
     ])
     def test_past_the_cap_certificates_answer(self, k, t, n, lower, upper):
         out = min_mod2_cover(k, t, n)
@@ -298,20 +365,21 @@ class TestMinMod2Cover:
         assert verify_mod2_cover(out.cover).valid
         # the w=5 meet-in-the-middle witness, pinned
         assert support_of(out) == (47, 74, 129, 156, 211)
-        assert out.levels_exhausted == (3, 4)
+        assert out.levels_exhausted == (4, 4)
 
     def test_triple_n4_interval(self):
-        # w=3 and w=4 are refuted by meet-in-the-middle; w=5 is out of reach
+        # the flattening bound certifies w=3, meet-in-the-middle refutes w=4;
+        # w=5 is out of reach
         out = min_mod2_cover(3, 3, 4)
         assert out.status == "interval"
         assert out.lower == 5 and out.upper == 13
-        assert out.levels_exhausted == (3, 4)
+        assert out.levels_exhausted == (4, 4)
 
     def test_pair_k3_n4_interval(self):
-        # level 4 is refuted, and the 5-product construction closes the gap
+        # the flattening bound 5 meets the 5-product construction: no level is searched
         out = min_mod2_cover(3, 2, 4)
         assert (out.status, out.value, out.constructive) == ("exact", 5, 5)
-        assert out.lower == 5 and out.levels_exhausted == (4, 4)
+        assert out.lower == out.rank_bound == 5 and out.levels_exhausted is None
 
     def test_witness_is_lex_min_without_symmetry(self):
         value = min_mod2_cover(2, 2, 3).value
@@ -550,8 +618,9 @@ class TestExactB:
         assert res.at_least == 2  # the edgeless grounds are certified
 
     def test_cap_with_rank_bound_too_low(self):
-        # (3,2,5) is over the cap and its unfolding rank 5 does not exceed m = 5
-        res = exact_b(3, 2, 5)
+        # (3,3,5) is over the cap and its flattening bound 6 does not exceed
+        # m = 13, the size of the (3,3,4) construction
+        res = exact_b(3, 3, 13)
         assert not res.exact and res.at_least == 4
 
     @pytest.mark.parametrize("k,t,m,built", [
@@ -616,11 +685,11 @@ class TestBoundsTable:
         rows, _ = bounds_table(2, 2, range(2, 10), budget=0)
         assert [r.exact for r in rows] == [2, 2, 4, 4, 6, 6, 8, 8]
         rows, _ = bounds_table(3, 3, [3], budget=0)
-        assert (rows[0].lower, rows[0].constructive, rows[0].exact) == (3, 6, None)
+        assert (rows[0].lower, rows[0].constructive, rows[0].exact) == (4, 6, None)
 
     @pytest.mark.parametrize("run_search", [True, False])
     def test_one_rank_bound_per_row(self, monkeypatch, run_search):
-        budget = 3 if run_search else 0  # budget 0 searches no level
+        budget = 4 if run_search else 0  # budget 0 searches no level
         calls = []
         real = search.flattening_rank_bound
 
@@ -634,7 +703,7 @@ class TestBoundsTable:
             (2, 2, 2, 2), (2, 4, 2, 2), (4, 5, 4, 4), (4, 6, 4, 4), (6, 7, 6, 6)
         ]
         rows, _ = bounds_table(3, 3, range(2, 5), budget=budget)
-        lower = 4 if run_search else 3  # the search refutes level 3 within budget 3
+        lower = 5 if run_search else 4  # the search refutes level 4 within budget 4
         assert [r.fields()[3:] for r in rows] == [
             (0, 0, 0, 0), (lower, 6, 6, ""), (lower, 13, 13, "")
         ]

@@ -58,10 +58,6 @@ class TestSubsetBits:
         walk = tuple(e for e in range(1, n + 1) if (bits >> (e - 1)) & 1)
         assert SubsetBits(n, bits).elements() == walk
 
-    def test_extra_element(self):
-        s = sb(3, 1).with_extra_element()
-        assert s.ground_size == 4 and s.elements() == (1, 4)
-
 
 class TestIntersectionParity:
     def test_single_odd(self):
