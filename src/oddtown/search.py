@@ -37,6 +37,7 @@ from .ranks import MAX_DIRECT_ENTRIES, cover_size_lower_bound
 DEFAULT_CAP = 4096
 DEFAULT_BUDGET = 8
 _DFS_NODE_CAP = 4_000_000
+_MITM_TRIPLE_CAP = 8_000_000  # the most triple sums the w = 5 pass streams
 _SYMMETRY_MAX_N = 5  # orbit canonicalization (n! value permutations) is skipped above this
 _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
 # The largest Koszul flattening matrix the bound eliminates, and the merges it
@@ -280,6 +281,7 @@ def flattening_rank_bound(k: int, t: int, n: int) -> Optional[int]:
     and the target is invariant under permuting coordinates, so all
     unfoldings that put a coordinates on the rows are one matrix.
     """
+    _check_search_args(k, t, n)
     if n**k > _RANK_MAX_CELLS:
         return None
     if n == 0:
@@ -353,7 +355,7 @@ class _SortedSet:
     """Exact membership in a fixed set of uint64 values.
 
     A table of hashed slots (about 1/16 full up to 2^20 values, then capped at
-    2^24 slots) turns most absent queries away with one gather;
+    2^24 slots, one bit each) turns most absent queries away with one gather;
     ``searchsorted`` on the sorted values settles the rest.
     """
 
@@ -361,14 +363,16 @@ class _SortedSet:
         self.sorted = np.sort(values)
         bits = min(24, max(10, (16 * self.sorted.size).bit_length()))
         self._shift = np.uint64(64 - bits)
-        self._slots = np.zeros(1 << bits, dtype=bool)
-        self._slots[self._slot(self.sorted)] = True
+        slots = np.zeros(1 << bits, dtype=bool)
+        slots[self._slot(self.sorted)] = True
+        self._slots = np.packbits(slots, bitorder="little")
 
     def _slot(self, values: np.ndarray) -> np.ndarray:
         return (values * _FIB) >> self._shift
 
     def contains(self, queries: np.ndarray) -> np.ndarray:
-        mask = self._slots[self._slot(queries)]
+        slot = self._slot(queries)
+        mask = ((self._slots[slot >> np.uint64(3)] >> (slot & np.uint64(7)).astype(np.uint8)) & 1).view(bool)
         maybe = np.flatnonzero(mask)
         mask[maybe] = _np_membership(self.sorted, queries[maybe])
         return mask
@@ -481,8 +485,14 @@ def _search_weight_level(
     return None
 
 
-class _LevelTooHard(Exception):
-    pass
+def _level_engine(m: int, cells: int, w: int) -> Optional[str]:
+    """The engine for level w of an m-column catalog over ``cells`` grid
+    cells, "dfs" or "mitm"; None when the level is out of reach."""
+    if not 0 < w <= m or comb(m, w - 1) <= _DFS_NODE_CAP:
+        return "dfs"
+    if cells <= 64 and (w < 5 or w == 5 and comb(m, 3) <= _MITM_TRIPLE_CAP):
+        return "mitm"
+    return None
 
 
 def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]]:
@@ -504,24 +514,16 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     The least value over the orbits of the hits is then min I, the same v as
     an unrestricted pass; without orbit columns v is the least hit.  The DFS
     engine then re-derives the lexicographically first h-support of
-    v ^ target and s-support of v.  Raises _LevelTooHard when neither route
-    is feasible.  Levels must be exhausted in ascending order: the
-    vectorized pass rules out index collisions between the halves by
-    appealing to the emptiness of lower levels.
+    v ^ target and s-support of v.  ``_level_engine`` picks the route.  Levels
+    must be exhausted in ascending order: the pass rules out index collisions
+    between the halves by appealing to the emptiness of lower levels.
     """
-    m = instance.num_columns
-    b = instance.target
-    if w == 0:
-        return () if b == 0 else None
-    est = comb(m, min(w, m) - 1) if w <= m else 0
-    if w <= m and est <= _DFS_NODE_CAP:
+    m, b, words = instance.num_columns, instance.target, instance.words
+    engine = _level_engine(m, len(instance.cells), w)
+    if engine == "dfs":
         return _search_weight_level(instance, b, w, instance.first_columns)
-    if w > m:
-        return None
-    words = instance.words
-    if words is None or w > 5 or (w == 5 and comb(m, 3) > 8_000_000):
-        raise _LevelTooHard(f"level {w} with {m} columns is out of reach")
-
+    if engine is None:
+        raise InternalCheckError(f"level {w} with {m} columns is out of reach")
     h = 1 if w == 3 else 2
     s = w - h
     shift = np.uint64(b)
@@ -602,11 +604,12 @@ def min_mod2_cover(
     construction (``best_constructive_cover``, built and verified there, then
     the upper bound) and all catalog-free lower bounds (the flattening bound
     and ``_formula_lower``).  When they meet, the value is exact and nothing is
-    searched.  Otherwise weight levels from the lower bound up are exhausted
-    in ascending order up to ``budget``, provided the catalog of (2^n - 1)^k
-    products fits ``cap``; past the cap the outcome is the interval of the
-    certificates, with no level searched.  A witness the search returns is
-    verified.  The result is deterministic for fixed arguments.
+    searched.  Otherwise weight levels from the lower bound up to ``budget``
+    and below the upper bound are exhausted in ascending order, while
+    ``_level_engine`` reaches them.  The catalog of (2^n - 1)^k products is
+    built only if one such level is left and it fits ``cap``; otherwise the
+    outcome is the interval of the certificates, with no level searched.  A
+    witness the search returns is verified.  The result is deterministic.
     """
     _check_search_args(k, t, n)
     if n < t:  # no cell has t distinct entries
@@ -615,17 +618,14 @@ def min_mod2_cover(
     rank_bound = max(flattening_rank_bound(k, t, n) or 0, _formula_lower(k, t, n))
     construction = best_constructive_cover(k, t, n)
     upper = len(construction) if construction is not None else None
-    start = w = max(1, rank_bound)
+    start = w = stop = max(1, rank_bound)
+    m = _catalog_size(k, n)
+    while stop <= budget and stop != upper and _level_engine(m, n**k, stop):
+        stop += 1
     support = None
-    if start != upper and start <= budget and _catalog_size(k, n) <= cap:
+    if stop > start and m <= cap:
         instance = build_search_instance(k, t, n, cap)
-        while w <= budget and (upper is None or w < upper):
-            try:
-                support = _exhaust_level(instance, w)
-            except _LevelTooHard:
-                break
-            if support is not None:
-                break
+        while w < stop and (support := _exhaust_level(instance, w)) is None:
             w += 1
     # Every level below w is refuted, by the lower bounds or by the search.
     exhausted = (start, w - 1) if w > start else None

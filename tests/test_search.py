@@ -241,6 +241,15 @@ class TestFlatteningBound:
         assert flattening_rank_bound(2, 2, 257) is None
         assert flattening_rank_bound(4, 2, 17) is None
 
+    @pytest.mark.parametrize("k,t,n,message", [
+        (2, 3, 3, "need 2 <= t <= k"),  # t > k: no such target
+        (3, 1, 2, "need 2 <= t <= k"),  # t < 2
+        (3, 3, -2, "n must be nonnegative"),
+    ])
+    def test_rejects_targets_that_do_not_exist(self, k, t, n, message):
+        with pytest.raises(ValueError, match=message):
+            flattening_rank_bound(k, t, n)
+
 
 class TestMinMod2Cover:
     @pytest.mark.parametrize("n,expected", [(2, 2), (3, 2), (4, 4)])
@@ -460,6 +469,66 @@ class TestWeightLevel:
                 if _xor(cols, sup) == b and (first_columns is None or sup[0] in first_columns)
             ), None)
             assert _search_weight_level(inst, b, w, first_columns) == want, first_columns
+
+
+def _engine_reference(m, cells, w):
+    """The route of level w checked step by step, the MITM guards spelled out."""
+    if w == 0 or w > m:
+        return "dfs"
+    if comb(m, w - 1) <= search._DFS_NODE_CAP:
+        return "dfs"
+    if cells > 64 or w > 5 or (w == 5 and comb(m, 3) > search._MITM_TRIPLE_CAP):
+        return None
+    return "mitm"
+
+
+class TestLevelEngine:
+    EDGES = [  # (m, cells, w, engine)
+        (4_000_000, 64, 2, "dfs"),  # C(m, 1) = 4,000,000 nodes: at the DFS cap
+        (4_000_001, 64, 2, "mitm"),
+        (4_000_001, 65, 2, None),  # past 64 cells there is no pass
+        (364, 64, 5, "mitm"),  # C(364, 3) = 7,971,964 triple sums
+        (365, 64, 5, None),  # C(365, 3) = 8,038,030
+        (365, 64, 4, "mitm"),
+        (365, 64, 6, None),
+        (5, 65, 6, "dfs"),  # w > m: no support, answered at once
+        (0, 65, 1, "dfs"),
+        (5, 65, 0, "dfs"),  # C(m, -1) is never asked for
+    ]
+
+    @pytest.mark.parametrize("m,cells,w,engine", EDGES)
+    def test_edges(self, m, cells, w, engine):
+        assert search._level_engine(m, cells, w) == engine
+        assert _engine_reference(m, cells, w) == engine
+
+    def test_matches_reference(self):
+        ms = [*range(13), 343, 364, 365, 2401, 2828, 2829, 3375, 4_000_000, 4_000_001]
+        for m in ms:
+            for cells in (1, 63, 64, 65):
+                for w in range(9):
+                    assert search._level_engine(m, cells, w) == _engine_reference(m, cells, w)
+
+    @pytest.mark.parametrize("m,w", [(30, 3), (343, 4), (364, 5), (365, 5), (3375, 4)])
+    def test_caps_are_inclusive(self, monkeypatch, m, w):
+        # a cap equal to its count admits the level, one below it does not
+        def check(nodes, triples, want):
+            monkeypatch.setattr(search, "_DFS_NODE_CAP", nodes)
+            monkeypatch.setattr(search, "_MITM_TRIPLE_CAP", triples)
+            assert search._level_engine(m, 64, w) == _engine_reference(m, 64, w) == want
+
+        check(comb(m, w - 1), comb(m, 3), "dfs")
+        check(comb(m, w - 1) - 1, comb(m, 3), "mitm")
+        check(comb(m, w - 1) - 1, comb(m, 3) - 1, "mitm" if w < 5 else None)
+
+    def test_exhaust_level_dispatch(self, monkeypatch):
+        monkeypatch.setattr(search, "_DFS_NODE_CAP", 0)  # every level it can take goes to the pass
+        assert _exhaust_level(_columns_instance([1, 2, 3], 0), 0) == ()
+        assert _exhaust_level(_columns_instance([1, 2, 3], 5), 0) is None
+        assert _exhaust_level(_columns_instance([1, 2, 3], 0), 4) is None  # w > m
+        assert _exhaust_level(_columns_instance([1, 2, 4, 8], 7), 3) == (0, 1, 2)  # the pass
+        wide = SearchInstance(0, 0, 0, ((),) * 65, ((),) * 4, (1, 2, 4, 8), 7)
+        with pytest.raises(InternalCheckError, match="out of reach"):
+            _exhaust_level(wide, 3)
 
 
 uint64s = st.lists(st.integers(0, 2**64 - 1), max_size=40)
