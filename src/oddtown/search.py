@@ -1,22 +1,22 @@
 """Exact minimum parity-cover search at desk scale, and the bounds table.
 
-The search is a per-weight-level exhaustion: levels are proven empty in
-ascending order (by depth-first branch and bound, or by a vectorized
-meet-in-the-middle pass when the cell grid fits in 64 bits), and the first
-level holding a solution yields the witness.  There is one meet-in-the-middle
-pass for weights 3, 4 and 5: it looks for the smallest common value of the
-sums of one or two columns shifted by the target and the sums of the
-remaining columns, holding the smaller side as a sorted set (a hashed-slot
-screen in front of ``searchsorted``) and streaming the other against it in
-blocks.  The depth-first engine then re-derives both halves of the support
-from that value; its last two levels are one vectorized lookup per node.
-Both engines use the value and coordinate permutations, which fix the
-target: a depth-first level starts only at columns least in their orbit, and
-the pass takes only the sums whose least column is, mapping each hit to the
-least value of its orbit.  A presolve certifies the levels below the
-catalog-free lower bounds: the closed forms, and the largest Koszul
-flattening bound of the target, since each product is a rank-one tensor.
-Every certificate that backs a reported value is recorded on the outcome.
+The search is a per-weight-level exhaustion on grids of at most 64 cells,
+where a column is one uint64: levels are proven empty in ascending order,
+and the first level holding a solution yields the witness.  Weights up to 3
+are lookups in the sorted column words, which return the lexicographically
+first support.  Weights 4 and 5 are one vectorized meet-in-the-middle pass:
+it looks for the smallest common value of the pair sums shifted by the
+target and the sums of the remaining columns, holding the smaller side as a
+sorted set (a hashed-slot screen in front of ``searchsorted``) and streaming
+the other against it in blocks; the lookups then re-derive both halves of
+the support from that value.  Both routes use the value and coordinate
+permutations, which fix the target: a lookup level starts only at columns
+least in their orbit, and the pass takes only the sums whose least column
+is, mapping each hit to the least value of its orbit.  A presolve certifies
+the levels below the catalog-free lower bounds: the closed forms, and the
+largest Koszul flattening bound of the target, since each product is a
+rank-one tensor.  Every certificate that backs a reported value is recorded
+on the outcome.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .ranks import MAX_DIRECT_ENTRIES, cover_size_lower_bound
 
 DEFAULT_CAP = 4096
 DEFAULT_BUDGET = 8
-_DFS_NODE_CAP = 4_000_000
 _MITM_TRIPLE_CAP = 8_000_000  # the most triple sums the w = 5 pass streams
 _SYMMETRY_MAX_N = 5  # orbit canonicalization (n! value permutations) is skipped above this
 _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
@@ -77,18 +76,8 @@ class SearchInstance:
         return len(self.columns)
 
     @cached_property
-    def value_index(self) -> dict[int, list[int]]:
-        """Column indices by column mask, ascending."""
-        index: dict[int, list[int]] = {}
-        for j, cm in enumerate(self.columns):
-            index.setdefault(cm, []).append(j)
-        return index
-
-    @cached_property
-    def words(self) -> Optional[np.ndarray]:
-        """The column masks as uint64; None when the grid has more than 64 cells."""
-        if len(self.cells) > 64:
-            return None
+    def words(self) -> np.ndarray:
+        """The column masks as uint64, for grids of at most 64 cells."""
         return np.array(self.columns, dtype=np.uint64)
 
     @cached_property
@@ -108,14 +97,6 @@ class SearchInstance:
         for i in range(m - 1):
             sums[starts[i] - (m - 1 - i) : starts[i]] = words[i + 1 :] ^ words[i]
         return sums, starts
-
-    @cached_property
-    def suffix_max_pop(self) -> list[int]:
-        """The largest column weight from each index on."""
-        suffix = [0] * (self.num_columns + 1)
-        for j in range(self.num_columns - 1, -1, -1):
-            suffix[j] = max(suffix[j + 1], self.columns[j].bit_count())
-        return suffix
 
     @cached_property
     def value_permutations(self) -> Optional[np.ndarray]:
@@ -315,7 +296,7 @@ def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
 
     Both kinds of permutation fix the target, which depends only on how many
     entries of a cell are distinct.  Restricting the first (least) column of a
-    DFS support to these never changes the witness: if the lex-min support S
+    lookup support to these never changes the witness: if the lex-min support S
     started at a column j0 that is not orbit-canonical, some symmetry σ would
     give σ(j0) < j0, and σ(S), also a solution since σ fixes the target,
     would be lexicographically smaller than S.
@@ -412,36 +393,29 @@ def _search_weight_level(
     weight: int,
     first_columns: Optional[Sequence[int]] = None,
 ) -> Optional[tuple[int, ...]]:
-    """First (lexicographically smallest) support of exactly ``weight`` of the
-    instance's columns XOR-ing to ``b_mask``, with columns explored in
-    ascending index; None if the level is empty.  ``first_columns``, ascending,
-    restricts only the smallest index used.
+    """First (lexicographically smallest) support of exactly ``weight`` <= 3
+    of the instance's columns XOR-ing to ``b_mask``; None if the level is
+    empty, as every level past the number of columns is.  ``first_columns``,
+    ascending, restricts only the smallest index used.
 
-    While the grid fits in 64 bits, the last two indices are one numpy step
-    per node: each candidate j1 XORs the residual into its column, and the
-    last column of the sorted words holding that value decides whether a
-    partner j2 > j1 exists.  The first such j1, with its least partner, is
-    the pair the depth-first loop would reach first.
+    A pair is one numpy step: each candidate j1 XORs the residual into its
+    column, and the last column of the sorted words holding that value
+    decides whether a partner j2 > j1 exists.  The first such j1 with its
+    least partner is the lexicographically first pair.  A triple is one such
+    step per first column.
     """
-    col_masks = instance.columns
-    m = len(col_masks)
+    columns, m = instance.columns, instance.num_columns
+    if weight > m:
+        return None
+    if weight > 3:
+        raise InternalCheckError(f"level {weight} is past the lookups")
     if weight == 0:
         return () if b_mask == 0 else None
-    value_index, suffix_max_pop = instance.value_index, instance.suffix_max_pop
     firsts = range(m) if first_columns is None else first_columns
+    if weight == 1:
+        return next(((j,) for j in firsts if columns[j] == b_mask), None)
     words = instance.words
-    if words is not None:
-        values, order = instance.sorted_words
-        index = np.arange(m)
-
-    def lookup_one(residual: int, after: int) -> Optional[int]:
-        cands = value_index.get(residual)
-        if not cands:
-            return None
-        for j in cands:
-            if j > after:
-                return j
-        return None
+    values, order = instance.sorted_words
 
     def lookup_pair(residual: int, lows: np.ndarray) -> Optional[tuple[int, int]]:
         want = words[lows] ^ np.uint64(residual)
@@ -450,47 +424,30 @@ def _search_weight_level(
         found = np.flatnonzero((values[top] == want) & (order[top] > lows))
         if found.size == 0:
             return None
-        j1 = int(lows[found[0]])
-        return j1, lookup_one(residual ^ col_masks[j1], j1)
+        i = found[0]
+        # the columns holding the wanted value, ascending
+        run = order[np.searchsorted(values, want[i]) : top[i] + 1]
+        return int(lows[i]), int(run[np.searchsorted(run, lows[i], side="right")])
 
-    def dfs(residual: int, last: int, remaining: int, chosen: list[int]) -> Optional[tuple[int, ...]]:
-        if remaining == 2 and words is not None:
-            got = lookup_pair(residual, index[last + 1 :])
-            return None if got is None else (*chosen, *got)
-        if remaining == 1:
-            j = lookup_one(residual, last)
-            if j is None:
-                return None
-            return tuple(chosen + [j])
-        for j in range(last + 1, m - remaining + 1):
-            if residual.bit_count() > remaining * suffix_max_pop[j]:
-                return None  # suffix_max_pop is nonincreasing: later j prune too
-            got = dfs(residual ^ col_masks[j], j, remaining - 1, chosen + [j])
-            if got is not None:
-                return got
-        return None
-
-    if weight == 2 and words is not None:
+    if weight == 2:
         return lookup_pair(b_mask, np.array(firsts, dtype=np.intp))
+    index = np.arange(m)
     for j0 in firsts:
-        if j0 > m - weight:
+        if j0 > m - 3:
             break
-        if weight == 1:
-            if col_masks[j0] == b_mask:
-                return (j0,)
-            continue
-        got = dfs(b_mask ^ col_masks[j0], j0, weight - 1, [j0])
+        got = lookup_pair(b_mask ^ columns[j0], index[j0 + 1 :])
         if got is not None:
-            return got
+            return (j0, *got)
     return None
 
 
 def _level_engine(m: int, cells: int, w: int) -> Optional[str]:
     """The engine for level w of an m-column catalog over ``cells`` grid
-    cells, "dfs" or "mitm"; None when the level is out of reach."""
-    if not 0 < w <= m or comb(m, w - 1) <= _DFS_NODE_CAP:
-        return "dfs"
-    if cells <= 64 and (w < 5 or w == 5 and comb(m, 3) <= _MITM_TRIPLE_CAP):
+    cells: "lookup" at w <= 3 and for the empty levels w > m, "mitm" at
+    w = 4 and 5; None when the level is out of reach."""
+    if w == 0 or w > m or cells <= 64 and w <= 3:
+        return "lookup"
+    if cells <= 64 and (w == 4 or w == 5 and comb(m, 3) <= _MITM_TRIPLE_CAP):
         return "mitm"
     return None
 
@@ -498,34 +455,32 @@ def _level_engine(m: int, cells: int, w: int) -> Optional[str]:
 def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]]:
     """Support of weight w, or None if the level is empty.
 
-    Small levels run the exact lexicographic DFS, restricted to the
-    instance's orbit-canonical first columns.  Larger ones fall back to one
-    vectorized meet-in-the-middle pass, possible while the grid fits in 64
-    bits and w <= 5.  It splits w = h + s, with h = 1 at w = 3 and h = 2 at
-    w = 4 and 5.  The common values v of the s-sums and the h-sums shifted by
-    the target form a set I that every value and coordinate permutation maps
-    onto itself, as they permute the columns and fix the target.  So the
-    pass takes only the s-sums whose least index i is orbit-canonical (the
-    (s-1)-sums of the later columns, shifted by column i): mapping an
-    s-support so that its least index is as small as it gets makes that
-    index canonical, hence every orbit in I is met.  The smaller side is
-    held in a ``_SortedSet`` and the other streamed against it in blocks: at
-    w = 4 the held side is those s-sums, at w = 3 and 5 the shifted h-sums.
-    The least value over the orbits of the hits is then min I, the same v as
-    an unrestricted pass; without orbit columns v is the least hit.  The DFS
-    engine then re-derives the lexicographically first h-support of
-    v ^ target and s-support of v.  ``_level_engine`` picks the route.  Levels
-    must be exhausted in ascending order: the pass rules out index collisions
-    between the halves by appealing to the emptiness of lower levels.
+    Levels up to 3 are lookups, restricted to the instance's orbit-canonical
+    first columns.  Levels 4 and 5 are one vectorized meet-in-the-middle
+    pass, which splits w = 2 + s.  The common values v of the s-sums and the
+    pair sums shifted by the target form a set I that every value and
+    coordinate permutation maps onto itself, as they permute the columns and
+    fix the target.  So the pass takes only the s-sums whose least index i
+    is orbit-canonical (the (s-1)-sums of the later columns, shifted by
+    column i): mapping an s-support so that its least index is as small as
+    it gets makes that index canonical, hence every orbit in I is met.  The
+    smaller side is held in a ``_SortedSet`` and the other streamed against
+    it in blocks: at w = 4 the held side is those s-sums, at w = 5 the
+    shifted pair sums.  The least value over the orbits of the hits is then
+    min I, the same v as an unrestricted pass; without orbit columns v is the
+    least hit.  The lookups then re-derive the lexicographically first pair
+    of v ^ target and s-support of v.  ``_level_engine`` picks the route.
+    Levels must be exhausted in ascending order: the pass rules out index
+    collisions between the halves by appealing to the emptiness of lower
+    levels.
     """
     m, b, words = instance.num_columns, instance.target, instance.words
     engine = _level_engine(m, len(instance.cells), w)
-    if engine == "dfs":
+    if engine == "lookup":
         return _search_weight_level(instance, b, w, instance.first_columns)
     if engine is None:
         raise InternalCheckError(f"level {w} with {m} columns is out of reach")
-    h = 1 if w == 3 else 2
-    s = w - h
+    s = w - 2
     shift = np.uint64(b)
     firsts = range(m) if instance.first_columns is None else instance.first_columns
     firsts = [i for i in firsts if i <= m - s]
@@ -534,8 +489,8 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
         sums = instance.pair_sums[0]
         blocks = range(0, sums.size, _STREAM_BLOCK)
         hits = np.concatenate([held.common(sums[lo : lo + _STREAM_BLOCK] ^ shift) for lo in blocks])
-    else:  # the h-sums are the (s-1)-sums; those after index i begin at starts[i]
-        sums, starts = (words, range(1, m)) if w == 3 else instance.pair_sums
+    else:  # the triples with least index i: the pair sums after it, from starts[i]
+        sums, starts = instance.pair_sums
         held = _SortedSet(sums ^ shift)
         hits = np.concatenate([held.common(sums[starts[i] :] ^ words[i]) for i in firsts])
     del held
@@ -543,7 +498,7 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     if v is None:
         return None
     halves = (
-        _search_weight_level(instance, v ^ b, h),
+        _search_weight_level(instance, v ^ b, 2),
         _search_weight_level(instance, v, s),
     )
     if None in halves:
@@ -603,7 +558,8 @@ def min_mod2_cover(
     Two kinds of certificate need no product catalog: the smallest explicit
     construction (``best_constructive_cover``, built and verified there, then
     the upper bound) and all catalog-free lower bounds (the flattening bound
-    and ``_formula_lower``).  When they meet, the value is exact and nothing is
+    and ``_formula_lower``).  A lower bound above the construction is an
+    ``InternalCheckError``.  When they meet, the value is exact and nothing is
     searched.  Otherwise weight levels from the lower bound up to ``budget``
     and below the upper bound are exhausted in ascending order, while
     ``_level_engine`` reaches them.  The catalog of (2^n - 1)^k products is
@@ -618,6 +574,8 @@ def min_mod2_cover(
     rank_bound = max(flattening_rank_bound(k, t, n) or 0, _formula_lower(k, t, n))
     construction = best_constructive_cover(k, t, n)
     upper = len(construction) if construction is not None else None
+    if upper is not None and rank_bound > upper:
+        raise InternalCheckError(f"lower bound {rank_bound} exceeds a verified cover of size {upper}")
     start = w = stop = max(1, rank_bound)
     m = _catalog_size(k, n)
     while stop <= budget and stop != upper and _level_engine(m, n**k, stop):

@@ -267,13 +267,12 @@ class TestMinMod2Cover:
             assert pure_levels(2, 2, n, value) == [False] * (value - 1) + [True], n
 
     def test_symmetry_off_matches(self):
-        # the orbit-canonical first columns only restrict the first DFS column,
-        # and the lex-min support always starts at one: every level's witness,
-        # or its emptiness, is unchanged (at (5,3,2) the target is empty, so
-        # the levels hold zero-sum supports)
-        for k, t, n, top in ((2, 2, 2, 2), (2, 2, 3, 2), (2, 2, 4, 4), (2, 2, 5, 3),
-                             (3, 2, 3, 4), (3, 3, 3, 3), (4, 2, 3, 3), (5, 3, 2, 4),
-                             (6, 2, 2, 3)):
+        # the orbit-canonical first columns only restrict the first lookup
+        # column, and the lex-min support always starts at one: every level's
+        # witness, or its emptiness, is unchanged (at (5,3,2) the target is
+        # empty, so the levels hold zero-sum supports)
+        for k, t, n, top in ((2, 2, 2, 2), (2, 2, 3, 2), (2, 2, 4, 3), (2, 2, 5, 3),
+                             (3, 2, 3, 3), (3, 3, 3, 3), (5, 3, 2, 3), (6, 2, 2, 3)):
             inst = build_search_instance(k, t, n)
             assert inst.first_columns is not None
             for w in range(top + 1):
@@ -314,7 +313,7 @@ class TestMinMod2Cover:
 
     @pytest.mark.parametrize("k,t,n", [(2, 2, 6), (3, 2, 4), (3, 3, 4)])
     def test_budget_interval_through_level_three_pass(self, k, t, n):
-        # the catalogs with more than 4*10^6 column pairs refute w=3 by meet-in-the-middle
+        # the lookups refute w=3 on catalogs of 3,375 to 3,969 columns
         assert pure_levels(k, t, n, 3) == [False] * 3
 
     def test_incumbent_certifies(self):
@@ -323,6 +322,17 @@ class TestMinMod2Cover:
         # 6-product construction, which is the upper bound
         assert (out.status, out.lower, out.upper, out.constructive) == ("interval", 4, 6, 6)
         assert len(out.cover) == 6 and out.levels_exhausted is None
+
+    @pytest.mark.parametrize("k,t,n", [(3, 2, 2), (3, 3, 3)])
+    def test_lower_bound_above_the_construction_raises(self, monkeypatch, capsys, k, t, n):
+        # a lower bound past a verified cover is a broken certificate: unchecked,
+        # (3,2,2) searched on and read exact f=4, and (3,3,3) lower=7 upper=6
+        upper = len(best_constructive_cover(k, t, n))
+        monkeypatch.setattr(search, "flattening_rank_bound", lambda *ktn: upper + 1)
+        with pytest.raises(InternalCheckError, match=f"lower bound {upper + 1} exceeds"):
+            min_mod2_cover(k, t, n)
+        assert main(["search", "--k", str(k), "--t", str(t), "--n", str(n)]) == 3
+        assert capsys.readouterr().out.startswith("internal inconsistency")
 
     def test_certificates_meet_without_catalog(self, monkeypatch):
         calls = []
@@ -418,20 +428,15 @@ def _columns_instance(cols, b=0):
 
 
 def _mitm_level(cols, b, w):
-    """``_exhaust_level`` forced onto the meet-in-the-middle route."""
-    old_cap = search._DFS_NODE_CAP
-    search._DFS_NODE_CAP = 0
-    try:
-        return _exhaust_level(_columns_instance(cols, b), w)
-    finally:
-        search._DFS_NODE_CAP = old_cap
+    """``_exhaust_level`` at w = 4 or 5, the meet-in-the-middle route."""
+    return _exhaust_level(_columns_instance(cols, b), w)
 
 
 def _level_reference(cols, b, w):
-    """The level pass by plain enumeration: with h = 1 at w=3 and h = 2 at w=4
-    and 5, the smallest value shared by the (w-h)-sums and the h-sums shifted
-    by b, joined from the lexicographically first supports of both sums."""
-    h = 1 if w == 3 else 2
+    """The level pass by plain enumeration: with h = 2, the smallest value
+    shared by the (w-h)-sums and the h-sums shifted by b, joined from the
+    lexicographically first supports of both sums."""
+    h = 2
     first = {}
     for size in (h, w - h):
         for sup in combinations(range(len(cols)), size):
@@ -450,19 +455,17 @@ class TestWeightLevel:
             st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=14, unique=True),
             st.lists(st.integers(0, 7), min_size=1, max_size=14),  # repeated columns
         ),
-        st.sampled_from([2, 3]),
-        st.sampled_from([20, 65]),  # the numpy pair step, and the lookup loop past 64 cells
+        st.sampled_from([1, 2, 3]),
         st.data(),
     )
-    def test_lex_first_support(self, cols, w, cells, data):
+    def test_lex_first_support(self, cols, w, data):
         indices = range(len(cols))
         b = data.draw(st.one_of(
             st.integers(0, 2**12 - 1),
             st.lists(st.sampled_from(indices), max_size=w).map(lambda sup: _xor(cols, sup)),
         ))
         firsts = sorted(data.draw(st.sets(st.sampled_from(indices))))
-        inst = SearchInstance(0, 0, 0, ((),) * cells, ((),) * len(cols), tuple(cols), b)
-        assert (inst.words is None) == (cells > 64)
+        inst = _columns_instance(cols, b)
         for first_columns in (None, firsts):
             want = next((
                 sup for sup in combinations(indices, w)
@@ -470,30 +473,40 @@ class TestWeightLevel:
             ), None)
             assert _search_weight_level(inst, b, w, first_columns) == want, first_columns
 
+    def test_lookups_stop_at_level_three(self):
+        inst = _columns_instance([1, 2, 4, 8, 16], 15)
+        for w in (4, 5):  # levels the lookups do not search
+            with pytest.raises(InternalCheckError, match="past the lookups"):
+                _search_weight_level(inst, 15, w)
+        assert _search_weight_level(inst, 15, 6) is None  # w > m: no support
+
 
 def _engine_reference(m, cells, w):
     """The route of level w checked step by step, the MITM guards spelled out."""
     if w == 0 or w > m:
-        return "dfs"
-    if comb(m, w - 1) <= search._DFS_NODE_CAP:
-        return "dfs"
-    if cells > 64 or w > 5 or (w == 5 and comb(m, 3) > search._MITM_TRIPLE_CAP):
+        return "lookup"
+    if cells > 64:
+        return None
+    if w <= 3:
+        return "lookup"
+    if w > 5 or (w == 5 and comb(m, 3) > search._MITM_TRIPLE_CAP):
         return None
     return "mitm"
 
 
 class TestLevelEngine:
     EDGES = [  # (m, cells, w, engine)
-        (4_000_000, 64, 2, "dfs"),  # C(m, 1) = 4,000,000 nodes: at the DFS cap
-        (4_000_001, 64, 2, "mitm"),
-        (4_000_001, 65, 2, None),  # past 64 cells there is no pass
+        (4_000_001, 64, 1, "lookup"),  # every level up to 3 is lookups, whatever m is
+        (4_000_001, 64, 2, "lookup"),
+        (4_000_001, 64, 3, "lookup"),
+        (4_000_001, 65, 2, None),  # past 64 cells no level is searched
         (364, 64, 5, "mitm"),  # C(364, 3) = 7,971,964 triple sums
         (365, 64, 5, None),  # C(365, 3) = 8,038,030
         (365, 64, 4, "mitm"),
         (365, 64, 6, None),
-        (5, 65, 6, "dfs"),  # w > m: no support, answered at once
-        (0, 65, 1, "dfs"),
-        (5, 65, 0, "dfs"),  # C(m, -1) is never asked for
+        (5, 65, 6, "lookup"),  # w > m: no support, answered at once
+        (0, 65, 1, "lookup"),
+        (5, 65, 0, "lookup"),
     ]
 
     @pytest.mark.parametrize("m,cells,w,engine", EDGES)
@@ -510,22 +523,22 @@ class TestLevelEngine:
 
     @pytest.mark.parametrize("m,w", [(30, 3), (343, 4), (364, 5), (365, 5), (3375, 4)])
     def test_caps_are_inclusive(self, monkeypatch, m, w):
-        # a cap equal to its count admits the level, one below it does not
-        def check(nodes, triples, want):
-            monkeypatch.setattr(search, "_DFS_NODE_CAP", nodes)
+        # a triple cap equal to C(m, 3) admits level 5, one below it does not;
+        # the levels below 5 never consult it
+        def check(triples, want):
             monkeypatch.setattr(search, "_MITM_TRIPLE_CAP", triples)
             assert search._level_engine(m, 64, w) == _engine_reference(m, 64, w) == want
 
-        check(comb(m, w - 1), comb(m, 3), "dfs")
-        check(comb(m, w - 1) - 1, comb(m, 3), "mitm")
-        check(comb(m, w - 1) - 1, comb(m, 3) - 1, "mitm" if w < 5 else None)
+        engine = "lookup" if w <= 3 else "mitm"
+        check(comb(m, 3), engine)
+        check(comb(m, 3) - 1, engine if w < 5 else None)
 
-    def test_exhaust_level_dispatch(self, monkeypatch):
-        monkeypatch.setattr(search, "_DFS_NODE_CAP", 0)  # every level it can take goes to the pass
+    def test_exhaust_level_dispatch(self):
         assert _exhaust_level(_columns_instance([1, 2, 3], 0), 0) == ()
         assert _exhaust_level(_columns_instance([1, 2, 3], 5), 0) is None
         assert _exhaust_level(_columns_instance([1, 2, 3], 0), 4) is None  # w > m
-        assert _exhaust_level(_columns_instance([1, 2, 4, 8], 7), 3) == (0, 1, 2)  # the pass
+        assert _exhaust_level(_columns_instance([1, 2, 4, 8], 7), 3) == (0, 1, 2)  # lookups
+        assert _exhaust_level(_columns_instance([1, 2, 4, 8, 16], 15), 4) == (0, 1, 2, 3)  # the pass
         wide = SearchInstance(0, 0, 0, ((),) * 65, ((),) * 4, (1, 2, 4, 8), 7)
         with pytest.raises(InternalCheckError, match="out of reach"):
             _exhaust_level(wide, 3)
@@ -558,7 +571,7 @@ class TestMeetInTheMiddle:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.integers(1, 2**16 - 1), min_size=6, max_size=10, unique=True),
-        st.sampled_from([3, 4, 5]),
+        st.sampled_from([4, 5]),
         st.data(),
     )
     def test_level_pass_matches_reference(self, cols, w, data):
@@ -574,9 +587,9 @@ class TestMeetInTheMiddle:
             b = _xor(cols, data.draw(index_sets(w)))
         else:
             b = data.draw(st.integers(1, 2**16 - 1))
-        # the vectorized passes need every lower level to be empty
-        inst = _columns_instance(cols)
-        if b == 0 or any(_search_weight_level(inst, b, lower) for lower in range(1, w)):
+        # the vectorized pass needs every lower level to be empty
+        lower = (sup for size in range(1, w) for sup in combinations(range(len(cols)), size))
+        if b == 0 or any(_xor(cols, sup) == b for sup in lower):
             return
         assert _mitm_level(cols, b, w) == _level_reference(cols, b, w)
 
@@ -625,14 +638,11 @@ class TestMeetInTheMiddle:
         assert search._orbit_minimum(bare, np.array([9, 4, 7], dtype=np.uint64)) == 4
 
     @pytest.mark.parametrize("k,t,n,levels", [
-        (3, 2, 3, (3, 4, 5)), (3, 3, 3, (3, 4, 5)), (2, 2, 4, (3, 4, 5)), (4, 3, 2, (3, 4, 5)),
-        (3, 2, 4, (3,)), (3, 3, 4, (3,)),
+        (3, 2, 3, (4, 5)), (3, 3, 3, (4, 5)), (2, 2, 4, (4, 5)), (4, 3, 2, (4, 5)),
     ])
-    def test_orbit_restricted_pass_matches_unrestricted(self, monkeypatch, k, t, n, levels):
+    def test_orbit_restricted_pass_matches_unrestricted(self, k, t, n, levels):
         # the same columns without orbits stream every block and take the
         # plain minimum: the level outcome is the same
-        monkeypatch.setattr(search, "_DFS_NODE_CAP", 0)
-
         def outcome(instance, w):
             try:
                 return _exhaust_level(instance, w)
