@@ -196,7 +196,7 @@ def _rank_packed(m: Gf2Matrix) -> int:
         if rank == m.rows:
             break
         w = col >> 6
-        hits = rank + np.flatnonzero(words[rank:, w] & np.uint64(1 << (col & 63)))
+        hits = rank + (words[rank:, w] & np.uint64(1 << (col & 63))).nonzero()[0]
         if hits.size == 0:
             continue
         piv = int(hits[0])
@@ -237,16 +237,16 @@ def rank_gfp(m: GfpMatrix) -> int:
         if rank == m.rows:
             break
         column = a[rank:, col] % p
-        nonzero = np.flatnonzero(column)
+        nonzero = column.nonzero()[0]
         if nonzero.size == 0:
             continue
         piv = rank + int(nonzero[0])
-        pivot = a[piv, col:] * pow(int(column[nonzero[0]]), p - 2, p) % p
+        below = nonzero[1:]  # the row moved down was zero in this column
+        if below.size:  # the pivot row is normalised only for the rows it updates
+            pivot = a[piv, col:] * pow(int(column[nonzero[0]]), p - 2, p) % p
+            a[rank + below, col:] -= column[below, None] * pivot
         if piv != rank:
             a[piv, col:] = a[rank, col:]  # rows above the rank are never read again
-        below = nonzero[1:]  # the row moved down was zero in this column
-        if below.size:
-            a[rank + below, col:] -= np.outer(column[below], pivot)
         rank += 1
     return rank
 

@@ -11,12 +11,12 @@ sorted set (a hashed-slot screen in front of ``searchsorted``) and streaming
 the other against it in blocks; the lookups then re-derive both halves of
 the support from that value.  Both routes use the value and coordinate
 permutations, which fix the target: a lookup level starts only at columns
-least in their orbit, and the pass takes only the sums whose least column
-is, mapping each hit to the least value of its orbit.  A presolve certifies
-the levels below the catalog-free lower bounds: the closed forms, and the
-largest Koszul flattening bound of the target, since each product is a
-rank-one tensor.  Every certificate that backs a reported value is recorded
-on the outcome.
+least in their orbit, and the pass, with its columns in orbit order, takes
+only the sums whose first column is, mapping each hit to the least value of
+its orbit.  A presolve certifies the levels below the catalog-free lower
+bounds: the closed forms, and the largest Koszul flattening bound of the
+target, since each product is a rank-one tensor.  Every certificate that
+backs a reported value is recorded on the outcome.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .ranks import MAX_DIRECT_ENTRIES, cover_size_lower_bound
 
 DEFAULT_CAP = 4096
 DEFAULT_BUDGET = 8
-_MITM_TRIPLE_CAP = 8_000_000  # the most triple sums the w = 5 pass streams
+_MITM_TRIPLE_CAP = 8_000_000  # the largest C(m, 3) at w = 5: a bound on its stream, known before the catalog
 _SYMMETRY_MAX_N = 5  # orbit canonicalization (n! value permutations) is skipped above this
 _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
 # The largest Koszul flattening matrix the bound eliminates, and the merges it
@@ -89,9 +89,9 @@ class SearchInstance:
 
     @cached_property
     def pair_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sums of two columns i < j of ``words``, grouped by i, and where
-        those of the columns after index i begin."""
-        words, m = self.words, self.num_columns
+        """The sums of the columns at two positions p < q of ``pass_order``,
+        grouped by p, and where those of the columns after position p begin."""
+        words, m = self.words[self.pass_order[0]], self.num_columns
         starts = np.cumsum(np.arange(m - 1, 0, -1))
         sums = np.empty(starts[-1], dtype=np.uint64)
         for i in range(m - 1):
@@ -107,9 +107,27 @@ class SearchInstance:
         return np.array(list(permutations(range(self.n))))
 
     @cached_property
+    def orbit_labels(self) -> Optional[np.ndarray]:
+        """Per column, the least index in its orbit (see ``_orbit_labels``)."""
+        return _orbit_labels(self)
+
+    @cached_property
     def first_columns(self) -> Optional[list[int]]:
-        """The orbit-canonical columns, ascending (see ``_canonical_first_columns``)."""
-        return _canonical_first_columns(self)
+        """The orbit-canonical columns, the least of their orbits, ascending."""
+        labels = self.orbit_labels
+        return None if labels is None else np.flatnonzero(labels == np.arange(labels.size)).tolist()
+
+    @cached_property
+    def pass_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The column order of the meet-in-the-middle pass, and the positions
+        in it of the orbit-canonical columns.  Orbits go largest first, each
+        contiguous and led by its canonical column, so few columns follow a
+        canonical one; without orbits, the identity and every position."""
+        labels = self.orbit_labels
+        if labels is None:
+            return np.arange(self.num_columns), np.arange(self.num_columns)
+        order = np.lexsort((labels, -np.bincount(labels)[labels]))  # stable: ascending within an orbit
+        return order, np.flatnonzero(labels[order] == order)
 
     @cached_property
     def cell_images(self) -> Optional[np.ndarray]:
@@ -289,17 +307,18 @@ def _formula_lower(k: int, t: int, n: int) -> int:
     return best
 
 
-def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
-    """Ascending columns that are the least index of their orbit under value and
-    coordinate permutations; None when the group is too large to be worth it
-    (n > _SYMMETRY_MAX_N).
+def _orbit_labels(instance: SearchInstance) -> Optional[np.ndarray]:
+    """Per column, the least index in its orbit under value and coordinate
+    permutations; None when the group is too large to be worth it
+    (n > _SYMMETRY_MAX_N) or n = 0.  A column labelled with its own index is
+    orbit-canonical.
 
     Both kinds of permutation fix the target, which depends only on how many
     entries of a cell are distinct.  Restricting the first (least) column of a
-    lookup support to these never changes the witness: if the lex-min support S
-    started at a column j0 that is not orbit-canonical, some symmetry σ would
-    give σ(j0) < j0, and σ(S), also a solution since σ fixes the target,
-    would be lexicographically smaller than S.
+    lookup support to the canonical ones never changes the witness: if the
+    lex-min support S started at a column j0 that is not orbit-canonical,
+    some symmetry σ would give σ(j0) < j0, and σ(S), also a solution since σ
+    fixes the target, would be lexicographically smaller than S.
 
     One pass over the n! value permutations: the first coordinate is the most
     significant digit of a column index, so sorting the permuted parts in
@@ -317,7 +336,7 @@ def _canonical_first_columns(instance: SearchInstance) -> Optional[list[int]]:
     least = np.arange(len(parts))
     for image in images.T:
         least = np.minimum(least, (np.sort(image[parts], axis=1) - 1) @ place)
-    return np.flatnonzero(least == np.arange(len(parts))).tolist()
+    return least
 
 
 def _np_membership(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -460,21 +479,23 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     pass, which splits w = 2 + s.  The common values v of the s-sums and the
     pair sums shifted by the target form a set I that every value and
     coordinate permutation maps onto itself, as they permute the columns and
-    fix the target.  So the pass takes only the s-sums whose least index i
-    is orbit-canonical (the (s-1)-sums of the later columns, shifted by
-    column i): mapping an s-support so that its least index is as small as
-    it gets makes that index canonical, hence every orbit in I is met.  The
-    smaller side is held in a ``_SortedSet`` and the other streamed against
-    it in blocks: at w = 4 the held side is those s-sums, at w = 5 the
-    shifted pair sums.  The least value over the orbits of the hits is then
-    min I, the same v as an unrestricted pass; without orbit columns v is the
-    least hit.  The lookups then re-derive the lexicographically first pair
-    of v ^ target and s-support of v.  ``_level_engine`` picks the route.
-    Levels must be exhausted in ascending order: the pass rules out index
-    collisions between the halves by appealing to the emptiness of lower
-    levels.
+    fix the target.  So the pass, in ``pass_order``, takes only the s-sums
+    whose least position i holds a canonical column (the (s-1)-sums of the
+    later positions, shifted by column i): mapping an s-support so that its
+    least position is as small as it gets makes that column canonical, the
+    first of its orbit, hence every orbit in I is met.  The smaller side is
+    held in a ``_SortedSet`` and the other streamed against it in blocks: at
+    w = 4 the held side is those s-sums, at w = 5 the shifted pair sums.  At
+    (3,3,3) the pass holds 2,712 pair sums at w = 4 and streams 276,528
+    triple sums at w = 5 (6,508 and 987,748 in index order).  The least
+    value over the orbits of the hits is then min I, the same v as an
+    unrestricted pass; without orbit columns v is the least hit.  The
+    lookups then re-derive the lexicographically first pair of v ^ target
+    and s-support of v.  ``_level_engine`` picks the route.  Levels must be
+    exhausted in ascending order: the pass rules out index collisions
+    between the halves by appealing to the emptiness of lower levels.
     """
-    m, b, words = instance.num_columns, instance.target, instance.words
+    m, b = instance.num_columns, instance.target
     engine = _level_engine(m, len(instance.cells), w)
     if engine == "lookup":
         return _search_weight_level(instance, b, w, instance.first_columns)
@@ -482,8 +503,8 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
         raise InternalCheckError(f"level {w} with {m} columns is out of reach")
     s = w - 2
     shift = np.uint64(b)
-    firsts = range(m) if instance.first_columns is None else instance.first_columns
-    firsts = [i for i in firsts if i <= m - s]
+    order, firsts = instance.pass_order
+    words, firsts = instance.words[order], firsts[firsts <= m - s].tolist()
     if w == 4:
         held = _SortedSet(np.concatenate([words[i + 1 :] ^ words[i] for i in firsts]))
         sums = instance.pair_sums[0]

@@ -106,31 +106,57 @@ class TestSearchInstance:
             assert inst.target == target_mask(n, k, t, inst.cells), (k, t, n)
 
     @staticmethod
-    def _orbit_least_columns(instance):
-        """Walk the columns in ascending order, marking the whole orbit of each
-        unmarked one under every value and coordinate permutation: the
-        unmarked columns are the least of their orbits."""
+    def _orbit_walk(instance):
+        """Walk the columns in ascending order, collecting the whole orbit of
+        each unmarked one under every value and coordinate permutation: the
+        orbits, each led by its least column."""
         n, k = instance.n, instance.k
         index = {parts: j for j, parts in enumerate(instance.column_parts)}
-        seen, least = set(), []
+        seen, orbits = set(), []
         for j, parts in enumerate(instance.column_parts):
             if j in seen:
                 continue
-            least.append(j)
+            orbit = set()
             for perm in permutations(range(n)):
                 image = [sum(1 << perm[e] for e in range(n) if mask >> e & 1) for mask in parts]
                 for order in permutations(range(k)):
-                    seen.add(index[tuple(image[i] for i in order)])
-        return least
+                    orbit.add(index[tuple(image[i] for i in order)])
+            seen |= orbit
+            orbits.append(sorted(orbit))
+        return orbits
 
     def test_canonical_first_columns_match_orbit_walk(self):
         for k, t, n in instances_within_cap(max_n=4):
             inst = build_search_instance(k, t, n)
-            want = self._orbit_least_columns(inst) if n else None
-            assert search._canonical_first_columns(inst) == want, (k, t, n)
+            want = [orbit[0] for orbit in self._orbit_walk(inst)] if n else None
+            assert inst.first_columns == want, (k, t, n)
         # coordinate permutations count for t < k too
         assert len(build_search_instance(3, 2, 3).first_columns) == 23
         assert len(build_search_instance(4, 2, 3).first_columns) == 51
+
+    def test_pass_order_lays_out_orbits(self):
+        # orbits contiguous, largest first, each led by its canonical (least)
+        # column; the positions name the canonical columns
+        for k, t, n in instances_within_cap(max_n=4):
+            inst = build_search_instance(k, t, n)
+            order, firsts = (a.tolist() for a in inst.pass_order)
+            assert sorted(order) == list(range(inst.num_columns)), (k, t, n)
+            if n == 0:
+                assert order == firsts == list(range(inst.num_columns))
+                continue
+            orbit_of = {j: tuple(orbit) for orbit in self._orbit_walk(inst) for j in orbit}
+            runs = []
+            for j in order:
+                if not runs or orbit_of[j] != runs[-1]:
+                    runs.append(orbit_of[j])
+                    assert orbit_of[j][0] == j, (k, t, n, j)
+            assert len(runs) == len(set(runs)) == len(firsts), (k, t, n)
+            assert [len(r) for r in runs] == sorted((len(r) for r in runs), reverse=True)
+            assert [order[i] for i in firsts] == [r[0] for r in runs]
+        # past the symmetry limit, or on bare columns: the identity
+        for inst in (build_search_instance(2, 2, 6), replace(build_search_instance(3, 3, 3), n=0)):
+            order, firsts = inst.pass_order
+            assert order.tolist() == firsts.tolist() == list(range(inst.num_columns))
 
 
 def _unfolding_rank_reference(k, t, n):
@@ -281,13 +307,13 @@ class TestMinMod2Cover:
 
     def test_orbit_pass_runs_once_per_instance(self, monkeypatch):
         calls = []
-        real = search._canonical_first_columns
+        real = search._orbit_labels
 
         def spy(instance):
             calls.append((instance.k, instance.t, instance.n))
             return real(instance)
 
-        monkeypatch.setattr(search, "_canonical_first_columns", spy)
+        monkeypatch.setattr(search, "_orbit_labels", spy)
         def summary(out):
             return out.status, out.lower, out.upper, out.levels_exhausted
 
@@ -639,6 +665,7 @@ class TestMeetInTheMiddle:
 
     @pytest.mark.parametrize("k,t,n,levels", [
         (3, 2, 3, (4, 5)), (3, 3, 3, (4, 5)), (2, 2, 4, (4, 5)), (4, 3, 2, (4, 5)),
+        (2, 2, 5, (4,)), (3, 2, 2, (4, 5)),
     ])
     def test_orbit_restricted_pass_matches_unrestricted(self, k, t, n, levels):
         # the same columns without orbits stream every block and take the
@@ -656,11 +683,12 @@ class TestMeetInTheMiddle:
             assert outcome(inst, w) == outcome(bare, w), (k, t, n, w)
 
     def test_level_four_holds_the_restricted_pairs(self, monkeypatch):
-        # the pair sums whose least column is orbit-canonical are the smaller
-        # side at w = 4; the 5,693,625 pair sums are only streamed
+        # the pair sums whose least position in the pass order holds an
+        # orbit-canonical column are the smaller side at w = 4; the 5,693,625
+        # pair sums are only streamed
         inst = build_search_instance(3, 3, 4)
         m = inst.num_columns
-        restricted = sum(m - 1 - i for i in inst.first_columns if i <= m - 2)
+        restricted = sum(m - 1 - i for i in inst.pass_order[1].tolist() if i <= m - 2)
         held = []
 
         class Spy(_SortedSet):
@@ -670,7 +698,23 @@ class TestMeetInTheMiddle:
 
         monkeypatch.setattr(search, "_SortedSet", Spy)
         assert _exhaust_level(inst, 4) is None
-        assert held == [restricted] and restricted == 192_381 < comb(m, 2)
+        assert held == [restricted] and restricted == 69_868 < comb(m, 2)
+
+    def test_level_five_streams_the_restricted_triples(self, monkeypatch):
+        # at (3,3,3) the triples whose least position holds a canonical column:
+        # 276,528 sums in the pass order, 987,748 with the columns in index order
+        inst = build_search_instance(3, 3, 3)
+        assert _exhaust_level(inst, 4) is None
+        m, streamed, real = inst.num_columns, [], _SortedSet.common
+
+        def common(held, queries):
+            streamed.append(queries.size)
+            return real(held, queries)
+
+        monkeypatch.setattr(search._SortedSet, "common", common)
+        assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
+        assert sum(streamed) == 276_528
+        assert sum(comb(m - 1 - i, 2) for i in inst.first_columns) == 987_748
 
     def test_membership_empty_sorted_side(self):
         empty = np.array([], dtype=np.uint64)
