@@ -1,5 +1,6 @@
 """The commands of the ``search`` benchmark workload, pinned byte for byte:
-stdout, exit code, and the sha256 of the witness and rows files they write.
+stdout, exit code, and the sha256 of the witness and rows files they write;
+and one digest over the search outcomes of every small instance.
 
 A refactor of the search that changes any output fails here, not only in the
 benchmark's oracles.  A value here changes only with a record in CHANGES.md.
@@ -115,3 +116,28 @@ def test_level_four_outputs(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out == stdout, command
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == LEVEL_FOUR_FILES
+
+
+def _outcome_record(k, t, n):
+    """The fields of ``min_mod2_cover(k, t, n)`` at the default budget and
+    cap, with the cover's parts shape and the sha256 of its bytes."""
+    out = search.min_mod2_cover(k, t, n)
+    cover = None
+    if out.cover is not None:
+        cover = (out.cover.parts.shape, hashlib.sha256(out.cover.parts.tobytes()).hexdigest())
+    fields = (out.status, out.value, out.lower, out.upper, out.rank_bound,
+              out.levels_exhausted, out.constructive, cover)
+    return repr(((k, t, n), fields))
+
+
+# One digest over the 105 outcomes of 2 <= t <= k <= 6, 0 <= n <= 6.  It
+# covers (3,3,3) at w = 4 and 5 and (3,3,4) at w = 4; a change of the search
+# that moves any verdict, bound, certificate or witness byte fails here.
+OUTCOME_DIGEST = "0a316842b557f883d1dcb70b5e6c1c448710f232bf5223cdaad16ba7314de499"
+
+
+def test_outcome_digest():
+    records = [_outcome_record(k, t, n)
+               for k in range(2, 7) for t in range(2, k + 1) for n in range(7)]
+    assert len(records) == 105
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == OUTCOME_DIGEST
