@@ -8,15 +8,17 @@ first support.  Weights 4 and 5 are one vectorized meet-in-the-middle pass:
 it looks for the smallest common value of the pair sums shifted by the
 target and the sums of the remaining columns, holding the smaller side as a
 sorted set (a hashed-slot screen in front of ``searchsorted``) and streaming
-the other against it in blocks; the lookups then re-derive both halves of
-the support from that value.  Both routes use the value and coordinate
-permutations, which fix the target: a lookup level starts only at columns
-least in their orbit, and the pass, with its columns in orbit order, takes
-only the sums whose first column is, mapping each hit to the least value of
-its orbit.  A presolve certifies the levels below the catalog-free lower
-bounds: the closed forms, and the largest Koszul flattening bound of the
-target, since each product is a rank-one tensor.  Every certificate that
-backs a reported value is recorded on the outcome.
+the other against it in blocks; at weight 5 a probe that walks the shifted
+pair sums in ascending order comes first, and the stream runs only when it
+misses.  The lookups then re-derive both halves of the support from that
+value.  Both routes use the value and coordinate permutations, which fix
+the target: a lookup level starts only at columns least in their orbit,
+and the pass, with its columns in orbit order, takes only the sums whose
+first column is, mapping each hit to the least value of its orbit.  A
+presolve certifies the levels below the catalog-free lower bounds: the
+closed forms, and the largest Koszul flattening bound of the target, since
+each product is a rank-one tensor.  Every certificate that backs a
+reported value is recorded on the outcome.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
 _KOSZUL_MAX_ENTRIES = 10**5
 _KOSZUL_MAX_MERGES = 32
 _STREAM_BLOCK = 1 << 16  # values per streamed block at w = 4: a few cache-sized temporaries
+_PROBE_ROWS = 16  # shifted pair sums per step of the w = 5 probe, each met with every column
 
 
 class CapExceededError(ValueError):
@@ -406,6 +409,22 @@ def _orbit_minimum(instance: SearchInstance, values: np.ndarray) -> Optional[int
     return int(best)
 
 
+def _probe_least_common(
+    values: np.ndarray, offsets: np.ndarray, limit: int
+) -> Optional[tuple[int, list[int]]]:
+    """The first h of the first ``limit`` values of the ascending array
+    ``values`` such that h ^ c is in ``values`` for some entry c of
+    ``offsets``, with the indices of those entries, ascending; None if there
+    is none.  The values are read ``_PROBE_ROWS`` at a time."""
+    for lo in range(0, min(limit, values.size), _PROBE_ROWS):
+        rows = values[lo : min(lo + _PROBE_ROWS, limit)]
+        hit = _np_membership(values, rows[:, None] ^ offsets)
+        found = np.flatnonzero(hit.any(axis=1))
+        if found.size:
+            return int(rows[found[0]]), np.flatnonzero(hit[found[0]]).tolist()
+    return None
+
+
 def _search_weight_level(
     instance: SearchInstance,
     b_mask: int,
@@ -485,15 +504,28 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     least position is as small as it gets makes that column canonical, the
     first of its orbit, hence every orbit in I is met.  The smaller side is
     held in a ``_SortedSet`` and the other streamed against it in blocks: at
-    w = 4 the held side is those s-sums, at w = 5 the shifted pair sums.  At
-    (3,3,3) the pass holds 2,712 pair sums at w = 4 and streams 276,528
-    triple sums at w = 5 (6,508 and 987,748 in index order).  The least
-    value over the orbits of the hits is then min I, the same v as an
-    unrestricted pass; without orbit columns v is the least hit.  The
-    lookups then re-derive the lexicographically first pair of v ^ target
-    and s-support of v.  ``_level_engine`` picks the route.  Levels must be
-    exhausted in ascending order: the pass rules out index collisions
-    between the halves by appealing to the emptiness of lower levels.
+    w = 4 the held side is those s-sums, at w = 5 the shifted pair sums.
+    The least value over the orbits of the hits is then min I, the same v as
+    an unrestricted pass; without orbit columns v is the least hit.
+
+    At w = 5 a probe runs first.  It walks the sorted shifted pair sums H in
+    ascending order and takes the first h with h ^ c ^ target in H for some
+    column c, that is with h ^ c a pair sum.  That h is min I: I lies in H,
+    and a column c inside its own pair would make the target a sum of at
+    most 3 columns.  The columns c that hit are those of the triples of h,
+    so the least of them starts its lexicographically first triple; they go,
+    ascending, to the triple lookup as its first columns.  Only when none of
+    the first ``_STREAM_BLOCK // m`` values of H hits (one stream block of
+    queries) does the pass stream the triples.  At (3,3,3) the probe hits at
+    the 11th of the 58,653 values of H; the pass holds 2,712 pair sums at
+    w = 4, and the stream would take 276,528 triple sums at w = 5 (6,508 and
+    987,748 in index order).
+
+    The lookups then re-derive the lexicographically first pair of
+    v ^ target and s-support of v.  ``_level_engine`` picks the route.
+    Levels must be exhausted in ascending order: the pass and the probe rule
+    out index collisions between the halves by appealing to the emptiness
+    of lower levels.
     """
     m, b = instance.num_columns, instance.target
     engine = _level_engine(m, len(instance.cells), w)
@@ -505,22 +537,28 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     shift = np.uint64(b)
     order, firsts = instance.pass_order
     words, firsts = instance.words[order], firsts[firsts <= m - s].tolist()
+    probed = None
     if w == 4:
         held = _SortedSet(np.concatenate([words[i + 1 :] ^ words[i] for i in firsts]))
         sums = instance.pair_sums[0]
         blocks = range(0, sums.size, _STREAM_BLOCK)
         hits = np.concatenate([held.common(sums[lo : lo + _STREAM_BLOCK] ^ shift) for lo in blocks])
-    else:  # the triples with least index i: the pair sums after it, from starts[i]
+    else:
         sums, starts = instance.pair_sums
-        held = _SortedSet(sums ^ shift)
-        hits = np.concatenate([held.common(sums[starts[i] :] ^ words[i]) for i in firsts])
-    del held
-    v = _orbit_minimum(instance, hits)
+        shifted = np.sort(sums ^ shift)
+        probed = _probe_least_common(shifted, instance.words ^ shift, _STREAM_BLOCK // m)
+        if probed is None:  # the triples with least index i: the pair sums after it, from starts[i]
+            held = _SortedSet(shifted)
+            hits = np.concatenate([held.common(sums[starts[i] :] ^ words[i]) for i in firsts])
+    if probed is None:
+        del held
+        probed = _orbit_minimum(instance, hits), None
+    v, v_firsts = probed
     if v is None:
         return None
     halves = (
         _search_weight_level(instance, v ^ b, 2),
-        _search_weight_level(instance, v, s),
+        _search_weight_level(instance, v, s, v_firsts),
     )
     if None in halves:
         raise InternalCheckError("meet-in-the-middle witness vanished on re-derivation")

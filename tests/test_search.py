@@ -453,9 +453,32 @@ def _columns_instance(cols, b=0):
     return SearchInstance(0, 0, 0, ((),) * 20, ((),) * len(cols), tuple(cols), b)
 
 
-def _mitm_level(cols, b, w):
-    """``_exhaust_level`` at w = 4 or 5, the meet-in-the-middle route."""
-    return _exhaust_level(_columns_instance(cols, b), w)
+def _mitm_level(cols, b, w, probe_reads=None):
+    """``_exhaust_level`` at w = 4 or 5, the meet-in-the-middle route; at
+    w = 5 with ``probe_reads`` set, the probe reads at most that many values
+    before the triples are streamed."""
+    with pytest.MonkeyPatch.context() as mp:
+        if probe_reads is not None:
+            _limit_probe(mp, probe_reads)
+        return _exhaust_level(_columns_instance(cols, b), w)
+
+
+def _limit_probe(mp, reads):
+    """Make the w = 5 probe read at most ``reads`` values."""
+    real = search._probe_least_common
+    mp.setattr(search, "_probe_least_common", lambda values, offsets, limit: real(values, offsets, reads))
+
+
+def _count_streamed(mp):
+    """Record the size of every block ``_SortedSet.common`` is asked about."""
+    streamed, real = [], _SortedSet.common
+
+    def common(held, queries):
+        streamed.append(queries.size)
+        return real(held, queries)
+
+    mp.setattr(search._SortedSet, "common", common)
+    return streamed
 
 
 def _level_reference(cols, b, w):
@@ -617,7 +640,11 @@ class TestMeetInTheMiddle:
         lower = (sup for size in range(1, w) for sup in combinations(range(len(cols)), size))
         if b == 0 or any(_xor(cols, sup) == b for sup in lower):
             return
-        assert _mitm_level(cols, b, w) == _level_reference(cols, b, w)
+        want = _level_reference(cols, b, w)
+        assert _mitm_level(cols, b, w) == want
+        if w == 5:  # the probe reads every pair sum here; cut it short, down to the bare stream
+            for reads in (0, data.draw(st.integers(1, comb(len(cols), 2)))):
+                assert _mitm_level(cols, b, w, probe_reads=reads) == want, reads
 
     @pytest.mark.parametrize("cols,b,want", [
         # a pass that skips the last triple block picks the other support
@@ -629,6 +656,7 @@ class TestMeetInTheMiddle:
         # each level has several supports; the smallest common value picks one
         assert _level_reference(cols, b, 5) == want
         assert _mitm_level(cols, b, 5) == want
+        assert _mitm_level(cols, b, 5, probe_reads=0) == want
 
     @staticmethod
     def _orbit_minimum_walk(instance, values):
@@ -700,21 +728,48 @@ class TestMeetInTheMiddle:
         assert _exhaust_level(inst, 4) is None
         assert held == [restricted] and restricted == 69_868 < comb(m, 2)
 
-    def test_level_five_streams_the_restricted_triples(self, monkeypatch):
-        # at (3,3,3) the triples whose least position holds a canonical column:
-        # 276,528 sums in the pass order, 987,748 with the columns in index order
+    def test_level_five_probe_settles_the_level(self, monkeypatch):
+        # at (3,3,3) the least common value is the 11th shifted pair sum: the
+        # probe finds it with its columns, and nothing is streamed
         inst = build_search_instance(3, 3, 3)
         assert _exhaust_level(inst, 4) is None
-        m, streamed, real = inst.num_columns, [], _SortedSet.common
+        streamed, lookups, real = _count_streamed(monkeypatch), [], search._search_weight_level
 
-        def common(held, queries):
-            streamed.append(queries.size)
-            return real(held, queries)
+        def lookup(instance, b_mask, weight, first_columns=None):
+            lookups.append((weight, first_columns))
+            return real(instance, b_mask, weight, first_columns)
 
-        monkeypatch.setattr(search._SortedSet, "common", common)
+        monkeypatch.setattr(search, "_search_weight_level", lookup)
+        assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
+        assert streamed == []
+        assert lookups == [(2, None), (3, [47, 74, 129])]
+
+    def test_level_five_streams_the_restricted_triples(self, monkeypatch):
+        # a probe that reads 10 values misses the 11th, and the triples whose
+        # least position holds a canonical column are streamed: 276,528 sums
+        # in the pass order, 987,748 with the columns in index order
+        inst = build_search_instance(3, 3, 3)
+        assert _exhaust_level(inst, 4) is None
+        m, streamed = inst.num_columns, _count_streamed(monkeypatch)
+        with monkeypatch.context() as mp:
+            _limit_probe(mp, 11)
+            assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
+        assert streamed == []
+        _limit_probe(monkeypatch, 10)
         assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
         assert sum(streamed) == 276_528
         assert sum(comb(m - 1 - i, 2) for i in inst.first_columns) == 987_748
+
+    def test_empty_level_five_on_bare_columns(self, monkeypatch):
+        # random 64-bit columns without orbits: the probe reads its whole
+        # limit and misses, then the stream finds no common value either
+        rng = np.random.default_rng(5)
+        cols = rng.integers(0, 2**64, 120, dtype=np.uint64, endpoint=False).tolist()
+        b = int(rng.integers(0, 2**64, dtype=np.uint64, endpoint=False))
+        streamed = _count_streamed(monkeypatch)
+        assert _mitm_level(cols, b, 5) is None
+        assert sum(streamed) == comb(120, 3)
+        assert _mitm_level(cols, b, 5, probe_reads=0) is None
 
     def test_membership_empty_sorted_side(self):
         empty = np.array([], dtype=np.uint64)
