@@ -5,16 +5,13 @@ where a column is one uint64: levels are proven empty in ascending order,
 and the first level holding a solution yields the witness.  Weights up to 3
 are lookups in the sorted column words, which return the lexicographically
 first support.  Weights 4 and 5 are one vectorized meet-in-the-middle pass:
-it looks for the smallest common value of the pair sums shifted by the
-target and the sums of the remaining columns, holding the smaller side as a
-sorted set (a hashed-slot screen in front of ``searchsorted``) and streaming
-the other against it in blocks; at weight 5 a probe that walks the shifted
-pair sums in ascending order comes first, and the stream runs only when it
-misses.  The lookups then re-derive both halves of the support from that
-value.  Both routes use the value and coordinate permutations, which fix
-the target: a lookup level starts only at columns least in their orbit,
-and the pass, with its columns in orbit order, takes only the sums whose
-first column is, mapping each hit to the least value of its orbit.  A
+a probe walks the pair sums shifted by the target in ascending order and
+stops at the first that is also a sum of the remaining columns, the
+smallest common value, from which the lookups re-derive both halves of the
+support.  The value and coordinate permutations fix the target: a lookup
+level starts only at columns least in their orbit, and at weight 4, before
+the probe, a stream of the shifted pair sums against the pair sums whose
+first column in orbit order is least in its orbit proves an empty level.  A
 presolve certifies the levels below the catalog-free lower bounds: the
 closed forms, and the largest Koszul flattening bound of the target, since
 each product is a rank-one tensor.  Every certificate that backs a
@@ -38,7 +35,7 @@ from .ranks import MAX_DIRECT_ENTRIES, cover_size_lower_bound
 
 DEFAULT_CAP = 4096
 DEFAULT_BUDGET = 8
-_MITM_TRIPLE_CAP = 8_000_000  # the largest C(m, 3) at w = 5: a bound on its stream, known before the catalog
+_MITM_TRIPLE_CAP = 8_000_000  # the largest C(m, 3) at w = 5: bounds the probe's m * C(m, 2) queries
 _SYMMETRY_MAX_N = 5  # orbit canonicalization (n! value permutations) is skipped above this
 _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
 # The largest Koszul flattening matrix the bound eliminates, and the merges it
@@ -47,8 +44,8 @@ _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
 # (4,2,16), the slowest grid-fitting instance measured.
 _KOSZUL_MAX_ENTRIES = 10**5
 _KOSZUL_MAX_MERGES = 32
-_STREAM_BLOCK = 1 << 16  # values per streamed block at w = 4: a few cache-sized temporaries
-_PROBE_ROWS = 16  # shifted pair sums per step of the w = 5 probe, each met with every column
+_STREAM_BLOCK = 1 << 16  # shifted pair sums per block of the w = 4 emptiness stream
+_PROBE_ROWS = 16  # shifted pair sums per step of the probe, each met with every offset
 
 
 class CapExceededError(ValueError):
@@ -91,15 +88,15 @@ class SearchInstance:
         return self.words[order], order
 
     @cached_property
-    def pair_sums(self) -> tuple[np.ndarray, np.ndarray]:
+    def pair_sums(self) -> np.ndarray:
         """The sums of the columns at two positions p < q of ``pass_order``,
-        grouped by p, and where those of the columns after position p begin."""
+        grouped by p."""
         words, m = self.words[self.pass_order[0]], self.num_columns
-        starts = np.cumsum(np.arange(m - 1, 0, -1))
-        sums = np.empty(starts[-1], dtype=np.uint64)
+        ends = np.cumsum(np.arange(m - 1, 0, -1))
+        sums = np.empty(comb(m, 2), dtype=np.uint64)
         for i in range(m - 1):
-            sums[starts[i] - (m - 1 - i) : starts[i]] = words[i + 1 :] ^ words[i]
-        return sums, starts
+            sums[ends[i] - (m - 1 - i) : ends[i]] = words[i + 1 :] ^ words[i]
+        return sums
 
     @cached_property
     def value_permutations(self) -> Optional[np.ndarray]:
@@ -131,20 +128,6 @@ class SearchInstance:
             return np.arange(self.num_columns), np.arange(self.num_columns)
         order = np.lexsort((labels, -np.bincount(labels)[labels]))  # stable: ascending within an orbit
         return order, np.flatnonzero(labels[order] == order)
-
-    @cached_property
-    def cell_images(self) -> Optional[np.ndarray]:
-        """The value and coordinate permutations acting on cells: one row per
-        pair (π, τ), holding the index of each cell's image, where cell x maps
-        to y with y_j = π(x_τ(j)).  The cells of a column map onto those of
-        another column.  None when ``value_permutations`` is."""
-        perms = self.value_permutations
-        if perms is None:
-            return None
-        n, k = self.n, self.k
-        digits = perms[:, np.array(self.cells) - 1]  # value perm, cell, coordinate
-        place = n ** np.arange(k - 1, -1, -1)
-        return np.concatenate([digits[:, :, order] @ place for order in permutations(range(k))])
 
 
 def _check_search_args(k: int, t: int, n: int) -> None:
@@ -380,44 +363,14 @@ class _SortedSet:
         mask[maybe] = _np_membership(self.sorted, queries[maybe])
         return mask
 
-    def common(self, queries: np.ndarray) -> np.ndarray:
-        """The queries that are in the set."""
-        return queries[self.contains(queries)]
 
-
-def _orbit_minimum(instance: SearchInstance, values: np.ndarray) -> Optional[int]:
-    """Least cell mask over the orbits of ``values`` under the instance's
-    ``cell_images``; without them, the least value.  None when there are no
-    values.
-
-    One step per orbit met: the least remaining value's images are formed and
-    all of them dropped from the values.
-    """
-    if values.size == 0:
-        return None
-    cell_images = instance.cell_images
-    if cell_images is None:
-        return int(values.min())
-    rest = np.sort(values)
-    best = rest[0]
-    while rest.size:
-        cells = [r for r in range(cell_images.shape[1]) if int(rest[0]) >> r & 1]
-        images = np.uint64(1) << cell_images[:, cells].astype(np.uint64)
-        orbit = np.sort(np.bitwise_or.reduce(images, axis=1))
-        best = min(best, orbit[0])
-        rest = rest[~_np_membership(orbit, rest)]
-    return int(best)
-
-
-def _probe_least_common(
-    values: np.ndarray, offsets: np.ndarray, limit: int
-) -> Optional[tuple[int, list[int]]]:
-    """The first h of the first ``limit`` values of the ascending array
-    ``values`` such that h ^ c is in ``values`` for some entry c of
-    ``offsets``, with the indices of those entries, ascending; None if there
-    is none.  The values are read ``_PROBE_ROWS`` at a time."""
-    for lo in range(0, min(limit, values.size), _PROBE_ROWS):
-        rows = values[lo : min(lo + _PROBE_ROWS, limit)]
+def _probe_least_common(values: np.ndarray, offsets: np.ndarray) -> Optional[tuple[int, list[int]]]:
+    """The first h of the ascending array ``values`` such that h ^ c is in
+    ``values`` for some entry c of ``offsets``, with the indices of those
+    entries, ascending; None if there is none.  The values are read
+    ``_PROBE_ROWS`` at a time."""
+    for lo in range(0, values.size, _PROBE_ROWS):
+        rows = values[lo : lo + _PROBE_ROWS]
         hit = _np_membership(values, rows[:, None] ^ offsets)
         found = np.flatnonzero(hit.any(axis=1))
         if found.size:
@@ -494,38 +447,36 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     """Support of weight w, or None if the level is empty.
 
     Levels up to 3 are lookups, restricted to the instance's orbit-canonical
-    first columns.  Levels 4 and 5 are one vectorized meet-in-the-middle
-    pass, which splits w = 2 + s.  The common values v of the s-sums and the
-    pair sums shifted by the target form a set I that every value and
-    coordinate permutation maps onto itself, as they permute the columns and
-    fix the target.  So the pass, in ``pass_order``, takes only the s-sums
-    whose least position i holds a canonical column (the (s-1)-sums of the
-    later positions, shifted by column i): mapping an s-support so that its
-    least position is as small as it gets makes that column canonical, the
-    first of its orbit, hence every orbit in I is met.  The smaller side is
-    held in a ``_SortedSet`` and the other streamed against it in blocks: at
-    w = 4 the held side is those s-sums, at w = 5 the shifted pair sums.
-    The least value over the orbits of the hits is then min I, the same v as
-    an unrestricted pass; without orbit columns v is the least hit.
+    first columns.  Levels 4 and 5 are one meet-in-the-middle pass, which
+    splits w = 2 + s.  Its value v is min I, where I holds the s-sums that
+    are pair sums when shifted by the target.  A probe walks the sorted
+    shifted pair sums H in ascending order and takes the first h with
+    h ^ c in H for some offset c.  At w = 4 the one offset is the target, so
+    h is a pair sum; at w = 5 the offsets are the columns shifted by the
+    target, so h ^ c is a pair sum for a column c.  That h is min I: I lies
+    in H, and halves sharing a column would make the target a sum of fewer
+    columns.  At w = 5 the columns c that hit are those of the triples of h,
+    so the least of them starts its lexicographically first triple; they
+    go, ascending, to the triple lookup as its first columns.  At (3,3,3)
+    the probe hits at the 11th of the 58,653 values of H.
 
-    At w = 5 a probe runs first.  It walks the sorted shifted pair sums H in
-    ascending order and takes the first h with h ^ c ^ target in H for some
-    column c, that is with h ^ c a pair sum.  That h is min I: I lies in H,
-    and a column c inside its own pair would make the target a sum of at
-    most 3 columns.  The columns c that hit are those of the triples of h,
-    so the least of them starts its lexicographically first triple; they go,
-    ascending, to the triple lookup as its first columns.  Only when none of
-    the first ``_STREAM_BLOCK // m`` values of H hits (one stream block of
-    queries) does the pass stream the triples.  At (3,3,3) the probe hits at
-    the 11th of the 58,653 values of H; the pass holds 2,712 pair sums at
-    w = 4, and the stream would take 276,528 triple sums at w = 5 (6,508 and
-    987,748 in index order).
+    The probe reads all of H on an empty level, so w = 4 proves emptiness
+    first, by the orbits.  Every value and coordinate permutation maps I
+    onto itself, as they permute the columns and fix the target.  Mapping a
+    pair so that its least position in ``pass_order`` is as small as it
+    gets makes that column canonical, the first of its orbit.  So the pair
+    sums whose least position holds a canonical column meet every orbit in
+    I.  They are held in a ``_SortedSet``, and the shifted pair sums are
+    streamed against it in blocks; when no block hits, the level is empty
+    and H is never sorted.  At (3,3,4) the set holds 69,868 of the
+    5,693,625 pair sums.  An empty w = 5 level has no such proof and reads
+    all of H; no (k, t, n) reaches one.
 
     The lookups then re-derive the lexicographically first pair of
     v ^ target and s-support of v.  ``_level_engine`` picks the route.
-    Levels must be exhausted in ascending order: the pass and the probe rule
-    out index collisions between the halves by appealing to the emptiness
-    of lower levels.
+    Levels must be exhausted in ascending order: the probe rules out index
+    collisions between the halves by appealing to the emptiness of lower
+    levels.
     """
     m, b = instance.num_columns, instance.target
     engine = _level_engine(m, len(instance.cells), w)
@@ -533,32 +484,22 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
         return _search_weight_level(instance, b, w, instance.first_columns)
     if engine is None:
         raise InternalCheckError(f"level {w} with {m} columns is out of reach")
-    s = w - 2
-    shift = np.uint64(b)
-    order, firsts = instance.pass_order
-    words, firsts = instance.words[order], firsts[firsts <= m - s].tolist()
-    probed = None
+    s, shift, sums = w - 2, np.uint64(b), instance.pair_sums
     if w == 4:
+        order, firsts = instance.pass_order
+        words, firsts = instance.words[order], firsts[firsts <= m - 2].tolist()
         held = _SortedSet(np.concatenate([words[i + 1 :] ^ words[i] for i in firsts]))
-        sums = instance.pair_sums[0]
         blocks = range(0, sums.size, _STREAM_BLOCK)
-        hits = np.concatenate([held.common(sums[lo : lo + _STREAM_BLOCK] ^ shift) for lo in blocks])
-    else:
-        sums, starts = instance.pair_sums
-        shifted = np.sort(sums ^ shift)
-        probed = _probe_least_common(shifted, instance.words ^ shift, _STREAM_BLOCK // m)
-        if probed is None:  # the triples with least index i: the pair sums after it, from starts[i]
-            held = _SortedSet(shifted)
-            hits = np.concatenate([held.common(sums[starts[i] :] ^ words[i]) for i in firsts])
+        if not any(held.contains(sums[lo : lo + _STREAM_BLOCK] ^ shift).any() for lo in blocks):
+            return None
+    offsets = shift ^ (instance.words if w == 5 else np.zeros(1, dtype=np.uint64))
+    probed = _probe_least_common(np.sort(sums ^ shift), offsets)
     if probed is None:
-        del held
-        probed = _orbit_minimum(instance, hits), None
-    v, v_firsts = probed
-    if v is None:
         return None
+    v, hit_columns = probed
     halves = (
         _search_weight_level(instance, v ^ b, 2),
-        _search_weight_level(instance, v, s, v_firsts),
+        _search_weight_level(instance, v, s, hit_columns if w == 5 else None),
     )
     if None in halves:
         raise InternalCheckError("meet-in-the-middle witness vanished on re-derivation")

@@ -453,32 +453,34 @@ def _columns_instance(cols, b=0):
     return SearchInstance(0, 0, 0, ((),) * 20, ((),) * len(cols), tuple(cols), b)
 
 
-def _mitm_level(cols, b, w, probe_reads=None):
-    """``_exhaust_level`` at w = 4 or 5, the meet-in-the-middle route; at
-    w = 5 with ``probe_reads`` set, the probe reads at most that many values
-    before the triples are streamed."""
-    with pytest.MonkeyPatch.context() as mp:
-        if probe_reads is not None:
-            _limit_probe(mp, probe_reads)
-        return _exhaust_level(_columns_instance(cols, b), w)
+def _mitm_level(cols, b, w):
+    """``_exhaust_level`` at w = 4 or 5, the meet-in-the-middle route, over bare columns."""
+    return _exhaust_level(_columns_instance(cols, b), w)
 
 
-def _limit_probe(mp, reads):
-    """Make the w = 5 probe read at most ``reads`` values."""
-    real = search._probe_least_common
-    mp.setattr(search, "_probe_least_common", lambda values, offsets, limit: real(values, offsets, reads))
+def _spy_held(mp):
+    """Record the size of every ``_SortedSet`` the level pass builds."""
+    held = []
+
+    class Spy(_SortedSet):
+        def __init__(self, values):
+            held.append(values.size)
+            super().__init__(values)
+
+    mp.setattr(search, "_SortedSet", Spy)
+    return held
 
 
-def _count_streamed(mp):
-    """Record the size of every block ``_SortedSet.common`` is asked about."""
-    streamed, real = [], _SortedSet.common
+def _spy_probe(mp):
+    """Record how many values every probe walks."""
+    probes, real = [], search._probe_least_common
 
-    def common(held, queries):
-        streamed.append(queries.size)
-        return real(held, queries)
+    def probe(values, offsets):
+        probes.append(values.size)
+        return real(values, offsets)
 
-    mp.setattr(search._SortedSet, "common", common)
-    return streamed
+    mp.setattr(search, "_probe_least_common", probe)
+    return probes
 
 
 def _level_reference(cols, b, w):
@@ -604,7 +606,6 @@ class TestMeetInTheMiddle:
         a = np.array(a, dtype=np.uint64)
         b = np.array(b, dtype=np.uint64)
         assert _SortedSet(a).contains(b).tolist() == np.isin(b, a).tolist()
-        assert _SortedSet(a).common(b).tolist() == b[np.isin(b, a)].tolist()
 
     def test_contains_edge_cases(self):
         def u(*xs):
@@ -642,54 +643,34 @@ class TestMeetInTheMiddle:
             return
         want = _level_reference(cols, b, w)
         assert _mitm_level(cols, b, w) == want
-        if w == 5:  # the probe reads every pair sum here; cut it short, down to the bare stream
-            for reads in (0, data.draw(st.integers(1, comb(len(cols), 2)))):
-                assert _mitm_level(cols, b, w, probe_reads=reads) == want, reads
+        for rows in (1, 3):  # probe steps that end at other values than the default 16
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_PROBE_ROWS", rows)
+                assert _mitm_level(cols, b, w) == want, rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 63), max_size=40), st.lists(st.integers(0, 63), max_size=6))
+    def test_probe_matches_first_hit(self, values, offsets):
+        values, held = sorted(values), set(values)
+        want = next((
+            (h, hits) for h in values
+            if (hits := [j for j, c in enumerate(offsets) if h ^ c in held])
+        ), None)
+        values, offsets = np.array(values, dtype=np.uint64), np.array(offsets, dtype=np.uint64)
+        for rows in (1, 3, 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_PROBE_ROWS", rows)
+                assert search._probe_least_common(values, offsets) == want, rows
 
     @pytest.mark.parametrize("cols,b,want", [
-        # a pass that skips the last triple block picks the other support
-        ([37, 105, 83, 216, 30, 52, 153, 175], 255, (0, 3, 5, 6, 7)),
-        # a pass that skips the first pairs of each triple block does too
-        ([233, 40, 194, 231, 115, 142, 10, 162], 116, (1, 2, 3, 4, 6)),
+        ([37, 105, 83, 216, 30, 52, 153, 175], 255, (0, 3, 5, 6, 7)),  # not (0, 1, 4, 5, 6)
+        ([233, 40, 194, 231, 115, 142, 10, 162], 116, (1, 2, 3, 4, 6)),  # not (0, 2, 4, 5, 7)
     ])
     def test_level_pass_block_edges(self, cols, b, want):
-        # each level has several supports; the smallest common value picks one
+        # each level has two supports; the least common value, which the probe
+        # finds, picks the one that is not lexicographically first
         assert _level_reference(cols, b, 5) == want
         assert _mitm_level(cols, b, 5) == want
-        assert _mitm_level(cols, b, 5, probe_reads=0) == want
-
-    @staticmethod
-    def _orbit_minimum_walk(instance, values):
-        """The least image of any value under every value permutation and
-        coordinate permutation, mapping the cells one by one."""
-        index = {cell: r for r, cell in enumerate(instance.cells)}
-        best = None
-        for v in values:
-            cells = [cell for r, cell in enumerate(instance.cells) if v >> r & 1]
-            for perm in permutations(range(1, instance.n + 1)):
-                for order in permutations(range(instance.k)):
-                    images = (index[tuple(perm[cell[j] - 1] for j in order)] for cell in cells)
-                    image = sum(1 << r for r in images)
-                    best = image if best is None else min(best, image)
-        return best
-
-    @pytest.mark.parametrize("k,t,n", [(3, 3, 3), (2, 2, 4), (4, 3, 2), (3, 2, 3)])
-    def test_orbit_minimum_matches_orbit_walk(self, k, t, n):
-        inst = build_search_instance(k, t, n)
-        rng = np.random.default_rng(k * 100 + t * 10 + n)
-        cols = np.array(inst.columns, dtype=np.uint64)
-        for size in (1, 2, 5):
-            # column sums, as the level pass meets them, and arbitrary cell masks
-            sums = np.bitwise_xor.reduce(rng.choice(cols, (size, 3)), axis=1)
-            masks = rng.integers(0, 1 << len(inst.cells), size, dtype=np.uint64)
-            for values in (sums, masks, np.concatenate([sums, sums])):
-                want = self._orbit_minimum_walk(inst, values.tolist())
-                assert search._orbit_minimum(inst, values) == want, (k, t, n, values)
-        assert search._orbit_minimum(inst, np.array([], dtype=np.uint64)) is None
-        # a bare-mask instance has no orbits: the plain minimum
-        bare = replace(inst, n=0)
-        assert bare.cell_images is None
-        assert search._orbit_minimum(bare, np.array([9, 4, 7], dtype=np.uint64)) == 4
 
     @pytest.mark.parametrize("k,t,n,levels", [
         (3, 2, 3, (4, 5)), (3, 3, 3, (4, 5)), (2, 2, 4, (4, 5)), (4, 3, 2, (4, 5)),
@@ -712,28 +693,33 @@ class TestMeetInTheMiddle:
 
     def test_level_four_holds_the_restricted_pairs(self, monkeypatch):
         # the pair sums whose least position in the pass order holds an
-        # orbit-canonical column are the smaller side at w = 4; the 5,693,625
-        # pair sums are only streamed
-        inst = build_search_instance(3, 3, 4)
-        m = inst.num_columns
-        restricted = sum(m - 1 - i for i in inst.pass_order[1].tolist() if i <= m - 2)
-        held = []
-
-        class Spy(_SortedSet):
-            def __init__(self, values):
-                held.append(values.size)
-                super().__init__(values)
-
-        monkeypatch.setattr(search, "_SortedSet", Spy)
-        assert _exhaust_level(inst, 4) is None
-        assert held == [restricted] and restricted == 69_868 < comb(m, 2)
+        # orbit-canonical column are the held side at w = 4; on the empty
+        # levels of (3,3,3) and (3,3,4) the stream proves emptiness, and the
+        # probe never sorts the pair sums (5,693,625 at (3,3,4))
+        held, probes = _spy_held(monkeypatch), _spy_probe(monkeypatch)
+        for n, restricted in ((3, 2_712), (4, 69_868)):
+            inst = build_search_instance(3, 3, n)
+            m = inst.num_columns
+            assert sum(m - 1 - i for i in inst.pass_order[1].tolist() if i <= m - 2) == restricted
+            held.clear()
+            assert _exhaust_level(inst, 4) is None
+            assert held == [restricted] and restricted < comb(m, 2)
+        assert probes == []
+        # level 5 of (3,3,3) is settled by the probe alone: nothing is held
+        held.clear()
+        inst = build_search_instance(3, 3, 3)
+        assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
+        assert held == [] and probes == [comb(inst.num_columns, 2)]
 
     def test_level_five_probe_settles_the_level(self, monkeypatch):
         # at (3,3,3) the least common value is the 11th shifted pair sum: the
-        # probe finds it with its columns, and nothing is streamed
+        # probe finds it with its columns, which start the triple lookup
         inst = build_search_instance(3, 3, 3)
-        assert _exhaust_level(inst, 4) is None
-        streamed, lookups, real = _count_streamed(monkeypatch), [], search._search_weight_level
+        shift = np.uint64(inst.target)
+        shifted = np.sort(inst.pair_sums ^ shift)
+        v, hit_columns = search._probe_least_common(shifted, inst.words ^ shift)
+        assert v == shifted[10] and hit_columns == [47, 74, 129]
+        lookups, real = [], search._search_weight_level
 
         def lookup(instance, b_mask, weight, first_columns=None):
             lookups.append((weight, first_columns))
@@ -741,35 +727,37 @@ class TestMeetInTheMiddle:
 
         monkeypatch.setattr(search, "_search_weight_level", lookup)
         assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
-        assert streamed == []
         assert lookups == [(2, None), (3, [47, 74, 129])]
 
-    def test_level_five_streams_the_restricted_triples(self, monkeypatch):
-        # a probe that reads 10 values misses the 11th, and the triples whose
-        # least position holds a canonical column are streamed: 276,528 sums
-        # in the pass order, 987,748 with the columns in index order
-        inst = build_search_instance(3, 3, 3)
-        assert _exhaust_level(inst, 4) is None
-        m, streamed = inst.num_columns, _count_streamed(monkeypatch)
-        with monkeypatch.context() as mp:
-            _limit_probe(mp, 11)
-            assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
-        assert streamed == []
-        _limit_probe(monkeypatch, 10)
-        assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
-        assert sum(streamed) == 276_528
-        assert sum(comb(m - 1 - i, 2) for i in inst.first_columns) == 987_748
-
     def test_empty_level_five_on_bare_columns(self, monkeypatch):
-        # random 64-bit columns without orbits: the probe reads its whole
-        # limit and misses, then the stream finds no common value either
+        # random 64-bit columns without orbits: the probe walks all of the
+        # C(120, 2) shifted pair sums and misses, and nothing is held
         rng = np.random.default_rng(5)
         cols = rng.integers(0, 2**64, 120, dtype=np.uint64, endpoint=False).tolist()
         b = int(rng.integers(0, 2**64, dtype=np.uint64, endpoint=False))
-        streamed = _count_streamed(monkeypatch)
+        held, probes = _spy_held(monkeypatch), _spy_probe(monkeypatch)
         assert _mitm_level(cols, b, 5) is None
-        assert sum(streamed) == comb(120, 3)
-        assert _mitm_level(cols, b, 5, probe_reads=0) is None
+        assert held == [] and probes == [comb(120, 2)]
+
+    def test_level_search_traffic(self, monkeypatch):
+        # every level the search reaches on the grids that fit it (n^k <= 64;
+        # past k = 6 that leaves n <= 1, where no cell has t distinct entries)
+        # at a generous budget and cap.  The MITM pass serves (3,3,3) and
+        # (3,3,4) alone; its w = 4 levels are empty and its one w = 5 level is
+        # settled by the probe.  An empty w = 5 level would make the probe
+        # walk every shifted pair sum.
+        calls, real = [], search._exhaust_level
+
+        def spy(instance, w):
+            calls.append((instance.k, instance.t, instance.n, w))
+            return real(instance, w)
+
+        monkeypatch.setattr(search, "_exhaust_level", spy)
+        grids = [(k, t, n) for k in range(2, 7) for t in range(2, k + 1)
+                 for n in range(9) if n**k <= 64]
+        for k, t, n in grids:
+            min_mod2_cover(k, t, n, budget=64, cap=10**6)
+        assert calls == [(3, 2, 2, 2), (3, 3, 3, 4), (3, 3, 3, 5), (3, 3, 4, 4)]
 
     def test_membership_empty_sorted_side(self):
         empty = np.array([], dtype=np.uint64)
