@@ -141,3 +141,17 @@ def test_outcome_digest():
                for k in range(2, 7) for t in range(2, k + 1) for n in range(7)]
     assert len(records) == 105
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == OUTCOME_DIGEST
+
+
+# One digest over the flattening bounds of 2 <= t <= k <= 12 on every grid of
+# at most 4,096 cells, 334 instances: a change of the Koszul terms that moves
+# any bound fails here.
+RANK_BOUND_DIGEST = "c01bc50e65b88fce097a95b1d276d3da5b15b29685739a971d40270dd10d3fb2"
+
+
+def test_rank_bound_digest():
+    records = [repr((k, t, n, search.flattening_rank_bound(k, t, n)))
+               for k in range(2, 13) for t in range(2, k + 1)
+               for n in range(65) if n**k <= 4096]
+    assert len(records) == 334
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == RANK_BOUND_DIGEST
