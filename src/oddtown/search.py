@@ -8,13 +8,12 @@ first support.  Weights 4 and 5 are one vectorized meet-in-the-middle pass:
 a probe walks the pair sums shifted by the target in ascending order and
 stops at the first that is also a sum of the remaining columns, the
 smallest common value, from which the lookups re-derive both halves of the
-support.  The value and coordinate permutations fix the target: a lookup
-level starts only at columns least in their orbit, and at weight 4, before
-the probe, a stream of the shifted pair sums against the pair sums whose
-first column in orbit order is least in its orbit proves an empty level.  A
-presolve certifies the levels below the catalog-free lower bounds: the
-closed forms, and the largest Koszul flattening bound of the target, since
-each product is a rank-one tensor.  Every certificate that backs a
+support.  The value and coordinate permutations fix the target: at weight
+4, before the probe, a stream of the shifted pair sums against the pair sums
+whose first column in orbit order is least in its orbit proves an empty
+level.  A presolve certifies the levels below the catalog-free lower bounds:
+the closed forms, and the largest Koszul flattening bound of the target,
+since each product is a rank-one tensor.  Every certificate that backs a
 reported value is recorded on the outcome.
 """
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -38,12 +37,10 @@ DEFAULT_BUDGET = 8
 _MITM_TRIPLE_CAP = 8_000_000  # the largest C(m, 3) at w = 5: bounds the probe's m * C(m, 2) queries
 _SYMMETRY_MAX_N = 5  # orbit canonicalization (n! value permutations) is skipped above this
 _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
-# The largest Koszul flattening matrix the bound eliminates, and the merges it
-# tries per coordinate grouping (all of them up to n = 9).  On one 2-vCPU
-# machine the bound takes 14 ms at (5,5,5), 35 ms at (3,3,16) and 0.17 s at
-# (4,2,16), the slowest grid-fitting instance measured.
+# The largest Koszul flattening matrix the bound eliminates.  On one 2-vCPU
+# machine the bound takes 11 ms at (5,5,5), 10 ms at (3,3,16), 20 ms at
+# (4,2,16) and at most 57 ms, at (16,2,2), over the 823 targets it builds.
 _KOSZUL_MAX_ENTRIES = 10**5
-_KOSZUL_MAX_MERGES = 32
 _STREAM_BLOCK = 1 << 16  # shifted pair sums per block of the w = 4 emptiness stream
 _PROBE_ROWS = 16  # shifted pair sums per step of the probe, each met with every offset
 
@@ -99,31 +96,13 @@ class SearchInstance:
         return sums
 
     @cached_property
-    def value_permutations(self) -> Optional[np.ndarray]:
-        """The n! permutations of the values 0..n-1, one per row; None when the
-        group is too large to be worth it (n > _SYMMETRY_MAX_N) or n = 0."""
-        if self.n > _SYMMETRY_MAX_N or self.n == 0:
-            return None
-        return np.array(list(permutations(range(self.n))))
-
-    @cached_property
-    def orbit_labels(self) -> Optional[np.ndarray]:
-        """Per column, the least index in its orbit (see ``_orbit_labels``)."""
-        return _orbit_labels(self)
-
-    @cached_property
-    def first_columns(self) -> Optional[list[int]]:
-        """The orbit-canonical columns, the least of their orbits, ascending."""
-        labels = self.orbit_labels
-        return None if labels is None else np.flatnonzero(labels == np.arange(labels.size)).tolist()
-
-    @cached_property
     def pass_order(self) -> tuple[np.ndarray, np.ndarray]:
         """The column order of the meet-in-the-middle pass, and the positions
         in it of the orbit-canonical columns.  Orbits go largest first, each
         contiguous and led by its canonical column, so few columns follow a
-        canonical one; without orbits, the identity and every position."""
-        labels = self.orbit_labels
+        canonical one; without orbits, the identity and every position.  Only
+        the w = 4 emptiness proof of ``_exhaust_level`` needs the orbits."""
+        labels = _orbit_labels(self)
         if labels is None:
             return np.arange(self.num_columns), np.arange(self.num_columns)
         order = np.lexsort((labels, -np.bincount(labels)[labels]))  # stable: ascending within an orbit
@@ -181,17 +160,6 @@ def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> Sea
     )
 
 
-def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """The integer partitions of n into parts of at most ``largest``, parts
-    descending, in reverse lexicographic order: (n), (n-1, 1), (n-2, 2), ..."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first, *rest)
-
-
 def _koszul_rank(slices: np.ndarray, p: int) -> int:
     """F_2 rank of the Koszul flattening T_A^{wedge p} of the tensor in
     A (x) B (x) C whose A-slices are ``slices``, a (d, |B|, |C|) 0/1 array.
@@ -211,10 +179,11 @@ def _koszul_rank(slices: np.ndarray, p: int) -> int:
     return rank_gf2(Gf2Matrix.from_array(m if m.shape[0] <= m.shape[1] else m.T))
 
 
-def _flattening_terms(tensor: np.ndarray) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
+def _flattening_terms(tensor: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
     """Lower bounds on the F_2 tensor rank of a 0/1 tensor with k sides of n
-    >= 1 values, as (r, merge block sizes, p, bound): per r, the plain
-    unfolding (p = 0, no merge), then Koszul flattenings.
+    >= 1 values, as (r, d, p, bound): per r, the plain unfolding (d = n,
+    p = 0), then Koszul flattenings after merging the values of A into d
+    blocks.
 
     Read the tensor in A (x) B (x) C: A the first coordinate, B the next r and
     C the rest.  A rank-one a (x) b (x) c has a Koszul flattening
@@ -224,36 +193,33 @@ def _flattening_terms(tensor: np.ndarray) -> Iterator[tuple[int, tuple[int, ...]
     ceil(rank T_A^{wedge p} / C(d-1, p)) is a bound.
 
     The terms taken suit a target, which every permutation of the values and
-    of the coordinates fixes.  A merge matters only up to its block sizes:
-    one per integer partition of n into d >= 3 consecutive blocks.  Swapping
+    of the coordinates fixes, so a merge matters only up to its block sizes.
+    One merge per block count d >= 3 is taken, the hook: the first n - d + 1
+    values of A form one block and every other value stays alone.  On all
+    823 targets the bound builds (2 <= t <= k <= 16, at most
+    ``_RANK_MAX_CELLS`` cells), the hooks give the same largest term as the
+    merges by every integer partition of n into at least 3 blocks.  Swapping
     B and C turns T_A^{wedge p} into the transpose of T_A^{wedge (d-1-p)}, so
     r <= (k-1)/2, and p <= (d-1)/2 where B and C have the same size.  Left
     out as never above the plain unfoldings: p = 0 after a merge (its rows
     are sums of the plain rows), its transpose p = d-1, and a C of dimension
-    1 (a matrix).  Matrices past ``_KOSZUL_MAX_ENTRIES`` entries are skipped,
-    and per r only the first ``_KOSZUL_MAX_MERGES`` merges with a matrix
-    within it are tried.  Their reverse lexicographic order puts one large
-    block first; a block of n - d + 1 values beside d - 1 singletons gave
-    every largest term measured.
+    1 (a matrix).  Matrices past ``_KOSZUL_MAX_ENTRIES`` entries are skipped.
     """
     k, n = tensor.ndim, len(tensor)
     for r in range(1, k // 2 + 1):
         slices = tensor.reshape(n, n**r, -1)
-        yield r, (1,) * n, 0, _koszul_rank(slices, 0)  # the unfolding of k - r against r coordinates
+        yield r, n, 0, _koszul_rank(slices, 0)  # the unfolding of k - r against r coordinates
         if 2 * r == k:
             continue
-
-        def wedge_powers(d: int) -> list[int]:
+        for d in range(n, 2, -1):
             top = (d - 1) // 2 if 2 * r == k - 1 else d - 2
-            return [p for p in range(1, top + 1)
-                    if comb(d, p + 1) * comb(d, p) * n ** (k - 1) <= _KOSZUL_MAX_ENTRIES]
-
-        merges = (parts for parts in _partitions(n, n) if len(parts) >= 3 and wedge_powers(len(parts)))
-        for parts in islice(merges, _KOSZUL_MAX_MERGES):
-            merged = np.bitwise_xor.reduceat(slices, np.cumsum((0, *parts[:-1])), axis=0)
-            for p in wedge_powers(len(parts)):
-                rank = _koszul_rank(merged, p)
-                yield r, parts, p, -(-rank // comb(len(parts) - 1, p))
+            powers = [p for p in range(1, top + 1)
+                      if comb(d, p + 1) * comb(d, p) * n ** (k - 1) <= _KOSZUL_MAX_ENTRIES]
+            if not powers:
+                continue
+            merged = np.bitwise_xor.reduceat(slices, np.r_[0, n - d + 1 : n], axis=0)
+            for p in powers:
+                yield r, d, p, -(-_koszul_rank(merged, p) // comb(d - 1, p))
 
 
 def flattening_rank_bound(k: int, t: int, n: int) -> Optional[int]:
@@ -297,23 +263,19 @@ def _orbit_labels(instance: SearchInstance) -> Optional[np.ndarray]:
     """Per column, the least index in its orbit under value and coordinate
     permutations; None when the group is too large to be worth it
     (n > _SYMMETRY_MAX_N) or n = 0.  A column labelled with its own index is
-    orbit-canonical.
-
-    Both kinds of permutation fix the target, which depends only on how many
-    entries of a cell are distinct.  Restricting the first (least) column of a
-    lookup support to the canonical ones never changes the witness: if the
-    lex-min support S started at a column j0 that is not orbit-canonical,
-    some symmetry σ would give σ(j0) < j0, and σ(S), also a solution since σ
-    fixes the target, would be lexicographically smaller than S.
+    orbit-canonical.  Both kinds of permutation fix the target, which depends
+    only on how many entries of a cell are distinct, so they map the
+    supports of a level onto each other; ``pass_order`` lays the orbits out
+    for the w = 4 emptiness proof.
 
     One pass over the n! value permutations: the first coordinate is the most
     significant digit of a column index, so sorting the permuted parts in
     ascending order gives the least index over the coordinate permutations.
     """
     n, k = instance.n, instance.k
-    perms = instance.value_permutations
-    if perms is None:
+    if n > _SYMMETRY_MAX_N or n == 0:
         return None
+    perms = np.array(list(permutations(range(n))))
     masks = np.arange(1 << n)
     bits = (masks[:, None] >> np.arange(n)) & 1
     images = bits @ (1 << perms).T  # mask -> image, per perm
@@ -446,11 +408,10 @@ def _level_engine(m: int, cells: int, w: int) -> Optional[str]:
 def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]]:
     """Support of weight w, or None if the level is empty.
 
-    Levels up to 3 are lookups, restricted to the instance's orbit-canonical
-    first columns.  Levels 4 and 5 are one meet-in-the-middle pass, which
-    splits w = 2 + s.  Its value v is min I, where I holds the s-sums that
-    are pair sums when shifted by the target.  A probe walks the sorted
-    shifted pair sums H in ascending order and takes the first h with
+    Levels up to 3 are lookups.  Levels 4 and 5 are one meet-in-the-middle
+    pass, which splits w = 2 + s.  Its value v is min I, where I holds the
+    s-sums that are pair sums when shifted by the target.  A probe walks the
+    sorted shifted pair sums H in ascending order and takes the first h with
     h ^ c in H for some offset c.  At w = 4 the one offset is the target, so
     h is a pair sum; at w = 5 the offsets are the columns shifted by the
     target, so h ^ c is a pair sum for a column c.  That h is min I: I lies
@@ -481,7 +442,7 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     m, b = instance.num_columns, instance.target
     engine = _level_engine(m, len(instance.cells), w)
     if engine == "lookup":
-        return _search_weight_level(instance, b, w, instance.first_columns)
+        return _search_weight_level(instance, b, w)
     if engine is None:
         raise InternalCheckError(f"level {w} with {m} columns is out of reach")
     s, shift, sums = w - 2, np.uint64(b), instance.pair_sums

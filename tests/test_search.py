@@ -125,14 +125,20 @@ class TestSearchInstance:
             orbits.append(sorted(orbit))
         return orbits
 
-    def test_canonical_first_columns_match_orbit_walk(self):
+    def test_orbit_labels_match_orbit_walk(self):
+        # each column is labelled with the least index of its orbit
         for k, t, n in instances_within_cap(max_n=4):
             inst = build_search_instance(k, t, n)
-            want = [orbit[0] for orbit in self._orbit_walk(inst)] if n else None
-            assert inst.first_columns == want, (k, t, n)
-        # coordinate permutations count for t < k too
-        assert len(build_search_instance(3, 2, 3).first_columns) == 23
-        assert len(build_search_instance(4, 2, 3).first_columns) == 51
+            labels = search._orbit_labels(inst)
+            if n == 0:
+                assert labels is None
+                continue
+            want = {j: orbit[0] for orbit in self._orbit_walk(inst) for j in orbit}
+            assert labels.tolist() == [want[j] for j in range(inst.num_columns)], (k, t, n)
+        # coordinate permutations count for t < k too: the canonical labels
+        for (k, t, n), count in (((3, 2, 3), 23), ((4, 2, 3), 51)):
+            labels = search._orbit_labels(build_search_instance(k, t, n))
+            assert np.count_nonzero(labels == np.arange(labels.size)) == count, (k, t, n)
 
     def test_pass_order_lays_out_orbits(self):
         # orbits contiguous, largest first, each led by its canonical (least)
@@ -249,15 +255,17 @@ class TestFlatteningBound:
                         cover = best_constructive_cover(k, t, n)
                         assert flattening_rank_bound(k, t, n) <= len(cover), (k, t, n)
 
-    def test_integer_partition_merges_match_every_merge(self):
-        # on targets, one merge per integer partition of n, r <= (k-1)/2 and
-        # the halved range of p reach the largest term over every set
-        # partition, every r and every p (n <= 5, at most 1,024 cells)
-        for k in (3, 4, 5):
-            for t in range(2, k + 1):
-                for n in range(t, 6 if k < 5 else 5):
-                    target = search._target_tensor(k, t, n)
-                    assert flattening_rank_bound(k, t, n) == _koszul_reference(target), (k, t, n)
+    def test_hook_merges_match_every_merge(self):
+        # on targets, one hook merge per block count, r <= (k-1)/2 and the
+        # halved range of p reach the largest term over every set partition,
+        # every r and every p (n <= 5, at most 1,024 cells; and at n = 6,
+        # where the hooks leave out the block sizes (3,2,1), (2,2,2) and
+        # (2,2,1,1))
+        instances = [(k, t, n) for k in (3, 4, 5) for t in range(2, k + 1)
+                     for n in range(t, 6 if k < 5 else 5)]
+        for k, t, n in instances + [(3, 2, 6), (3, 3, 6)]:
+            target = search._target_tensor(k, t, n)
+            assert flattening_rank_bound(k, t, n) == _koszul_reference(target), (k, t, n)
         # the raised bounds: the unfolding ranks are 3, 5, 6 and 10
         raised = [flattening_rank_bound(*ktn) for ktn in [(3, 3, 3), (3, 3, 5), (4, 4, 4), (5, 5, 5)]]
         assert raised == [4, 6, 7, 13]
@@ -291,19 +299,6 @@ class TestMinMod2Cover:
         for n in (2, 3, 4):
             value = min_mod2_cover(2, 2, n).value
             assert pure_levels(2, 2, n, value) == [False] * (value - 1) + [True], n
-
-    def test_symmetry_off_matches(self):
-        # the orbit-canonical first columns only restrict the first lookup
-        # column, and the lex-min support always starts at one: every level's
-        # witness, or its emptiness, is unchanged (at (5,3,2) the target is
-        # empty, so the levels hold zero-sum supports)
-        for k, t, n, top in ((2, 2, 2, 2), (2, 2, 3, 2), (2, 2, 4, 3), (2, 2, 5, 3),
-                             (3, 2, 3, 3), (3, 3, 3, 3), (5, 3, 2, 3), (6, 2, 2, 3)):
-            inst = build_search_instance(k, t, n)
-            assert inst.first_columns is not None
-            for w in range(top + 1):
-                with_orbits = _search_weight_level(inst, inst.target, w, inst.first_columns)
-                assert with_orbits == _search_weight_level(inst, inst.target, w), (k, t, n, w)
 
     def test_orbit_pass_runs_once_per_instance(self, monkeypatch):
         calls = []
@@ -437,7 +432,6 @@ class TestMinMod2Cover:
             if acc == inst.target:
                 best = sup
                 break
-        assert _search_weight_level(inst, inst.target, value, inst.first_columns) == best
         assert _search_weight_level(inst, inst.target, value) == best
 
 
@@ -687,7 +681,7 @@ class TestMeetInTheMiddle:
 
         inst = build_search_instance(k, t, n)
         bare = replace(inst, n=0)
-        assert bare.first_columns is None and inst.first_columns is not None
+        assert search._orbit_labels(bare) is None and search._orbit_labels(inst) is not None
         for w in levels:
             assert outcome(inst, w) == outcome(bare, w), (k, t, n, w)
 
@@ -745,19 +739,27 @@ class TestMeetInTheMiddle:
         # at a generous budget and cap.  The MITM pass serves (3,3,3) and
         # (3,3,4) alone; its w = 4 levels are empty and its one w = 5 level is
         # settled by the probe.  An empty w = 5 level would make the probe
-        # walk every shifted pair sum.
+        # walk every shifted pair sum.  The orbits are computed for the MITM
+        # instances alone: the lookups are unrestricted.
         calls, real = [], search._exhaust_level
+        orbits, real_orbits = [], search._orbit_labels
 
         def spy(instance, w):
             calls.append((instance.k, instance.t, instance.n, w))
             return real(instance, w)
 
+        def orbit_spy(instance):
+            orbits.append((instance.k, instance.t, instance.n))
+            return real_orbits(instance)
+
         monkeypatch.setattr(search, "_exhaust_level", spy)
+        monkeypatch.setattr(search, "_orbit_labels", orbit_spy)
         grids = [(k, t, n) for k in range(2, 7) for t in range(2, k + 1)
                  for n in range(9) if n**k <= 64]
         for k, t, n in grids:
             min_mod2_cover(k, t, n, budget=64, cap=10**6)
         assert calls == [(3, 2, 2, 2), (3, 3, 3, 4), (3, 3, 3, 5), (3, 3, 4, 4)]
+        assert orbits == [(3, 3, 3), (3, 3, 4)]
 
     def test_membership_empty_sorted_side(self):
         empty = np.array([], dtype=np.uint64)
