@@ -5,23 +5,22 @@ where a column is one uint64: levels are proven empty in ascending order,
 and the first level holding a solution yields the witness.  Weights up to 3
 are lookups in the sorted column words, which return the lexicographically
 first support.  Weights 4 and 5 are one vectorized meet-in-the-middle pass:
-a probe walks the pair sums shifted by the target in ascending order and
-stops at the first that is also a sum of the remaining columns, the
+a probe walks the sorted pair sums shifted by the target in ascending order
+and stops at the first that is also a sum of the remaining columns, the
 smallest common value, from which the lookups re-derive both halves of the
-support.  The value and coordinate permutations fix the target: at weight
-4, before the probe, a stream of the shifted pair sums against the pair sums
-whose first column in orbit order is least in its orbit proves an empty
-level.  A presolve certifies the levels below the catalog-free lower bounds:
-the closed forms, and the largest Koszul flattening bound of the target,
-since each product is a rank-one tensor.  Every certificate that backs a
-reported value is recorded on the outcome.
+support.  A presolve certifies the levels below the catalog-free lower
+bounds: the closed forms, and the largest Koszul flattening bound of the
+target, since each product is a rank-one tensor.  Before a level is
+searched, the lower end at n - 1 raises the start, since a cover restricts
+to a smaller ground set.  Every certificate that backs a reported value is
+recorded on the outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb, factorial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -35,14 +34,12 @@ from .ranks import MAX_DIRECT_ENTRIES, cover_size_lower_bound
 DEFAULT_CAP = 4096
 DEFAULT_BUDGET = 8
 _MITM_TRIPLE_CAP = 8_000_000  # the largest C(m, 3) at w = 5: bounds the probe's m * C(m, 2) queries
-_SYMMETRY_MAX_N = 5  # orbit canonicalization (n! value permutations) is skipped above this
 _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
 # The largest Koszul flattening matrix the bound eliminates.  On one 2-vCPU
 # machine the bound takes 11 ms at (5,5,5), 10 ms at (3,3,16), 20 ms at
 # (4,2,16) and at most 57 ms, at (16,2,2), over the 823 targets it builds.
 _KOSZUL_MAX_ENTRIES = 10**5
-_STREAM_BLOCK = 1 << 16  # shifted pair sums per block of the w = 4 emptiness stream
-_PROBE_ROWS = 16  # shifted pair sums per step of the probe, each met with every offset
+_PROBE_QUERIES = 1 << 13  # queries per step of the probe: rows of H times offsets
 
 
 class CapExceededError(ValueError):
@@ -85,28 +82,12 @@ class SearchInstance:
         return self.words[order], order
 
     @cached_property
-    def pair_sums(self) -> np.ndarray:
-        """The sums of the columns at two positions p < q of ``pass_order``,
-        grouped by p."""
-        words, m = self.words[self.pass_order[0]], self.num_columns
-        ends = np.cumsum(np.arange(m - 1, 0, -1))
-        sums = np.empty(comb(m, 2), dtype=np.uint64)
-        for i in range(m - 1):
-            sums[ends[i] - (m - 1 - i) : ends[i]] = words[i + 1 :] ^ words[i]
-        return sums
-
-    @cached_property
-    def pass_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """The column order of the meet-in-the-middle pass, and the positions
-        in it of the orbit-canonical columns.  Orbits go largest first, each
-        contiguous and led by its canonical column, so few columns follow a
-        canonical one; without orbits, the identity and every position.  Only
-        the w = 4 emptiness proof of ``_exhaust_level`` needs the orbits."""
-        labels = _orbit_labels(self)
-        if labels is None:
-            return np.arange(self.num_columns), np.arange(self.num_columns)
-        order = np.lexsort((labels, -np.bincount(labels)[labels]))  # stable: ascending within an orbit
-        return order, np.flatnonzero(labels[order] == order)
+    def shifted_pair_sums(self) -> np.ndarray:
+        """H: the sums of two distinct columns, each XOR-ed with the target,
+        ascending."""
+        words, m = self.words, self.num_columns
+        sums = np.concatenate([words[i + 1 :] ^ words[i] for i in range(m - 1)])
+        return np.sort(sums ^ np.uint64(self.target))
 
 
 def _check_search_args(k: int, t: int, n: int) -> None:
@@ -235,7 +216,7 @@ def flattening_rank_bound(k: int, t: int, n: int) -> Optional[int]:
     _check_search_args(k, t, n)
     if n**k > _RANK_MAX_CELLS:
         return None
-    if n == 0:
+    if n < t:  # no cell has t distinct entries
         return 0
     return max((bound for *_, bound in _flattening_terms(_target_tensor(k, t, n))), default=0)
 
@@ -259,34 +240,6 @@ def _formula_lower(k: int, t: int, n: int) -> int:
     return best
 
 
-def _orbit_labels(instance: SearchInstance) -> Optional[np.ndarray]:
-    """Per column, the least index in its orbit under value and coordinate
-    permutations; None when the group is too large to be worth it
-    (n > _SYMMETRY_MAX_N) or n = 0.  A column labelled with its own index is
-    orbit-canonical.  Both kinds of permutation fix the target, which depends
-    only on how many entries of a cell are distinct, so they map the
-    supports of a level onto each other; ``pass_order`` lays the orbits out
-    for the w = 4 emptiness proof.
-
-    One pass over the n! value permutations: the first coordinate is the most
-    significant digit of a column index, so sorting the permuted parts in
-    ascending order gives the least index over the coordinate permutations.
-    """
-    n, k = instance.n, instance.k
-    if n > _SYMMETRY_MAX_N or n == 0:
-        return None
-    perms = np.array(list(permutations(range(n))))
-    masks = np.arange(1 << n)
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    images = bits @ (1 << perms).T  # mask -> image, per perm
-    parts = np.array(instance.column_parts)
-    place = ((1 << n) - 1) ** np.arange(k - 1, -1, -1)
-    least = np.arange(len(parts))
-    for image in images.T:
-        least = np.minimum(least, (np.sort(image[parts], axis=1) - 1) @ place)
-    return least
-
-
 def _np_membership(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Mask of the queries that occur in the ascending array ``sorted_vals``."""
     if sorted_vals.size == 0:
@@ -296,43 +249,15 @@ def _np_membership(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return sorted_vals[pos] == queries
 
 
-_FIB = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, for multiplicative hashing
-
-
-class _SortedSet:
-    """Exact membership in a fixed set of uint64 values.
-
-    A table of hashed slots (about 1/16 full up to 2^20 values, then capped at
-    2^24 slots, one bit each) turns most absent queries away with one gather;
-    ``searchsorted`` on the sorted values settles the rest.
-    """
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.sorted = np.sort(values)
-        bits = min(24, max(10, (16 * self.sorted.size).bit_length()))
-        self._shift = np.uint64(64 - bits)
-        slots = np.zeros(1 << bits, dtype=bool)
-        slots[self._slot(self.sorted)] = True
-        self._slots = np.packbits(slots, bitorder="little")
-
-    def _slot(self, values: np.ndarray) -> np.ndarray:
-        return (values * _FIB) >> self._shift
-
-    def contains(self, queries: np.ndarray) -> np.ndarray:
-        slot = self._slot(queries)
-        mask = ((self._slots[slot >> np.uint64(3)] >> (slot & np.uint64(7)).astype(np.uint8)) & 1).view(bool)
-        maybe = np.flatnonzero(mask)
-        mask[maybe] = _np_membership(self.sorted, queries[maybe])
-        return mask
-
-
 def _probe_least_common(values: np.ndarray, offsets: np.ndarray) -> Optional[tuple[int, list[int]]]:
     """The first h of the ascending array ``values`` such that h ^ c is in
     ``values`` for some entry c of ``offsets``, with the indices of those
-    entries, ascending; None if there is none.  The values are read
-    ``_PROBE_ROWS`` at a time."""
-    for lo in range(0, values.size, _PROBE_ROWS):
-        rows = values[lo : lo + _PROBE_ROWS]
+    entries, ascending; None if there is none.  Each step meets about
+    ``_PROBE_QUERIES`` queries: as many rows of ``values`` as fit, each XOR-ed
+    with every offset."""
+    step = max(1, _PROBE_QUERIES // max(1, offsets.size))
+    for lo in range(0, values.size, step):
+        rows = values[lo : lo + step]
         hit = _np_membership(values, rows[:, None] ^ offsets)
         found = np.flatnonzero(hit.any(axis=1))
         if found.size:
@@ -410,8 +335,8 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
 
     Levels up to 3 are lookups.  Levels 4 and 5 are one meet-in-the-middle
     pass, which splits w = 2 + s.  Its value v is min I, where I holds the
-    s-sums that are pair sums when shifted by the target.  A probe walks the
-    sorted shifted pair sums H in ascending order and takes the first h with
+    s-sums that are pair sums when shifted by the target.  A probe walks
+    ``shifted_pair_sums``, H, in ascending order and takes the first h with
     h ^ c in H for some offset c.  At w = 4 the one offset is the target, so
     h is a pair sum; at w = 5 the offsets are the columns shifted by the
     target, so h ^ c is a pair sum for a column c.  That h is min I: I lies
@@ -419,19 +344,8 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
     columns.  At w = 5 the columns c that hit are those of the triples of h,
     so the least of them starts its lexicographically first triple; they
     go, ascending, to the triple lookup as its first columns.  At (3,3,3)
-    the probe hits at the 11th of the 58,653 values of H.
-
-    The probe reads all of H on an empty level, so w = 4 proves emptiness
-    first, by the orbits.  Every value and coordinate permutation maps I
-    onto itself, as they permute the columns and fix the target.  Mapping a
-    pair so that its least position in ``pass_order`` is as small as it
-    gets makes that column canonical, the first of its orbit.  So the pair
-    sums whose least position holds a canonical column meet every orbit in
-    I.  They are held in a ``_SortedSet``, and the shifted pair sums are
-    streamed against it in blocks; when no block hits, the level is empty
-    and H is never sorted.  At (3,3,4) the set holds 69,868 of the
-    5,693,625 pair sums.  An empty w = 5 level has no such proof and reads
-    all of H; no (k, t, n) reaches one.
+    the probe reads all 58,653 values of H on the empty level 4, and hits at
+    the 11th on level 5.
 
     The lookups then re-derive the lexicographically first pair of
     v ^ target and s-support of v.  ``_level_engine`` picks the route.
@@ -445,22 +359,14 @@ def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]
         return _search_weight_level(instance, b, w)
     if engine is None:
         raise InternalCheckError(f"level {w} with {m} columns is out of reach")
-    s, shift, sums = w - 2, np.uint64(b), instance.pair_sums
-    if w == 4:
-        order, firsts = instance.pass_order
-        words, firsts = instance.words[order], firsts[firsts <= m - 2].tolist()
-        held = _SortedSet(np.concatenate([words[i + 1 :] ^ words[i] for i in firsts]))
-        blocks = range(0, sums.size, _STREAM_BLOCK)
-        if not any(held.contains(sums[lo : lo + _STREAM_BLOCK] ^ shift).any() for lo in blocks):
-            return None
-    offsets = shift ^ (instance.words if w == 5 else np.zeros(1, dtype=np.uint64))
-    probed = _probe_least_common(np.sort(sums ^ shift), offsets)
+    offsets = np.uint64(b) ^ (instance.words if w == 5 else np.zeros(1, dtype=np.uint64))
+    probed = _probe_least_common(instance.shifted_pair_sums, offsets)
     if probed is None:
         return None
     v, hit_columns = probed
     halves = (
         _search_weight_level(instance, v ^ b, 2),
-        _search_weight_level(instance, v, s, hit_columns if w == 5 else None),
+        _search_weight_level(instance, v, w - 2, hit_columns if w == 5 else None),
     )
     if None in halves:
         raise InternalCheckError("meet-in-the-middle witness vanished on re-derivation")
@@ -480,7 +386,9 @@ class SearchOutcome:
     larger of ``flattening_rank_bound`` and ``_formula_lower``; ``constructive`` is
     the size of the smallest explicit construction (None when it is too
     large to verify); ``levels_exhausted`` is the inclusive range of weights
-    the search itself proved empty (or None if none were).
+    the search of this (k, t, n) itself proved empty (or None if none were);
+    levels refuted by the outcome at n - 1, which raised its start, are not
+    in it.
     """
 
     k: int
@@ -525,8 +433,11 @@ def min_mod2_cover(
     and below the upper bound are exhausted in ascending order, while
     ``_level_engine`` reaches them.  The catalog of (2^n - 1)^k products is
     built only if one such level is left and it fits ``cap``; otherwise the
-    outcome is the interval of the certificates, with no level searched.  A
-    witness the search returns is verified.  The result is deterministic.
+    outcome is the interval of the certificates, with no level searched.
+    Before the first level is searched, the lower end of the outcome at
+    n - 1 raises the start level (a cover restricts to a smaller ground set),
+    and the levels left are counted again.  A witness the search returns is
+    verified.  The result is deterministic.
     """
     _check_search_args(k, t, n)
     if n < t:  # no cell has t distinct entries
@@ -537,15 +448,27 @@ def min_mod2_cover(
     upper = len(construction) if construction is not None else None
     if upper is not None and rank_bound > upper:
         raise InternalCheckError(f"lower bound {rank_bound} exceeds a verified cover of size {upper}")
-    start = w = stop = max(1, rank_bound)
     m = _catalog_size(k, n)
-    while stop <= budget and stop != upper and _level_engine(m, n**k, stop):
-        stop += 1
+
+    def stop_from(level: int) -> int:
+        """The first level from ``level`` on that is not searched."""
+        while level <= budget and level != upper and _level_engine(m, n**k, level):
+            level += 1
+        return level
+
+    start = w = max(1, rank_bound)
     support = None
-    if stop > start and m <= cap:
-        instance = build_search_instance(k, t, n, cap)
-        while w < stop and (support := _exhaust_level(instance, w)) is None:
-            w += 1
+    if stop_from(start) > start and m <= cap:
+        start = w = max(start, min_mod2_cover(k, t, n - 1, budget, cap).lower)
+        if upper is not None and start > upper:
+            raise InternalCheckError(
+                f"lower bound {start} carried from n - 1 exceeds a verified cover of size {upper}"
+            )
+        stop = stop_from(start)
+        if stop > start:
+            instance = build_search_instance(k, t, n, cap)
+            while w < stop and (support := _exhaust_level(instance, w)) is None:
+                w += 1
     # Every level below w is refuted, by the lower bounds or by the search.
     exhausted = (start, w - 1) if w > start else None
     if support is not None:

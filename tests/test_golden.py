@@ -96,9 +96,10 @@ def test_level_three_certified_without_catalog(tmp_path, monkeypatch, capsys):
     assert written == FILES["table33.rows"]
 
 
-# The level-4 meet-in-the-middle pass at the full budget: (3,3,4) refutes
-# level 4 and level 5 is out of reach.  At (3,2,4) the flattening bound meets
-# the construction, so no level is searched.
+# The full budget: (3,3,4) takes the lower end 5 of (3,3,3), whose level-4
+# meet-in-the-middle pass refutes level 4, and its level 5 is out of reach.
+# At (3,2,4) the flattening bound meets the construction, so no level is
+# searched.
 LEVEL_FOUR_COMMANDS = [
     ("search --k 3 --t 3 --n 4", "interval k=3 t=3 n=4 lower=5 upper=13\n"),
     ("search --k 3 --t 2 --n 4 --out w324.json", "exact k=3 t=2 n=4 f=5 rank-bound=5\n"),
@@ -131,9 +132,10 @@ def _outcome_record(k, t, n):
 
 
 # One digest over the 105 outcomes of 2 <= t <= k <= 6, 0 <= n <= 6.  It
-# covers (3,3,3) at w = 4 and 5 and (3,3,4) at w = 4; a change of the search
+# covers (3,3,3) at w = 4 and 5, and (3,3,4), whose lower end 5 is carried
+# from (3,3,3) with no level of its own searched; a change of the search
 # that moves any verdict, bound, certificate or witness byte fails here.
-OUTCOME_DIGEST = "0a316842b557f883d1dcb70b5e6c1c448710f232bf5223cdaad16ba7314de499"
+OUTCOME_DIGEST = "3b87dcd513e5375740370030f01129e81eaa5deb81e695e911522be1396c25d9"
 
 
 def test_outcome_digest():

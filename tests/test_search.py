@@ -1,7 +1,7 @@
 import inspect
 import shlex
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -35,13 +35,24 @@ from oddtown.search import (
     _exhaust_level,
     _np_membership,
     _search_weight_level,
-    _SortedSet,
     best_constructive_cover,
     bounds_table,
     flattening_rank_bound,
     format_table,
     machine_rows,
 )
+
+
+def _spy_catalogs(mp):
+    """Record the arguments of every catalog the search builds."""
+    calls, real = [], search.build_search_instance
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    mp.setattr(search, "build_search_instance", spy)
+    return calls
 
 
 def support_of(out):
@@ -105,64 +116,6 @@ class TestSearchInstance:
             inst = build_search_instance(k, t, n)
             assert inst.target == target_mask(n, k, t, inst.cells), (k, t, n)
 
-    @staticmethod
-    def _orbit_walk(instance):
-        """Walk the columns in ascending order, collecting the whole orbit of
-        each unmarked one under every value and coordinate permutation: the
-        orbits, each led by its least column."""
-        n, k = instance.n, instance.k
-        index = {parts: j for j, parts in enumerate(instance.column_parts)}
-        seen, orbits = set(), []
-        for j, parts in enumerate(instance.column_parts):
-            if j in seen:
-                continue
-            orbit = set()
-            for perm in permutations(range(n)):
-                image = [sum(1 << perm[e] for e in range(n) if mask >> e & 1) for mask in parts]
-                for order in permutations(range(k)):
-                    orbit.add(index[tuple(image[i] for i in order)])
-            seen |= orbit
-            orbits.append(sorted(orbit))
-        return orbits
-
-    def test_orbit_labels_match_orbit_walk(self):
-        # each column is labelled with the least index of its orbit
-        for k, t, n in instances_within_cap(max_n=4):
-            inst = build_search_instance(k, t, n)
-            labels = search._orbit_labels(inst)
-            if n == 0:
-                assert labels is None
-                continue
-            want = {j: orbit[0] for orbit in self._orbit_walk(inst) for j in orbit}
-            assert labels.tolist() == [want[j] for j in range(inst.num_columns)], (k, t, n)
-        # coordinate permutations count for t < k too: the canonical labels
-        for (k, t, n), count in (((3, 2, 3), 23), ((4, 2, 3), 51)):
-            labels = search._orbit_labels(build_search_instance(k, t, n))
-            assert np.count_nonzero(labels == np.arange(labels.size)) == count, (k, t, n)
-
-    def test_pass_order_lays_out_orbits(self):
-        # orbits contiguous, largest first, each led by its canonical (least)
-        # column; the positions name the canonical columns
-        for k, t, n in instances_within_cap(max_n=4):
-            inst = build_search_instance(k, t, n)
-            order, firsts = (a.tolist() for a in inst.pass_order)
-            assert sorted(order) == list(range(inst.num_columns)), (k, t, n)
-            if n == 0:
-                assert order == firsts == list(range(inst.num_columns))
-                continue
-            orbit_of = {j: tuple(orbit) for orbit in self._orbit_walk(inst) for j in orbit}
-            runs = []
-            for j in order:
-                if not runs or orbit_of[j] != runs[-1]:
-                    runs.append(orbit_of[j])
-                    assert orbit_of[j][0] == j, (k, t, n, j)
-            assert len(runs) == len(set(runs)) == len(firsts), (k, t, n)
-            assert [len(r) for r in runs] == sorted((len(r) for r in runs), reverse=True)
-            assert [order[i] for i in firsts] == [r[0] for r in runs]
-        # past the symmetry limit, or on bare columns: the identity
-        for inst in (build_search_instance(2, 2, 6), replace(build_search_instance(3, 3, 3), n=0)):
-            order, firsts = inst.pass_order
-            assert order.tolist() == firsts.tolist() == list(range(inst.num_columns))
 
 
 def _unfolding_rank_reference(k, t, n):
@@ -222,6 +175,14 @@ class TestFlatteningBound:
         inst = build_search_instance(3, 3, 2)
         assert inst.target == 0
         assert flattening_rank_bound(3, 3, 2) == 0
+
+    def test_empty_target_builds_nothing(self, monkeypatch):
+        # n < t leaves no cell with t distinct entries: the bound is 0 before
+        # any flattening is eliminated, even on (16,16,2)'s 65,536 cells
+        calls = []
+        monkeypatch.setattr(search, "_koszul_rank", lambda *args: calls.append(args) or 0)
+        assert [flattening_rank_bound(*ktn) for ktn in [(16, 16, 2), (5, 3, 2), (4, 4, 0)]] == [0, 0, 0]
+        assert calls == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 4), st.data())
@@ -300,15 +261,9 @@ class TestMinMod2Cover:
             value = min_mod2_cover(2, 2, n).value
             assert pure_levels(2, 2, n, value) == [False] * (value - 1) + [True], n
 
-    def test_orbit_pass_runs_once_per_instance(self, monkeypatch):
-        calls = []
-        real = search._orbit_labels
+    def test_catalog_built_once_per_instance(self, monkeypatch):
+        calls = _spy_catalogs(monkeypatch)
 
-        def spy(instance):
-            calls.append((instance.k, instance.t, instance.n))
-            return real(instance)
-
-        monkeypatch.setattr(search, "_orbit_labels", spy)
         def summary(out):
             return out.status, out.lower, out.upper, out.levels_exhausted
 
@@ -317,10 +272,34 @@ class TestMinMod2Cover:
         # (4,3,3): 81 cells, so no level is searched at all
         assert summary(min_mod2_cover(4, 3, 3)) == ("interval", 6, 34, None)
         assert calls == []
-        # (3,3,3): meet-in-the-middle at w=4 and 5, one orbit pass
+        # (3,3,3): meet-in-the-middle at w=4 and 5 on one catalog
         out = min_mod2_cover(3, 3, 3)
-        assert calls == [(3, 3, 3)]
+        assert calls == [(3, 3, 3, search.DEFAULT_CAP)]
         assert support_of(out) == (47, 74, 129, 156, 211)
+
+    def test_lower_end_carried_from_n_minus_one(self, monkeypatch):
+        # f(3,3,3) = 5 raises the start of (3,3,4) from its flattening bound 4
+        # to level 5, which is out of reach: only the (3,3,3) catalog is built
+        calls = _spy_catalogs(monkeypatch)
+        out = min_mod2_cover(3, 3, 4)
+        assert (out.status, out.lower, out.upper, out.levels_exhausted) == ("interval", 5, 13, None)
+        assert out.rank_bound == 4
+        assert calls == [(3, 3, 3, search.DEFAULT_CAP)]
+
+    def test_carried_lower_end_above_the_construction_raises(self, monkeypatch, capsys):
+        # an n - 1 outcome whose lower end passes the 13-product (3,3,4)
+        # construction is a broken certificate
+        real = search.min_mod2_cover
+
+        def carried(k, t, n, budget=search.DEFAULT_BUDGET, cap=search.DEFAULT_CAP):
+            out = real(k, t, n, budget, cap)
+            return replace(out, lower=14) if n == 3 else out
+
+        monkeypatch.setattr(search, "min_mod2_cover", carried)
+        with pytest.raises(InternalCheckError, match="lower bound 14 carried from n - 1 exceeds"):
+            search.min_mod2_cover(3, 3, 4)
+        assert main(["search", "--k", "3", "--t", "3", "--n", "4"]) == 3
+        assert capsys.readouterr().out.startswith("internal inconsistency")
 
     def test_edgeless_target(self):
         out = min_mod2_cover(3, 3, 2)
@@ -356,14 +335,7 @@ class TestMinMod2Cover:
         assert capsys.readouterr().out.startswith("internal inconsistency")
 
     def test_certificates_meet_without_catalog(self, monkeypatch):
-        calls = []
-        real = search.build_search_instance
-
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(search, "build_search_instance", spy)
+        calls = _spy_catalogs(monkeypatch)
         # rank 6 meets the 6-product construction: no catalog is built
         out = min_mod2_cover(2, 2, 6)
         assert (out.status, out.value, out.rank_bound, out.levels_exhausted) == ("exact", 6, 6, None)
@@ -408,12 +380,12 @@ class TestMinMod2Cover:
         assert out.levels_exhausted == (4, 4)
 
     def test_triple_n4_interval(self):
-        # the flattening bound certifies w=3, meet-in-the-middle refutes w=4;
-        # w=5 is out of reach
+        # the flattening bound certifies w=3, and f(3,3,3) = 5 carries up to
+        # refute w=4; w=5 is out of reach, so no level of (3,3,4) is searched
         out = min_mod2_cover(3, 3, 4)
         assert out.status == "interval"
         assert out.lower == 5 and out.upper == 13
-        assert out.levels_exhausted == (4, 4)
+        assert out.levels_exhausted is None
 
     def test_pair_k3_n4_interval(self):
         # the flattening bound 5 meets the 5-product construction: no level is searched
@@ -450,19 +422,6 @@ def _columns_instance(cols, b=0):
 def _mitm_level(cols, b, w):
     """``_exhaust_level`` at w = 4 or 5, the meet-in-the-middle route, over bare columns."""
     return _exhaust_level(_columns_instance(cols, b), w)
-
-
-def _spy_held(mp):
-    """Record the size of every ``_SortedSet`` the level pass builds."""
-    held = []
-
-    class Spy(_SortedSet):
-        def __init__(self, values):
-            held.append(values.size)
-            super().__init__(values)
-
-    mp.setattr(search, "_SortedSet", Spy)
-    return held
 
 
 def _spy_probe(mp):
@@ -589,29 +548,7 @@ class TestLevelEngine:
             _exhaust_level(wide, 3)
 
 
-uint64s = st.lists(st.integers(0, 2**64 - 1), max_size=40)
-small_uint64s = st.lists(st.integers(0, 7), min_size=1, max_size=12)  # forces duplicates and hits
-
-
 class TestMeetInTheMiddle:
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(uint64s, small_uint64s), st.one_of(uint64s, small_uint64s))
-    def test_contains_matches_isin(self, a, b):
-        a = np.array(a, dtype=np.uint64)
-        b = np.array(b, dtype=np.uint64)
-        assert _SortedSet(a).contains(b).tolist() == np.isin(b, a).tolist()
-
-    def test_contains_edge_cases(self):
-        def u(*xs):
-            return np.array(xs, dtype=np.uint64)
-
-        assert _SortedSet(u(5)).contains(u(5)).tolist() == [True]
-        assert _SortedSet(u(5)).contains(u(4)).tolist() == [False]
-        assert _SortedSet(u(9, 3, 3, 1)).contains(u(9, 9, 3, 3, 4)).tolist() == [True] * 4 + [False]
-        assert _SortedSet(u(2**64 - 1)).contains(u(0, 2**64 - 1)).tolist() == [False, True]
-        assert _SortedSet(u()).contains(u(1, 2)).tolist() == [False, False]
-        assert _SortedSet(u(1, 2)).contains(u()).tolist() == []
-
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.integers(1, 2**16 - 1), min_size=6, max_size=10, unique=True),
@@ -637,10 +574,12 @@ class TestMeetInTheMiddle:
             return
         want = _level_reference(cols, b, w)
         assert _mitm_level(cols, b, w) == want
-        for rows in (1, 3):  # probe steps that end at other values than the default 16
+        # probe steps of 1, 3 and 20 rows at w = 4, and of 1 to 3 rows at
+        # w = 5 (6 to 10 offsets): each ends inside the 15 to 45 values of H
+        for queries in (1, 3, 20):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_PROBE_ROWS", rows)
-                assert _mitm_level(cols, b, w) == want, rows
+                mp.setattr(search, "_PROBE_QUERIES", queries)
+                assert _mitm_level(cols, b, w) == want, queries
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 63), max_size=40), st.lists(st.integers(0, 63), max_size=6))
@@ -651,10 +590,10 @@ class TestMeetInTheMiddle:
             if (hits := [j for j, c in enumerate(offsets) if h ^ c in held])
         ), None)
         values, offsets = np.array(values, dtype=np.uint64), np.array(offsets, dtype=np.uint64)
-        for rows in (1, 3, 16):
+        for queries in (1, 5, 16):  # steps of 1 to 16 rows, by the number of offsets
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_PROBE_ROWS", rows)
-                assert search._probe_least_common(values, offsets) == want, rows
+                mp.setattr(search, "_PROBE_QUERIES", queries)
+                assert search._probe_least_common(values, offsets) == want, queries
 
     @pytest.mark.parametrize("cols,b,want", [
         ([37, 105, 83, 216, 30, 52, 153, 175], 255, (0, 3, 5, 6, 7)),  # not (0, 1, 4, 5, 6)
@@ -666,52 +605,36 @@ class TestMeetInTheMiddle:
         assert _level_reference(cols, b, 5) == want
         assert _mitm_level(cols, b, 5) == want
 
-    @pytest.mark.parametrize("k,t,n,levels", [
-        (3, 2, 3, (4, 5)), (3, 3, 3, (4, 5)), (2, 2, 4, (4, 5)), (4, 3, 2, (4, 5)),
-        (2, 2, 5, (4,)), (3, 2, 2, (4, 5)),
-    ])
-    def test_orbit_restricted_pass_matches_unrestricted(self, k, t, n, levels):
-        # the same columns without orbits stream every block and take the
-        # plain minimum: the level outcome is the same
-        def outcome(instance, w):
-            try:
-                return _exhaust_level(instance, w)
-            except InternalCheckError as err:  # lower levels hold supports
-                return str(err)
+    def test_level_four_probe_reads_every_pair_sum(self, monkeypatch):
+        # the empty level 4 of (3,3,3): the probe reads all 58,653 shifted
+        # pair sums, 8,192 rows a step against the one offset, and misses;
+        # level 5 then probes the same sorted array
+        probes, real = [], search._probe_least_common
+        steps, real_membership = [], search._np_membership
 
-        inst = build_search_instance(k, t, n)
-        bare = replace(inst, n=0)
-        assert search._orbit_labels(bare) is None and search._orbit_labels(inst) is not None
-        for w in levels:
-            assert outcome(inst, w) == outcome(bare, w), (k, t, n, w)
+        def probe(values, offsets):
+            probes.append(values)
+            return real(values, offsets)
 
-    def test_level_four_holds_the_restricted_pairs(self, monkeypatch):
-        # the pair sums whose least position in the pass order holds an
-        # orbit-canonical column are the held side at w = 4; on the empty
-        # levels of (3,3,3) and (3,3,4) the stream proves emptiness, and the
-        # probe never sorts the pair sums (5,693,625 at (3,3,4))
-        held, probes = _spy_held(monkeypatch), _spy_probe(monkeypatch)
-        for n, restricted in ((3, 2_712), (4, 69_868)):
-            inst = build_search_instance(3, 3, n)
-            m = inst.num_columns
-            assert sum(m - 1 - i for i in inst.pass_order[1].tolist() if i <= m - 2) == restricted
-            held.clear()
-            assert _exhaust_level(inst, 4) is None
-            assert held == [restricted] and restricted < comb(m, 2)
-        assert probes == []
-        # level 5 of (3,3,3) is settled by the probe alone: nothing is held
-        held.clear()
+        def membership(sorted_vals, queries):
+            steps.append(queries.shape)
+            return real_membership(sorted_vals, queries)
+
+        monkeypatch.setattr(search, "_probe_least_common", probe)
+        monkeypatch.setattr(search, "_np_membership", membership)
         inst = build_search_instance(3, 3, 3)
+        assert _exhaust_level(inst, 4) is None
+        assert [v.size for v in probes] == [comb(inst.num_columns, 2)] == [58_653]
+        assert steps == [(8_192, 1)] * 7 + [(58_653 - 7 * 8_192, 1)]
         assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
-        assert held == [] and probes == [comb(inst.num_columns, 2)]
+        assert probes[1] is probes[0] is inst.shifted_pair_sums
 
     def test_level_five_probe_settles_the_level(self, monkeypatch):
         # at (3,3,3) the least common value is the 11th shifted pair sum: the
         # probe finds it with its columns, which start the triple lookup
         inst = build_search_instance(3, 3, 3)
-        shift = np.uint64(inst.target)
-        shifted = np.sort(inst.pair_sums ^ shift)
-        v, hit_columns = search._probe_least_common(shifted, inst.words ^ shift)
+        shifted = inst.shifted_pair_sums
+        v, hit_columns = search._probe_least_common(shifted, inst.words ^ np.uint64(inst.target))
         assert v == shifted[10] and hit_columns == [47, 74, 129]
         lookups, real = [], search._search_weight_level
 
@@ -724,42 +647,37 @@ class TestMeetInTheMiddle:
         assert lookups == [(2, None), (3, [47, 74, 129])]
 
     def test_empty_level_five_on_bare_columns(self, monkeypatch):
-        # random 64-bit columns without orbits: the probe walks all of the
-        # C(120, 2) shifted pair sums and misses, and nothing is held
+        # random 64-bit columns: the probe walks all of the C(120, 2) shifted
+        # pair sums, 68 rows a step against the 120 offsets, and misses
         rng = np.random.default_rng(5)
         cols = rng.integers(0, 2**64, 120, dtype=np.uint64, endpoint=False).tolist()
         b = int(rng.integers(0, 2**64, dtype=np.uint64, endpoint=False))
-        held, probes = _spy_held(monkeypatch), _spy_probe(monkeypatch)
-        assert _mitm_level(cols, b, 5) is None
-        assert held == [] and probes == [comb(120, 2)]
+        probes = _spy_probe(monkeypatch)
+        inst = _columns_instance(cols, b)
+        assert _exhaust_level(inst, 5) is None
+        assert probes == [comb(120, 2)] == [inst.shifted_pair_sums.size]
 
     def test_level_search_traffic(self, monkeypatch):
         # every level the search reaches on the grids that fit it (n^k <= 64;
         # past k = 6 that leaves n <= 1, where no cell has t distinct entries)
-        # at a generous budget and cap.  The MITM pass serves (3,3,3) and
-        # (3,3,4) alone; its w = 4 levels are empty and its one w = 5 level is
-        # settled by the probe.  An empty w = 5 level would make the probe
-        # walk every shifted pair sum.  The orbits are computed for the MITM
-        # instances alone: the lookups are unrestricted.
+        # at a generous budget and cap.  The MITM pass serves (3,3,3) alone:
+        # its w = 4 level is empty and its w = 5 level is settled by the
+        # probe.  (3,3,4) searches again the (3,3,3) levels its lower end is
+        # carried from, the last two calls, and starts at its out-of-reach
+        # level 5.  An empty w = 5 level would make the probe walk every
+        # shifted pair sum.
         calls, real = [], search._exhaust_level
-        orbits, real_orbits = [], search._orbit_labels
 
         def spy(instance, w):
             calls.append((instance.k, instance.t, instance.n, w))
             return real(instance, w)
 
-        def orbit_spy(instance):
-            orbits.append((instance.k, instance.t, instance.n))
-            return real_orbits(instance)
-
         monkeypatch.setattr(search, "_exhaust_level", spy)
-        monkeypatch.setattr(search, "_orbit_labels", orbit_spy)
         grids = [(k, t, n) for k in range(2, 7) for t in range(2, k + 1)
                  for n in range(9) if n**k <= 64]
         for k, t, n in grids:
             min_mod2_cover(k, t, n, budget=64, cap=10**6)
-        assert calls == [(3, 2, 2, 2), (3, 3, 3, 4), (3, 3, 3, 5), (3, 3, 4, 4)]
-        assert orbits == [(3, 3, 3), (3, 3, 4)]
+        assert calls == [(3, 2, 2, 2), (3, 3, 3, 4), (3, 3, 3, 5), (3, 3, 3, 4), (3, 3, 3, 5)]
 
     def test_membership_empty_sorted_side(self):
         empty = np.array([], dtype=np.uint64)
@@ -794,7 +712,7 @@ class TestExactB:
     @pytest.mark.parametrize("k,t,m,built", [
         (2, 2, 4, [6, 5]),  # the deciding n inside the search, then the certifying cover
         (3, 2, 4, [4, 3]),
-        (3, 3, 5, [3, 4]),  # the search certifies n = 3 itself
+        (3, 3, 5, [3, 4, 3]),  # the search certifies n = 3 itself; n = 4 carries n = 3's lower end
         (2, 2, 0, [2, 1]),
     ])
     def test_each_ground_size_built_once(self, k, t, m, built, monkeypatch):
@@ -875,8 +793,9 @@ class TestBoundsTable:
         assert [r.fields()[3:] for r in rows] == [
             (0, 0, 0, 0), (lower, 6, 6, ""), (lower, 13, 13, "")
         ]
-        # one call per row at most, none on the edgeless (3,3,2)
-        assert calls == [2, 3, 4, 5, 6, 3, 4]
+        # one call per row at most, none on the edgeless (3,3,2); with the
+        # search on, (3,3,4) carries its lower end from (3,3,3), one more call
+        assert calls == [2, 3, 4, 5, 6, 3, 4] + ([3] if run_search else [])
 
     def test_formats(self):
         rows, notes = bounds_table(2, 2, [2, 3], budget=0)
