@@ -73,7 +73,6 @@ from .ranks import (
     wilson_rank,
 )
 from .search import (
-    CapExceededError,
     ExactBResult,
     SearchInstance,
     SearchOutcome,

@@ -162,7 +162,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.m is not None:
-        result = search.exact_b(args.k, args.t, args.m, budget=args.budget, cap=args.cap)
+        result = search.exact_b(args.k, args.t, args.m, budget=args.budget)
         if result.exact:
             print(f"exact-b k={args.k} t={args.t} m={args.m} b={result.value}")
         else:
@@ -170,7 +170,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.n is None:
         raise UsageError("search needs --n or --m")
-    out = search.min_mod2_cover(args.k, args.t, args.n, budget=args.budget, cap=args.cap)
+    out = search.min_mod2_cover(args.k, args.t, args.n, budget=args.budget)
     if out.exact:
         if out.cover is not None and len(out.cover) == out.value and args.out:
             fileio.save_cover(out.cover, args.out)
@@ -183,7 +183,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     n_values = list(range(args.n_min, args.n_max + 1))
-    rows, notes = search.bounds_table(args.k, args.t, n_values, budget=args.budget, cap=args.cap)
+    rows, notes = search.bounds_table(args.k, args.t, n_values, budget=args.budget)
     sys.stdout.write(search.format_table(rows, notes))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
-    p.add_argument("--cap", type=int, default=search.DEFAULT_CAP)
     p.add_argument("--out", help="write the witness cover here")
     p.set_defaults(func=_cmd_search)
 
@@ -249,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--budget", type=int, default=3)
-    p.add_argument("--cap", type=int, default=search.DEFAULT_CAP)
     p.add_argument("--out", help="write the machine-readable rows here")
     p.set_defaults(func=_cmd_table)
     return parser

@@ -1,93 +1,89 @@
 """Exact minimum parity-cover search at desk scale, and the bounds table.
 
-The search is a per-weight-level exhaustion on grids of at most 64 cells,
-where a column is one uint64: levels are proven empty in ascending order,
-and the first level holding a solution yields the witness.  Weights up to 3
-are lookups in the sorted column words, which return the lexicographically
-first support.  Weights 4 and 5 are one vectorized meet-in-the-middle pass:
-a probe walks the sorted pair sums shifted by the target in ascending order
-and stops at the first that is also a sum of the remaining columns, the
-smallest common value, from which the lookups re-derive both halves of the
-support.  A presolve certifies the levels below the catalog-free lower
-bounds: the closed forms, and the largest Koszul flattening bound of the
-target, since each product is a rank-one tensor.  Before a level is
-searched, the lower end at n - 1 raises the start, since a cover restricts
-to a smaller ground set.  Every certificate that backs a reported value is
-recorded on the outcome.
+A cover of size r writes the (k, t, n) target as the sum of r products,
+rank-one tensors over F_2.  Cut along its last coordinate, the target's n
+slices span a space S of dimension d, and the products restrict to
+rank-one (k-1)-tensors whose span W holds S.  So one slice-span test decides
+every level (``_slice_level``): level r holds a cover iff some W of
+dimension r that contains S is spanned by the rank-one tensors inside it.
+Levels are searched in ascending order while ``_SLICE_MAX_WORK`` bounds
+them, and the first nonempty one yields the witness.  A presolve certifies
+the levels below the search-free lower bounds: the closed forms, and the
+largest Koszul flattening bound of the target, since each product is a
+rank-one tensor.  Before a level is searched, the lower end at n - 1 raises
+the start, since a cover restricts to a smaller ground set.  Every
+certificate that backs a reported value is recorded on the outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import constructions
-from .covers import Mod2Cover, all_cells, permute_gp_cover, verify_mod2_cover
-from .gf2 import Gf2Matrix, InternalCheckError, _row_bytes, rank_gf2
+from .covers import Mod2Cover, permute_gp_cover, verify_mod2_cover
+from .gf2 import Gf2Matrix, InternalCheckError, _rank_bitrows, _row_bytes, rank_gf2
 from .ranks import MAX_DIRECT_ENTRIES, cover_size_lower_bound
 
-DEFAULT_CAP = 4096
 DEFAULT_BUDGET = 8
-_MITM_TRIPLE_CAP = 8_000_000  # the largest C(m, 3) at w = 5: bounds the probe's m * C(m, 2) queries
 _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
 # The largest Koszul flattening matrix the bound eliminates.  On one 2-vCPU
 # machine the bound takes 11 ms at (5,5,5), 10 ms at (3,3,16), 20 ms at
 # (4,2,16) and at most 57 ms, at (16,2,2), over the 823 targets it builds.
 _KOSZUL_MAX_ENTRIES = 10**5
-_PROBE_QUERIES = 1 << 13  # queries per step of the probe: rows of H times offsets
-
-
-class CapExceededError(ValueError):
-    """The product catalog for the instance exceeds the configured cap."""
+# The largest R * C(R, r - d) a searched level may cost: the R rank-one
+# tensors read for each subspace the slice-span test tries.
+_SLICE_MAX_WORK = 10**7
 
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """Catalog of candidate products and the edge-indicator target, with the
-    lookups the level search derives from them.
+    """The target cut into its slices, and the rank-one (k-1)-tensors.
 
-    Columns enumerate all k-tuples of nonempty subsets of [n], subsets in
-    ascending-bitmask (colex) order per coordinate, last coordinate fastest.
-    Cell r of the grid is ``cells[r]``; column masks and the target are
-    bitmasks over cell positions.
+    Words are bitmasks over the cells of the (k-1)-grid in ``all_cells``
+    order.  ``slices[j]`` holds the cells c with c + (j + 1,) in the target.
+    The rank-one tensors are all (k-1)-tuples of nonempty subsets of [n], in
+    catalog order: subsets in ascending-bitmask (colex) order per
+    coordinate, last coordinate fastest.  ``parts[i]`` holds the subset
+    bitmasks of the i-th, ``words[i]`` its cells.
     """
 
     k: int
     t: int
     n: int
-    cells: tuple[tuple[int, ...], ...]
-    column_parts: tuple[tuple[int, ...], ...]  # per column: subset bitmask per coordinate
-    columns: tuple[int, ...]  # per column: covered-cell bitmask
-    target: int
+    parts: tuple[tuple[int, ...], ...]
+    words: tuple[int, ...]
+    slices: tuple[int, ...]
 
     @property
     def num_columns(self) -> int:
-        return len(self.columns)
+        """R = (2^n - 1)^(k-1), the number of rank-one tensors."""
+        return len(self.words)
 
     @cached_property
-    def words(self) -> np.ndarray:
-        """The column masks as uint64, for grids of at most 64 cells."""
-        return np.array(self.columns, dtype=np.uint64)
+    def span(self) -> list[int]:
+        """An echelon basis of S, the span of the slices: each vector's lowest
+        bit is its pivot, which no later vector holds (``_rank_bitrows``)."""
+        rank, rows = _rank_bitrows(self.slices, self.n ** (self.k - 1))
+        return rows[:rank]
 
     @cached_property
-    def sorted_words(self) -> tuple[np.ndarray, np.ndarray]:
-        """``words`` ascending, and the column index of each; equal masks keep
-        their indices ascending."""
-        order = np.argsort(self.words, kind="stable")
-        return self.words[order], order
-
-    @cached_property
-    def shifted_pair_sums(self) -> np.ndarray:
-        """H: the sums of two distinct columns, each XOR-ed with the target,
-        ascending."""
-        words, m = self.words, self.num_columns
-        sums = np.concatenate([words[i + 1 :] ^ words[i] for i in range(m - 1)])
-        return np.sort(sums ^ np.uint64(self.target))
+    def images(self) -> dict[int, list[int]]:
+        """The rank-one tensors grouped by their image modulo S, each group
+        in catalog order; the image is the word with every pivot of ``span``
+        cleared, in basis order, a linear map onto a complement of S."""
+        groups: dict[int, list[int]] = {}
+        for i, word in enumerate(self.words):
+            for vector in self.span:
+                if word & vector & -vector:
+                    word ^= vector
+            groups.setdefault(word, []).append(i)
+        return groups
 
 
 def _check_search_args(k: int, t: int, n: int) -> None:
@@ -97,8 +93,15 @@ def _check_search_args(k: int, t: int, n: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
-def _catalog_size(k: int, n: int) -> int:
-    return ((1 << n) - 1) ** k
+def _exceeds(base: int, exp: int, limit: int) -> bool:
+    """base^exp > limit, for base >= 0 and limit >= 1, multiplied out no
+    further than one factor past the limit."""
+    power = 1
+    for _ in range(exp if base > 1 else 0):
+        power *= base
+        if power > limit:
+            return True
+    return False
 
 
 def _target_tensor(k: int, t: int, n: int) -> np.ndarray:
@@ -108,37 +111,34 @@ def _target_tensor(k: int, t: int, n: int) -> np.ndarray:
     return (1 + np.count_nonzero(np.diff(grid, axis=0), axis=0) >= t).reshape((n,) * k)
 
 
-def build_search_instance(k: int, t: int, n: int, cap: int = DEFAULT_CAP) -> SearchInstance:
-    """The catalog of all (2^n - 1)^k products; CapExceededError above ``cap``."""
+def _target_slices(k: int, t: int, n: int) -> tuple[int, ...]:
+    """The target cut along its last coordinate, one word per value."""
+    columns = _target_tensor(k, t, n).reshape(n ** (k - 1), n).T
+    return tuple(int.from_bytes(np.packbits(c, bitorder="little"), "little") for c in columns)
+
+
+def _spread(word: int, n: int) -> int:
+    """The word with bit p moved to bit p * n."""
+    out = 0
+    while word:
+        low = word & -word
+        out |= 1 << (low.bit_length() - 1) * n
+        word ^= low
+    return out
+
+
+def build_search_instance(k: int, t: int, n: int) -> SearchInstance:
+    """The target's slices and all (2^n - 1)^(k-1) rank-one (k-1)-tensors.
+    A tensor's word is the Kronecker product of its subsets, so appending a
+    subset s spreads the word's bits n apart and multiplies by s."""
     _check_search_args(k, t, n)
-    size = _catalog_size(k, n)
-    if size > cap:
-        raise CapExceededError(
-            f"catalog for k={k}, n={n} has {size} products, above the cap {cap}"
-        )
-    n_subsets = (1 << n) - 1
-    cells = tuple(all_cells(n, k))
-    # Bitmask over cells of "coordinate j takes a value in subset s", s >= 1.
-    coord_subset_mask = []
-    for j in range(k):
-        value_masks = Gf2Matrix.from_bitrows([1 << (idx[j] - 1) for idx in cells], n).column_masks()
-        per_subset = [0]
-        for s in range(1, n_subsets + 1):
-            low = s & -s
-            per_subset.append(per_subset[s ^ low] | value_masks[low.bit_length() - 1])
-        coord_subset_mask.append(per_subset)
-    column_parts = []
-    columns = []
-    for parts in product(range(1, n_subsets + 1), repeat=k):
-        acc = coord_subset_mask[0][parts[0]]
-        for j in range(1, k):
-            acc &= coord_subset_mask[j][parts[j]]
-        column_parts.append(parts)
-        columns.append(acc)
-    target_bytes = np.packbits(_target_tensor(k, t, n).ravel(), bitorder="little").tobytes()
-    return SearchInstance(
-        k, t, n, cells, tuple(column_parts), tuple(columns), int.from_bytes(target_bytes, "little")
-    )
+    subsets = range(1, 1 << n)
+    parts: list[tuple[int, ...]] = [()]
+    words = [1]
+    for _ in range(k - 1):
+        parts = [p + (s,) for p in parts for s in subsets]
+        words = [spread * s for spread in (_spread(w, n) for w in words) for s in subsets]
+    return SearchInstance(k, t, n, tuple(parts), tuple(words), _target_slices(k, t, n))
 
 
 def _koszul_rank(slices: np.ndarray, p: int) -> int:
@@ -205,7 +205,7 @@ def _flattening_terms(tensor: np.ndarray) -> Iterator[tuple[int, int, int, int]]
 
 def flattening_rank_bound(k: int, t: int, n: int) -> Optional[int]:
     """The largest Koszul-flattening bound of the (k, t, n) target tensor
-    (see ``_flattening_terms``), built without a column catalog; None when
+    (see ``_flattening_terms``), built from the target alone; None when
     its n^k cells exceed ``_RANK_MAX_CELLS``.
 
     Its p = 0 terms are the F_2 ranks of the coordinate unfoldings: every
@@ -214,7 +214,7 @@ def flattening_rank_bound(k: int, t: int, n: int) -> Optional[int]:
     unfoldings that put a coordinates on the rows are one matrix.
     """
     _check_search_args(k, t, n)
-    if n**k > _RANK_MAX_CELLS:
+    if _exceeds(n, k, _RANK_MAX_CELLS):
         return None
     if n < t:  # no cell has t distinct entries
         return 0
@@ -240,140 +240,75 @@ def _formula_lower(k: int, t: int, n: int) -> int:
     return best
 
 
-def _np_membership(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Mask of the queries that occur in the ascending array ``sorted_vals``."""
-    if sorted_vals.size == 0:
-        return np.zeros(queries.shape, dtype=bool)
-    pos = np.searchsorted(sorted_vals, queries)
-    pos = np.minimum(pos, len(sorted_vals) - 1)
-    return sorted_vals[pos] == queries
+def _level_in_reach(size: int, free: int) -> bool:
+    """Whether a level costs at most ``_SLICE_MAX_WORK``: ``size`` rank-one
+    tensors read for each of the C(size, free) subspaces it tries, free =
+    r - d.  The product is multiplied out no further than past the limit."""
+    work = size
+    for i in range(min(free, size - free)):
+        work = work * (size - i) // (i + 1)
+        if work > _SLICE_MAX_WORK:
+            return False
+    return work <= _SLICE_MAX_WORK
 
 
-def _probe_least_common(values: np.ndarray, offsets: np.ndarray) -> Optional[tuple[int, list[int]]]:
-    """The first h of the ascending array ``values`` such that h ^ c is in
-    ``values`` for some entry c of ``offsets``, with the indices of those
-    entries, ascending; None if there is none.  Each step meets about
-    ``_PROBE_QUERIES`` queries: as many rows of ``values`` as fit, each XOR-ed
-    with every offset."""
-    step = max(1, _PROBE_QUERIES // max(1, offsets.size))
-    for lo in range(0, values.size, step):
-        rows = values[lo : lo + step]
-        hit = _np_membership(values, rows[:, None] ^ offsets)
-        found = np.flatnonzero(hit.any(axis=1))
-        if found.size:
-            return int(rows[found[0]]), np.flatnonzero(hit[found[0]]).tolist()
-    return None
+def _slice_level(instance: SearchInstance, r: int) -> Optional[Mod2Cover]:
+    """A cover of r products, or None if level r is empty; every level
+    below r must be empty, so levels go in ascending order.
 
-
-def _search_weight_level(
-    instance: SearchInstance,
-    b_mask: int,
-    weight: int,
-    first_columns: Optional[Sequence[int]] = None,
-) -> Optional[tuple[int, ...]]:
-    """First (lexicographically smallest) support of exactly ``weight`` <= 3
-    of the instance's columns XOR-ing to ``b_mask``; None if the level is
-    empty, as every level past the number of columns is.  ``first_columns``,
-    ascending, restricts only the smallest index used.
-
-    A pair is one numpy step: each candidate j1 XORs the residual into its
-    column, and the last column of the sorted words holding that value
-    decides whether a partner j2 > j1 exists.  The first such j1 with its
-    least partner is the lexicographically first pair.  A triple is one such
-    step per first column.
+    Let S be the span of the slices, d its dimension.  A cover of r
+    products restricts to r rank-one tensors whose span W holds S, and W has
+    dimension r, or a lower level would hold a cover.  Conversely, the slices
+    solved over a basis of such a W give the products' last parts.  W/S is
+    spanned by the images modulo S of the tensors in W, so W is the preimage
+    of the span of some r - d independent nonzero images B.  All (r - d)-sets
+    B are tried in ``combinations`` order over the ascending images (a
+    dependent one spans less, so its preimage cannot hold r independent
+    tensors); the first whose preimage holds r independent rank-one tensors
+    wins, and the first r of them in catalog order are the basis.  Product i
+    is basis tensor i times x_i = {j : slice j uses it}, in catalog order; no
+    x_i is empty, as the level below is.
     """
-    columns, m = instance.columns, instance.num_columns
-    if weight > m:
+    d, groups, words = len(instance.span), instance.images, instance.words
+    if r < d:
         return None
-    if weight > 3:
-        raise InternalCheckError(f"level {weight} is past the lookups")
-    if weight == 0:
-        return () if b_mask == 0 else None
-    firsts = range(m) if first_columns is None else first_columns
-    if weight == 1:
-        return next(((j,) for j in firsts if columns[j] == b_mask), None)
-    words = instance.words
-    values, order = instance.sorted_words
-
-    def lookup_pair(residual: int, lows: np.ndarray) -> Optional[tuple[int, int]]:
-        want = words[lows] ^ np.uint64(residual)
-        # the last of each wanted value; -1 (read as the largest) only below every value
-        top = np.searchsorted(values, want, side="right") - 1
-        found = np.flatnonzero((values[top] == want) & (order[top] > lows))
-        if found.size == 0:
-            return None
-        i = found[0]
-        # the columns holding the wanted value, ascending
-        run = order[np.searchsorted(values, want[i]) : top[i] + 1]
-        return int(lows[i]), int(run[np.searchsorted(run, lows[i], side="right")])
-
-    if weight == 2:
-        return lookup_pair(b_mask, np.array(firsts, dtype=np.intp))
-    index = np.arange(m)
-    for j0 in firsts:
-        if j0 > m - 3:
-            break
-        got = lookup_pair(b_mask ^ columns[j0], index[j0 + 1 :])
-        if got is not None:
-            return (j0, *got)
+    for chosen in combinations(sorted(im for im in groups if im), r - d):
+        span = [0]
+        for image in chosen:
+            span += [x ^ image for x in span]
+        basis: dict[int, tuple[int, int]] = {}  # leading bit: (vector, basis tensors summed)
+        picked = []
+        for i in sorted(i for image in span for i in groups.get(image, ())):
+            if len(picked) == r:
+                break
+            v, tag = words[i], 1 << len(picked)
+            while v and (top := v.bit_length() - 1) in basis:
+                v, tag = v ^ basis[top][0], tag ^ basis[top][1]
+            if v:
+                basis[top] = v, tag
+                picked.append(i)
+        if len(picked) == r:
+            return _solve_slices(instance, picked, basis)
     return None
 
 
-def _level_engine(m: int, cells: int, w: int) -> Optional[str]:
-    """The engine for level w of an m-column catalog over ``cells`` grid
-    cells: "lookup" at w <= 3 and for the empty levels w > m, "mitm" at
-    w = 4 and 5; None when the level is out of reach."""
-    if w == 0 or w > m or cells <= 64 and w <= 3:
-        return "lookup"
-    if cells <= 64 and (w == 4 or w == 5 and comb(m, 3) <= _MITM_TRIPLE_CAP):
-        return "mitm"
-    return None
-
-
-def _exhaust_level(instance: SearchInstance, w: int) -> Optional[tuple[int, ...]]:
-    """Support of weight w, or None if the level is empty.
-
-    Levels up to 3 are lookups.  Levels 4 and 5 are one meet-in-the-middle
-    pass, which splits w = 2 + s.  Its value v is min I, where I holds the
-    s-sums that are pair sums when shifted by the target.  A probe walks
-    ``shifted_pair_sums``, H, in ascending order and takes the first h with
-    h ^ c in H for some offset c.  At w = 4 the one offset is the target, so
-    h is a pair sum; at w = 5 the offsets are the columns shifted by the
-    target, so h ^ c is a pair sum for a column c.  That h is min I: I lies
-    in H, and halves sharing a column would make the target a sum of fewer
-    columns.  At w = 5 the columns c that hit are those of the triples of h,
-    so the least of them starts its lexicographically first triple; they
-    go, ascending, to the triple lookup as its first columns.  At (3,3,3)
-    the probe reads all 58,653 values of H on the empty level 4, and hits at
-    the 11th on level 5.
-
-    The lookups then re-derive the lexicographically first pair of
-    v ^ target and s-support of v.  ``_level_engine`` picks the route.
-    Levels must be exhausted in ascending order: the probe rules out index
-    collisions between the halves by appealing to the emptiness of lower
-    levels.
-    """
-    m, b = instance.num_columns, instance.target
-    engine = _level_engine(m, len(instance.cells), w)
-    if engine == "lookup":
-        return _search_weight_level(instance, b, w)
-    if engine is None:
-        raise InternalCheckError(f"level {w} with {m} columns is out of reach")
-    offsets = np.uint64(b) ^ (instance.words if w == 5 else np.zeros(1, dtype=np.uint64))
-    probed = _probe_least_common(instance.shifted_pair_sums, offsets)
-    if probed is None:
-        return None
-    v, hit_columns = probed
-    halves = (
-        _search_weight_level(instance, v ^ b, 2),
-        _search_weight_level(instance, v, w - 2, hit_columns if w == 5 else None),
-    )
-    if None in halves:
-        raise InternalCheckError("meet-in-the-middle witness vanished on re-derivation")
-    support = tuple(sorted({*halves[0], *halves[1]}))
-    if len(support) != w:
-        raise InternalCheckError("half supports collided despite refuted lower levels")
-    return support
+def _solve_slices(instance: SearchInstance, picked: list[int], basis: dict) -> Mod2Cover:
+    """The cover whose product i is tensor ``picked[i]`` times the slices
+    that use it, from the echelon ``basis`` of the picked tensors."""
+    lasts = [0] * len(picked)
+    for j, v in enumerate(instance.slices):
+        tag = 0
+        while v:
+            vector, summed = basis[v.bit_length() - 1]
+            v, tag = v ^ vector, tag ^ summed
+        for i in range(len(picked)):
+            lasts[i] |= (tag >> i & 1) << j
+    if not all(lasts):
+        raise InternalCheckError("a slice-span cover has an unused product")
+    masks = [m for i, last in zip(picked, lasts) for m in (*instance.parts[i], last)]
+    width = (instance.n + 7) // 8
+    parts = _row_bytes(masks, width).reshape(len(picked), instance.k, width)
+    return Mod2Cover(instance.k, instance.t, instance.n, parts=parts)
 
 
 @dataclass(frozen=True)
@@ -382,7 +317,7 @@ class SearchOutcome:
 
     ``status`` is "exact" (value and witness certified) or "interval"
     (only ``lower`` <= minimum <= ``upper`` is certified; ``upper``/``cover``
-    may be absent).  ``rank_bound`` is the catalog-free lower bound, the
+    may be absent).  ``rank_bound`` is the search-free lower bound, the
     larger of ``flattening_rank_bound`` and ``_formula_lower``; ``constructive`` is
     the size of the smallest explicit construction (None when it is too
     large to verify); ``levels_exhausted`` is the inclusive range of weights
@@ -408,36 +343,22 @@ class SearchOutcome:
         return self.status == "exact"
 
 
-def _cover_from_support(instance: SearchInstance, support: Sequence[int]) -> Mod2Cover:
-    width = (instance.n + 7) // 8
-    masks = [mask for ci in support for mask in instance.column_parts[ci]]
-    parts = _row_bytes(masks, width).reshape(len(support), instance.k, width)
-    return Mod2Cover(instance.k, instance.t, instance.n, parts=parts)
-
-
-def min_mod2_cover(
-    k: int,
-    t: int,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    cap: int = DEFAULT_CAP,
-) -> SearchOutcome:
+def min_mod2_cover(k: int, t: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Exact minimum size of a parity cover of the >= t distinct target.
 
-    Two kinds of certificate need no product catalog: the smallest explicit
+    Two kinds of certificate need no search: the smallest explicit
     construction (``best_constructive_cover``, built and verified there, then
-    the upper bound) and all catalog-free lower bounds (the flattening bound
+    the upper bound) and all search-free lower bounds (the flattening bound
     and ``_formula_lower``).  A lower bound above the construction is an
     ``InternalCheckError``.  When they meet, the value is exact and nothing is
-    searched.  Otherwise weight levels from the lower bound up to ``budget``
-    and below the upper bound are exhausted in ascending order, while
-    ``_level_engine`` reaches them.  The catalog of (2^n - 1)^k products is
-    built only if one such level is left and it fits ``cap``; otherwise the
-    outcome is the interval of the certificates, with no level searched.
-    Before the first level is searched, the lower end of the outcome at
-    n - 1 raises the start level (a cover restricts to a smaller ground set),
-    and the levels left are counted again.  A witness the search returns is
-    verified.  The result is deterministic.
+    searched.  Otherwise levels from the lower bound up to ``budget`` and
+    below the upper bound are searched in ascending order by
+    ``_slice_level``, while each costs at most ``_SLICE_MAX_WORK``; the slice
+    span's dimension d, which that cost needs, is computed only for a level
+    within the budget and below the upper bound.  Before the first level is
+    searched, the lower end of the outcome at n - 1 raises the start level
+    (a cover restricts to a smaller ground set).  A witness the search
+    returns is verified.  The result is deterministic.
     """
     _check_search_args(k, t, n)
     if n < t:  # no cell has t distinct entries
@@ -448,31 +369,38 @@ def min_mod2_cover(
     upper = len(construction) if construction is not None else None
     if upper is not None and rank_bound > upper:
         raise InternalCheckError(f"lower bound {rank_bound} exceeds a verified cover of size {upper}")
-    m = _catalog_size(k, n)
+    # R, the number of rank-one tensors, or None past the work limit; n > 64
+    # is rejected before 2^n is formed
+    if n > 64 or _exceeds((1 << n) - 1, k - 1, _SLICE_MAX_WORK):
+        size = None
+    else:
+        size = ((1 << n) - 1) ** (k - 1)
+    d = None
 
-    def stop_from(level: int) -> int:
-        """The first level from ``level`` on that is not searched."""
-        while level <= budget and level != upper and _level_engine(m, n**k, level):
-            level += 1
-        return level
+    def searched(level: int) -> bool:
+        nonlocal d
+        if level > budget or level == upper or size is None:
+            return False
+        if d is None:
+            d = _rank_bitrows(_target_slices(k, t, n), n ** (k - 1))[0]
+        return _level_in_reach(size, level - d)
 
     start = w = max(1, rank_bound)
-    support = None
-    if stop_from(start) > start and m <= cap:
-        start = w = max(start, min_mod2_cover(k, t, n - 1, budget, cap).lower)
+    cover = instance = None
+    if searched(start):
+        start = w = max(start, min_mod2_cover(k, t, n - 1, budget).lower)
         if upper is not None and start > upper:
             raise InternalCheckError(
                 f"lower bound {start} carried from n - 1 exceeds a verified cover of size {upper}"
             )
-        stop = stop_from(start)
-        if stop > start:
-            instance = build_search_instance(k, t, n, cap)
-            while w < stop and (support := _exhaust_level(instance, w)) is None:
-                w += 1
+        while searched(w):
+            instance = instance or build_search_instance(k, t, n)
+            if (cover := _slice_level(instance, w)) is not None:
+                break
+            w += 1
     # Every level below w is refuted, by the lower bounds or by the search.
     exhausted = (start, w - 1) if w > start else None
-    if support is not None:
-        cover = _cover_from_support(instance, support)
+    if cover is not None:
         if not verify_mod2_cover(cover).valid:
             raise InternalCheckError("search witness failed cover verification")
         return SearchOutcome(k, t, n, "exact", w, w, w, cover, rank_bound, exhausted, upper)
@@ -552,7 +480,8 @@ class ExactBResult:
 
     ``value`` is set when the answer is certified exactly; otherwise
     ``at_least`` is the best certified lower value and the answer is open
-    upward (search budget, catalog cap or construction limit ran out).
+    upward (the search budget or work limit, or the construction limit,
+    ran out).
     """
 
     k: int
@@ -566,13 +495,7 @@ class ExactBResult:
         return self.value is not None
 
 
-def exact_b(
-    k: int,
-    t: int,
-    m: int,
-    budget: Optional[int] = None,
-    cap: int = DEFAULT_CAP,
-) -> ExactBResult:
+def exact_b(k: int, t: int, m: int, budget: Optional[int] = None) -> ExactBResult:
     """max{n : minimum cover size of the (k,t,n) target <= m}, probed upward.
 
     Correct because restricting a cover to a smaller ground set keeps it
@@ -593,7 +516,7 @@ def exact_b(
             best_verified = False
         else:
             level_budget = min(m, budget) if budget is not None else m
-            out = min_mod2_cover(k, t, n, budget=level_budget, cap=cap)
+            out = min_mod2_cover(k, t, n, budget=level_budget)
             if not (out.exact and out.value <= m):
                 # f(n) > m settles every larger n too.
                 if not best_verified:
@@ -648,7 +571,6 @@ def bounds_table(
     t: int,
     n_values: Sequence[int],
     budget: int = 3,
-    cap: int = DEFAULT_CAP,
 ) -> tuple[list[TableRow], list[str]]:
     """One row per n: certified bounds, the best construction, and the exact
     minimum when the search settles it or the lower bound meets the
@@ -660,7 +582,7 @@ def bounds_table(
     if (k, t) == (2, 2):
         notes.append(ERRATUM_22)
     for n in n_values:
-        out = min_mod2_cover(k, t, n, budget=budget, cap=cap)
+        out = min_mod2_cover(k, t, n, budget=budget)
         lower, exact, constructive = out.lower, out.value, out.constructive
         if constructive is None:
             size, _ = _smallest_construction(k, t, n)

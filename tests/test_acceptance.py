@@ -49,8 +49,7 @@ from oddtown import (
 from oddtown.covers import parity_functions_equal
 from oddtown.search import (
     ERRATUM_22,
-    _cover_from_support,
-    _exhaust_level,
+    _slice_level,
     bounds_table,
     machine_rows,
 )
@@ -148,9 +147,9 @@ def test_03_b22_values():
     # pure search refutation of n = 4 at m = 3: levels 1..3 are empty, while
     # level 2 at n = 3 holds a cover
     inst4 = build_search_instance(2, 2, 4)
-    assert [_exhaust_level(inst4, w) for w in (1, 2, 3)] == [None] * 3
+    assert [_slice_level(inst4, w) for w in (1, 2, 3)] == [None] * 3
     inst3 = build_search_instance(2, 2, 3)
-    assert _exhaust_level(inst3, 1) is None and _exhaust_level(inst3, 2) is not None
+    assert _slice_level(inst3, 1) is None and _slice_level(inst3, 2) is not None
     res3 = exact_b(2, 2, 3)
     assert res3.value == 3
     assert time.monotonic() - t0 < 60.0
@@ -169,9 +168,9 @@ def test_04_f22_exact_search():
         # the search alone: every smaller weight is an exhausted level, and
         # the first nonempty level yields a verified cover
         inst = build_search_instance(2, 2, n)
-        levels = [_exhaust_level(inst, w) for w in range(1, want + 1)]
-        assert levels[:-1] == [None] * (want - 1) and levels[-1] is not None
-        assert verify_mod2_cover(_cover_from_support(inst, levels[-1])).valid
+        levels = [_slice_level(inst, w) for w in range(1, want + 1)]
+        assert levels[:-1] == [None] * (want - 1) and len(levels[-1]) == want
+        assert verify_mod2_cover(levels[-1]).valid
 
     # Galois connection on the computed grid
     f = {}

@@ -260,9 +260,9 @@ class TestCli:
         assert main(["search", "--k", "3", "--t", "3", "--n", "3", "--out", str(out)]) == 0
         assert capsys.readouterr().out == "exact k=3 t=3 n=3 f=5 rank-bound=4\n"
         assert out.read_bytes() == (
-            b'{"n": 3, "k": 3, "t": 3, "products": [[[1], [1, 2, 3], [2, 3]], '
-            b'[[2], [3], [1, 3]], [[1, 2], [1, 3], [3]], [[3], [2], [1, 2]], '
-            b'[[1, 3], [1, 2], [2]]]}\n'
+            b'{"n": 3, "k": 3, "t": 3, "products": [[[1], [2], [2, 3]], '
+            b'[[2], [1], [1, 3]], [[3], [1, 2, 3], [1, 2]], [[1, 3], [2, 3], [2]], '
+            b'[[2, 3], [1, 3], [1]]]}\n'
         )
 
     def test_search_exact_b(self, capsys):
@@ -271,16 +271,17 @@ class TestCli:
 
     @pytest.mark.parametrize("m", [6, 7])
     def test_search_exact_b_past_the_cap(self, m, capsys):
-        # n = 8 is over the catalog cap, but its unfolding rank 8 exceeds m
+        # n = 8 needs no search: its unfolding rank 8 exceeds m
         assert main(["search", "--k", "2", "--t", "2", "--m", str(m)]) == 0
         assert capsys.readouterr().out == f"exact-b k=2 t=2 m={m} b=7\n"
 
-    def test_search_cap_exceeded(self, capsys):
-        # past the catalog cap the certificates answer: the flattening bound and
-        # the construction meet at (2,2,7) and bracket (3,3,5) and (4,4,4)
+    def test_search_past_the_work_limit(self, capsys):
+        # the flattening bound and the construction meet at (2,2,7); (3,3,5)
+        # refutes level 6 and (4,4,4) level 7 would try C(3375, 3) subspaces,
+        # past the work limit, so both end in an interval
         for k, t, n, verdict in (
             (2, 2, 7, "exact k=2 t=2 n=7 f=6 rank-bound=6"),
-            (3, 3, 5, "interval k=3 t=3 n=5 lower=6 upper=16"),
+            (3, 3, 5, "interval k=3 t=3 n=5 lower=7 upper=16"),
             (4, 4, 4, "interval k=4 t=4 n=4 lower=7 upper=24"),
         ):
             assert main(["search", "--k", str(k), "--t", str(t), "--n", str(n)]) == 0
@@ -308,6 +309,8 @@ class TestCli:
         # Bell(12) partitions, but the partition cover's size is in closed form;
         # the Kneser bound's C(12, 6)^2 entries fit the direct limit
         (12, 12, 12, "interval k=12 t=12 n=12 lower=462 upper=?"),
+        # (2^n - 1)^2 rank-one tensors: the work limit is decided without the power
+        (3, 3, 10**8, "interval k=3 t=3 n=100000000 lower=99999998 upper=?"),
     ])
     def test_search_past_the_cap_is_quick(self, k, t, n, verdict):
         proc = self._run_within(["search", "--k", str(k), "--t", str(t), "--n", str(n)], 2)
@@ -329,7 +332,7 @@ class TestCli:
         assert data_lines[2].split("\t") == ["2", "2", "4", "4", "5", "4", "4"]
 
     def test_table_exact_where_certificates_meet(self, tmp_path, capsys):
-        # n = 7..9 are past the catalog cap; lower = constructive settles them
+        # n = 7..9 search nothing; lower = constructive settles them
         rows = tmp_path / "t.rows"
         assert main([
             "table", "--k", "2", "--t", "2", "--n-min", "7", "--n-max", "9",

@@ -17,7 +17,7 @@ from oddtown import (
 )
 from oddtown.gf2 import _rank_bitrows, _rank_packed, is_prime, row_dependency
 from oddtown.ranks import mstar_observed_rank
-from oddtown.search import SearchInstance, _search_weight_level
+from oddtown.search import _slice_level, build_search_instance
 
 
 def test_rank_identity():
@@ -306,26 +306,29 @@ def test_row_dependency_matches_pair_elimination(args):
         assert dep and acc == 0
 
 
-def _min_weight(col_masks, b_mask, max_weight):
-    """Weight levels exhausted in ascending order, as ``min_mod2_cover`` does:
-    the support the first nonempty level gives, or None up to ``max_weight``
-    (at most 3, the levels the lookups search)."""
-    instance = SearchInstance(0, 0, 0, (), (), tuple(col_masks), b_mask)
-    for w in range(min(max_weight, 3) + 1):
-        support = _search_weight_level(instance, b_mask, w)
-        if support is not None:
-            return support
+def _min_weight(col_masks, max_weight):
+    """Levels searched in ascending order, as ``min_mod2_cover`` does, on the
+    n x n matrix with these columns, a sum of rank-one matrices: the products
+    of the first nonempty level as (rows, columns) bitmasks, or None up to
+    ``max_weight``."""
+    instance = build_search_instance(2, 2, len(col_masks))
+    instance = dataclasses.replace(instance, slices=tuple(col_masks))
+    for w in range(max_weight + 1):
+        cover = _slice_level(instance, w)
+        if cover is not None:
+            return [tuple(part.bits for part in p.parts) for p in cover.products]
     return None
 
 
 def test_min_weight_identity():
-    support = _min_weight(Gf2Matrix.identity(3).column_masks(), 0b101, 3)
-    assert len(support) == 2
-    assert support == (0, 2)
+    identity = Gf2Matrix.identity(3).column_masks()
+    assert _min_weight(identity, 3) == [(1, 1), (2, 2), (4, 4)]
+    assert _min_weight(identity, 2) is None
+    assert _min_weight([0b101, 0, 0b101], 3) == [(0b101, 0b101)]
 
 
 def test_min_weight_zero_target():
-    assert _min_weight(Gf2Matrix.identity(2).column_masks(), 0, 2) == ()
+    assert _min_weight([0, 0], 2) == []
 
 
 def _brute_force_min_weight(col_masks, b_mask, max_weight):
@@ -340,46 +343,51 @@ def _brute_force_min_weight(col_masks, b_mask, max_weight):
     return None
 
 
+def _rank_one_masks(n):
+    """All products x1 x x2 of nonempty subsets of [n] as bitmasks over the
+    n x n cells, bit i*n + j for the cell (i, j); x2 fastest."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return [sum(1 << r for r, (i, j) in enumerate(cells) if x1 >> i & 1 and x2 >> j & 1)
+            for x1 in range(1, 1 << n) for x2 in range(1, 1 << n)]
+
+
+def _cells_mask(col_masks):
+    """The matrix with these columns as a bitmask over its cells, as ``_rank_one_masks``."""
+    n = len(col_masks)
+    return sum((col_masks[j] >> i & 1) << (i * n + j) for i in range(n) for j in range(n))
+
+
 def test_min_weight_pair_cover_system():
     # columns = all 49 bipartite products over [3]; rows = the 9 cells;
     # target = the off-diagonal indicator
-    subsets = list(range(1, 8))
-    cols = []
-    for x1 in subsets:
-        for x2 in subsets:
-            mask = 0
-            for r, (i, j) in enumerate((i, j) for i in range(3) for j in range(3)):
-                if (x1 >> i) & 1 and (x2 >> j) & 1:
-                    mask |= 1 << r
-            cols.append(mask)
-    b_mask = 0
-    for r, (i, j) in enumerate((i, j) for i in range(3) for j in range(3)):
-        if i != j:
-            b_mask |= 1 << r
+    cols = _rank_one_masks(3)
+    off_diagonal = [0b110, 0b101, 0b011]
+    b_mask = _cells_mask(off_diagonal)
     oracle = _brute_force_min_weight(cols, b_mask, 2)
     assert oracle is not None and oracle[0] == 2
 
-    support = _min_weight(cols, b_mask, 3)
-    assert len(support) == 2
-    assert support == oracle[1]
+    products = _min_weight(off_diagonal, 3)
+    assert len(products) == 2
+    acc = 0
+    for x1, x2 in products:
+        acc ^= cols[(x1 - 1) * 7 + (x2 - 1)]
+    assert acc == b_mask
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 5), st.integers(2, 10), st.integers(0, 10**9))
-def test_min_weight_agrees_with_enumeration(rows, cols, seed):
+@given(st.integers(1, 5), st.integers(0, 10**9))
+def test_min_weight_agrees_with_enumeration(n, seed):
+    # the least number of rank-one matrices summing to a matrix is its rank
     rng = random.Random(seed)
-    col_masks = [rng.getrandbits(rows) for _ in range(cols)]
-    b_mask = rng.getrandbits(rows)
-    support = _min_weight(col_masks, b_mask, 3)
-    oracle = _brute_force_min_weight(col_masks, b_mask, 3)
-    if oracle is None:
-        assert support is None
-    else:
-        # the first support in combinations order at the least weight
-        assert len(support) == oracle[0] and support == oracle[1]
-        acc = 0
-        for j in support:
-            acc ^= col_masks[j]
-        assert acc == b_mask
-        # nothing strictly smaller exists
-        assert _brute_force_min_weight(col_masks, b_mask, len(support) - 1) is None
+    col_masks = [rng.getrandbits(n) for _ in range(n)]
+    products = _min_weight(col_masks, n)
+    assert len(products) == rank_gf2(Gf2Matrix.from_bitrows(col_masks, n))
+    acc = [0] * n
+    for rows, columns in products:
+        for j in range(n):
+            if columns >> j & 1:
+                acc[j] ^= rows
+    assert acc == col_masks
+    if n <= 3:  # nothing smaller exists among all (2^n - 1)^2 products
+        oracle = _brute_force_min_weight(_rank_one_masks(n), _cells_mask(col_masks), n)
+        assert oracle[0] == len(products)

@@ -49,7 +49,7 @@ COMMANDS = [
 ]
 
 FILES = {
-    "w333.json": "c166e6a49f0e68919cbcd1284aef1c7737f24647c737ca5cb130367e4fe07a6c",
+    "w333.json": "26997d48ef6e2e2b3d611c77b08a87b9bb06137f1ec96126e5380182a6ff0f62",
     "table22.rows": "ce00db90c930c015c50e49d997800af38ce53a7488b5b960adc4380b6e58d04d",
     "table33.rows": "3bd99a863347b2580f3881dd7862076e0bc6ecde1e94ca3d778cf2fe0713050b",
 }
@@ -66,8 +66,8 @@ def test_search_workload_outputs(tmp_path, monkeypatch, capsys):
 
 # The flattening bound is 4 at (3,3,3) and (3,3,4), which certifies level 3:
 # these budget-3 commands print what refuting that level by search printed,
-# and build no catalog.  At (4,3,3) the first level, 6, is out of reach of
-# every engine (81 cells, C(2401, 5) nodes), so no catalog is built either.
+# and build no search instance.  At (4,3,3) the first level, 6, is past the
+# work limit (343 * C(343, 3) tensors read), so none is built either.
 CATALOG_FREE = [
     "search --k 3 --t 3 --n 4 --budget 3",
     "table --k 3 --t 3 --n-min 2 --n-max 4 --out table33.rows",
@@ -96,12 +96,12 @@ def test_level_three_certified_without_catalog(tmp_path, monkeypatch, capsys):
     assert written == FILES["table33.rows"]
 
 
-# The full budget: (3,3,4) takes the lower end 5 of (3,3,3), whose level-4
-# meet-in-the-middle pass refutes level 4, and its level 5 is out of reach.
-# At (3,2,4) the flattening bound meets the construction, so no level is
+# The full budget: (3,3,4) takes the lower end 5 of (3,3,3), whose search
+# refutes level 4, and its own level 5 holds a cover: f(3,3,4) = 5.  At
+# (3,2,4) the flattening bound meets the construction, so no level is
 # searched.
 LEVEL_FOUR_COMMANDS = [
-    ("search --k 3 --t 3 --n 4", "interval k=3 t=3 n=4 lower=5 upper=13\n"),
+    ("search --k 3 --t 3 --n 4", "exact k=3 t=3 n=4 f=5 rank-bound=4\n"),
     ("search --k 3 --t 2 --n 4 --out w324.json", "exact k=3 t=2 n=4 f=5 rank-bound=5\n"),
 ]
 
@@ -120,8 +120,8 @@ def test_level_four_outputs(tmp_path, monkeypatch, capsys):
 
 
 def _outcome_record(k, t, n):
-    """The fields of ``min_mod2_cover(k, t, n)`` at the default budget and
-    cap, with the cover's parts shape and the sha256 of its bytes."""
+    """The fields of ``min_mod2_cover(k, t, n)`` at the default budget, with
+    the cover's parts shape and the sha256 of its bytes."""
     out = search.min_mod2_cover(k, t, n)
     cover = None
     if out.cover is not None:
@@ -132,10 +132,11 @@ def _outcome_record(k, t, n):
 
 
 # One digest over the 105 outcomes of 2 <= t <= k <= 6, 0 <= n <= 6.  It
-# covers (3,3,3) at w = 4 and 5, and (3,3,4), whose lower end 5 is carried
-# from (3,3,3) with no level of its own searched; a change of the search
-# that moves any verdict, bound, certificate or witness byte fails here.
-OUTCOME_DIGEST = "3b87dcd513e5375740370030f01129e81eaa5deb81e695e911522be1396c25d9"
+# covers (3,3,3) at w = 4 and 5, (3,3,4), whose lower end 5 is carried from
+# (3,3,3) and whose level 5 holds a cover, and (3,3,5), whose level 6 is
+# empty; a change of the search that moves any verdict, bound, certificate
+# or witness byte fails here.
+OUTCOME_DIGEST = "9d3827f6cc6328d7c5c778ebfdb0c2e44b3935a02d7fedc82dfcc1ea8b9b5aa2"
 
 
 def test_outcome_digest():

@@ -1,6 +1,8 @@
 import inspect
 import shlex
+import time
 from dataclasses import replace
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -10,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddtown import (
-    CapExceededError,
     Mod2Cover,
     falling_factorial,
     set_partitions,
@@ -31,10 +32,7 @@ from oddtown.covers import all_cells
 from oddtown.gf2 import Gf2Matrix, InternalCheckError, rank_gf2
 from oddtown.search import (
     ERRATUM_22,
-    SearchInstance,
-    _exhaust_level,
-    _np_membership,
-    _search_weight_level,
+    _slice_level,
     best_constructive_cover,
     bounds_table,
     flattening_rank_bound,
@@ -44,7 +42,7 @@ from oddtown.search import (
 
 
 def _spy_catalogs(mp):
-    """Record the arguments of every catalog the search builds."""
+    """Record the arguments of every search instance built."""
     calls, real = [], search.build_search_instance
 
     def spy(*args):
@@ -56,9 +54,11 @@ def _spy_catalogs(mp):
 
 
 def support_of(out):
+    """The witness as (rank-one tensor index, last part) per product."""
     inst = build_search_instance(out.k, out.t, out.n)
     return tuple(
-        inst.column_parts.index(tuple(part.bits for part in p.parts)) for p in out.cover.products
+        (inst.parts.index(tuple(part.bits for part in p.parts[:-1])), p.parts[-1].bits)
+        for p in out.cover.products
     )
 
 
@@ -71,51 +71,103 @@ def target_mask(n, k, t, cells):
     return mask
 
 
+def first_level(inst, top):
+    """The cover of the first nonempty level, searched from level 0 in
+    ascending order with no lower bound, or None if it is past ``top``."""
+    covers = (_slice_level(inst, r) for r in range(top + 1))
+    return next((cover for cover in covers if cover is not None), None)
+
+
 def pure_levels(k, t, n, top):
-    """Whether each weight level 1..top holds a support, exhausted in
-    ascending order on a fresh instance with no lower bound: the search alone."""
+    """Whether each level 1..top holds a cover, searched in ascending order
+    on a fresh instance with no lower bound: the search alone."""
     inst = build_search_instance(k, t, n)
-    return [_exhaust_level(inst, w) is not None for w in range(1, top + 1)]
+    return [_slice_level(inst, w) is not None for w in range(1, top + 1)]
 
 
-def instances_within_cap(max_k=5, max_n=None):
-    """Every (k, t, n) with 2 <= t <= k <= max_k whose catalog fits the default cap."""
-    for k in range(2, max_k + 1):
-        for t in range(2, k + 1):
-            n = 0
-            while ((1 << n) - 1) ** k <= search.DEFAULT_CAP and (max_n is None or n <= max_n):
-                yield k, t, n
-                n += 1
+def product_mask(parts, cells):
+    """The cells of the k-grid a product of subset bitmasks covers."""
+    return sum(1 << pos for pos, c in enumerate(cells)
+               if all(part >> (v - 1) & 1 for part, v in zip(parts, c)))
 
 
-def brute_force_min_cover(instance, max_weight):
-    cols, b = instance.columns, instance.target
-    for w in range(max_weight + 1):
-        for sup in combinations(range(len(cols)), w):
-            acc = 0
-            for j in sup:
-                acc ^= cols[j]
-            if acc == b:
-                return w
-    return None
+@cache
+def reference_catalog(k, n):
+    """Every product of k nonempty subsets of [n] as its cell mask over the
+    k-grid: the catalog the level search used to enumerate."""
+    cells = all_cells(n, k)
+    subsets = range(1, 1 << n)
+    parts = [()]
+    for _ in range(k):
+        parts = [p + (s,) for p in parts for s in subsets]
+    return [product_mask(p, cells) for p in parts]
+
+
+@cache
+def reference_distances(k, n):
+    """The least number of catalog products summing to each target of the
+    k-grid, breadth first over all 2^(n^k) targets."""
+    ids = np.arange(1 << n**k)
+    dist = np.full(ids.size, -1)
+    dist[0] = 0
+    w = 0
+    while (dist < 0).any():
+        frontier, reached = dist == w, np.zeros(ids.size, dtype=bool)
+        for column in reference_catalog(k, n):
+            reached |= frontier[ids ^ column]
+        w += 1
+        dist[reached & (dist < 0)] = w
+    return dist
+
+
+def within_sum_of(columns, target, w):
+    """Whether the target is a sum of at most w columns: the sums of at most
+    w // 2 columns met against those of at most w - w // 2."""
+    def sums(h):
+        held = {0}
+        for _ in range(h):
+            held |= {s ^ c for s in held for c in columns}
+        return held
+
+    high = sums(w - w // 2)
+    return any(target ^ s in high for s in sums(w // 2))
+
+
+def slices_of(target, k, n):
+    """A target over the k-grid cut along its last coordinate."""
+    return tuple(sum((target >> (p * n + j) & 1) << p for p in range(n ** (k - 1))) for j in range(n))
+
+
+def cover_mask(cover):
+    """The cells of the k-grid that an odd number of the cover's products cover."""
+    cells, mask = all_cells(cover.n, cover.k), 0
+    for p in cover.products:
+        mask ^= product_mask([part.bits for part in p.parts], cells)
+    return mask
 
 
 class TestSearchInstance:
     def test_catalog_size_and_order(self):
         inst = build_search_instance(2, 2, 2)
-        assert inst.num_columns == 9
-        assert inst.column_parts[0] == (1, 1)  # {1} x {1}
-        assert inst.column_parts[-1] == (3, 3)  # [2] x [2]
-
-    def test_cap_rejected(self):
-        with pytest.raises(CapExceededError, match="4096"):
-            build_search_instance(2, 2, 7)
+        assert inst.num_columns == 3
+        assert inst.parts == ((1,), (2,), (3,)) and inst.words == (1, 2, 3)
+        inst = build_search_instance(3, 3, 3)
+        assert inst.num_columns == 49
+        assert inst.parts[0] == (1, 1)  # {1} x {1}
+        assert inst.parts[1] == (1, 2)  # {1} x {2}: the last coordinate fastest
+        assert inst.parts[-1] == (7, 7)  # [3] x [3]
 
     def test_target_matches_distinctness(self):
-        for k, t, n in instances_within_cap():
-            inst = build_search_instance(k, t, n)
-            assert inst.target == target_mask(n, k, t, inst.cells), (k, t, n)
-
+        for k in range(2, 6):
+            for t in range(2, k + 1):
+                for n in range(1, 6):
+                    if n**k <= 256:
+                        inst = build_search_instance(k, t, n)
+                        cells = all_cells(n, k)
+                        assert slices_of(target_mask(n, k, t, cells), k, n) == inst.slices, (k, t, n)
+                        if t == 2:  # the rank-one tensors do not depend on t
+                            words = [product_mask(p, all_cells(n, k - 1)) for p in inst.parts]
+                            assert words == list(inst.words), (k, n)
 
 
 def _unfolding_rank_reference(k, t, n):
@@ -166,14 +218,13 @@ def _koszul_reference(tensor):
 
 class TestFlatteningBound:
     def test_pair_target_rank(self):
-        # the off-diagonal pair matrix has rank n (even) or n-1 (odd), also
-        # beyond the catalog cap (n >= 7)
+        # the off-diagonal pair matrix has rank n (even) or n-1 (odd)
         for n in range(12):
             assert flattening_rank_bound(2, 2, n) == (n if n % 2 == 0 else n - 1)
 
     def test_zero_target(self):
         inst = build_search_instance(3, 3, 2)
-        assert inst.target == 0
+        assert inst.slices == (0, 0)
         assert flattening_rank_bound(3, 3, 2) == 0
 
     def test_empty_target_builds_nothing(self, monkeypatch):
@@ -236,6 +287,12 @@ class TestFlatteningBound:
         assert flattening_rank_bound(2, 2, 257) is None
         assert flattening_rank_bound(4, 2, 17) is None
 
+    def test_grid_limit_decided_before_the_power(self):
+        # 3^(10^8) cells: the guard stops multiplying once past 65,536
+        start = time.monotonic()
+        assert flattening_rank_bound(10**8, 2, 3) is None
+        assert time.monotonic() - start < 0.1
+
     @pytest.mark.parametrize("k,t,n,message", [
         (2, 3, 3, "need 2 <= t <= k"),  # t > k: no such target
         (3, 1, 2, "need 2 <= t <= k"),  # t < 2
@@ -253,8 +310,8 @@ class TestMinMod2Cover:
         assert out.exact and out.value == expected
         assert verify_mod2_cover(out.cover).valid
         # independent exhaustive confirmation
-        inst = build_search_instance(2, 2, n)
-        assert brute_force_min_cover(inst, 2) == (expected if expected <= 2 else None)
+        cells = all_cells(n, 2)
+        assert reference_distances(2, n)[target_mask(n, 2, 2, cells)] == expected
 
     def test_pure_search_matches_presolve(self):
         for n in (2, 3, 4):
@@ -269,30 +326,31 @@ class TestMinMod2Cover:
 
         # (3,3,4): the flattening bound 4 certifies its only level, w=3
         assert summary(min_mod2_cover(3, 3, 4, budget=3)) == ("interval", 4, 13, None)
-        # (4,3,3): 81 cells, so no level is searched at all
+        # (4,3,3): level 6 would try C(343, 3) subspaces, past the work limit
         assert summary(min_mod2_cover(4, 3, 3)) == ("interval", 6, 34, None)
         assert calls == []
-        # (3,3,3): meet-in-the-middle at w=4 and 5 on one catalog
+        # (3,3,3): levels 4 and 5 on one instance
         out = min_mod2_cover(3, 3, 3)
-        assert calls == [(3, 3, 3, search.DEFAULT_CAP)]
-        assert support_of(out) == (47, 74, 129, 156, 211)
+        assert calls == [(3, 3, 3)]
+        assert support_of(out) == ((1, 6), (7, 5), (27, 3), (33, 2), (39, 1))
 
     def test_lower_end_carried_from_n_minus_one(self, monkeypatch):
         # f(3,3,3) = 5 raises the start of (3,3,4) from its flattening bound 4
-        # to level 5, which is out of reach: only the (3,3,3) catalog is built
+        # to level 5, which holds a cover: f(3,3,4) = 5
         calls = _spy_catalogs(monkeypatch)
         out = min_mod2_cover(3, 3, 4)
-        assert (out.status, out.lower, out.upper, out.levels_exhausted) == ("interval", 5, 13, None)
-        assert out.rank_bound == 4
-        assert calls == [(3, 3, 3, search.DEFAULT_CAP)]
+        assert (out.status, out.value, out.upper, out.levels_exhausted) == ("exact", 5, 5, None)
+        assert out.rank_bound == 4 and out.constructive == 13
+        assert verify_mod2_cover(out.cover).valid
+        assert calls == [(3, 3, 3), (3, 3, 4)]
 
     def test_carried_lower_end_above_the_construction_raises(self, monkeypatch, capsys):
         # an n - 1 outcome whose lower end passes the 13-product (3,3,4)
         # construction is a broken certificate
         real = search.min_mod2_cover
 
-        def carried(k, t, n, budget=search.DEFAULT_BUDGET, cap=search.DEFAULT_CAP):
-            out = real(k, t, n, budget, cap)
+        def carried(k, t, n, budget=search.DEFAULT_BUDGET):
+            out = real(k, t, n, budget)
             return replace(out, lower=14) if n == 3 else out
 
         monkeypatch.setattr(search, "min_mod2_cover", carried)
@@ -304,7 +362,7 @@ class TestMinMod2Cover:
     def test_edgeless_target(self):
         out = min_mod2_cover(3, 3, 2)
         assert out.exact and out.value == 0 and len(out.cover) == 0
-        out = min_mod2_cover(5, 5, 3)  # 7^5 products, past the cap: answered all the same
+        out = min_mod2_cover(5, 5, 3)  # n < t: answered before any instance
         assert out.exact and out.value == 0 and len(out.cover) == 0
 
     def test_budget_interval(self):
@@ -313,7 +371,7 @@ class TestMinMod2Cover:
 
     @pytest.mark.parametrize("k,t,n", [(2, 2, 6), (3, 2, 4), (3, 3, 4)])
     def test_budget_interval_through_level_three_pass(self, k, t, n):
-        # the lookups refute w=3 on catalogs of 3,375 to 3,969 columns
+        # level 3 is empty on instances of 63 to 225 rank-one tensors
         assert pure_levels(k, t, n, 3) == [False] * 3
 
     def test_incumbent_certifies(self):
@@ -336,7 +394,7 @@ class TestMinMod2Cover:
 
     def test_certificates_meet_without_catalog(self, monkeypatch):
         calls = _spy_catalogs(monkeypatch)
-        # rank 6 meets the 6-product construction: no catalog is built
+        # rank 6 meets the 6-product construction: no instance is built
         out = min_mod2_cover(2, 2, 6)
         assert (out.status, out.value, out.rank_bound, out.levels_exhausted) == ("exact", 6, 6, None)
         assert calls == []
@@ -344,15 +402,17 @@ class TestMinMod2Cover:
         out = min_mod2_cover(3, 2, 3)
         assert (out.status, out.value, out.rank_bound, out.levels_exhausted) == ("exact", 4, 4, None)
         assert calls == []
-        # bound 4 is below the 6-product construction: levels 4 and 5 are searched on the catalog
+        # bound 4 is below the 6-product construction: levels 4 and 5 are searched
         out = min_mod2_cover(3, 3, 3)
         assert (out.value, out.rank_bound, out.constructive) == (5, 4, 6)
-        assert calls == [(3, 3, 3, search.DEFAULT_CAP)]
+        assert calls == [(3, 3, 3)]
 
     @pytest.mark.parametrize("k,t,n,lower,upper", [
-        (2, 2, 7, 6, 6), (3, 3, 5, 6, 16), (4, 4, 4, 7, 24), (3, 2, 5, 6, 6), (5, 5, 5, 13, 120),
+        (2, 2, 7, 6, 6), (4, 4, 4, 7, 24), (3, 2, 5, 6, 6), (5, 5, 5, 13, 120),
     ])
     def test_past_the_cap_certificates_answer(self, k, t, n, lower, upper):
+        # no level is searched: the certificates meet, or the first level
+        # is past the work limit
         out = min_mod2_cover(k, t, n)
         assert (out.lower, out.upper, out.rank_bound, out.constructive) == (lower, upper, lower, upper)
         assert out.exact == (lower == upper) and out.levels_exhausted is None
@@ -375,17 +435,26 @@ class TestMinMod2Cover:
         out = min_mod2_cover(3, 3, 3)
         assert out.exact and out.value == 5
         assert verify_mod2_cover(out.cover).valid
-        # the w=5 meet-in-the-middle witness, pinned
-        assert support_of(out) == (47, 74, 129, 156, 211)
+        # the w=5 slice-span witness, pinned
+        assert support_of(out) == ((1, 6), (7, 5), (27, 3), (33, 2), (39, 1))
         assert out.levels_exhausted == (4, 4)
 
     def test_triple_n4_interval(self):
         # the flattening bound certifies w=3, and f(3,3,3) = 5 carries up to
-        # refute w=4; w=5 is out of reach, so no level of (3,3,4) is searched
+        # refute w=4; level 5 of (3,3,4) holds a cover, so f(3,3,4) = 5
         out = min_mod2_cover(3, 3, 4)
-        assert out.status == "interval"
-        assert out.lower == 5 and out.upper == 13
+        assert out.status == "exact"
+        assert out.lower == out.value == out.upper == 5
         assert out.levels_exhausted is None
+        assert support_of(out) == ((38, 12), (74, 10), (86, 9), (122, 6), (170, 3))
+
+    def test_triple_n5_interval(self):
+        # level 6 of (3,3,5) is empty; level 7 would try C(961, 2)
+        # subspaces of 961 tensors each, past the work limit
+        out = min_mod2_cover(3, 3, 5)
+        assert (out.status, out.lower, out.upper, out.rank_bound) == ("interval", 7, 16, 6)
+        assert out.levels_exhausted == (6, 6)
+        assert search._level_in_reach(961, 1) and not search._level_in_reach(961, 2)
 
     def test_pair_k3_n4_interval(self):
         # the flattening bound 5 meets the 5-product construction: no level is searched
@@ -393,296 +462,85 @@ class TestMinMod2Cover:
         assert (out.status, out.value, out.constructive) == ("exact", 5, 5)
         assert out.lower == out.rank_bound == 5 and out.levels_exhausted is None
 
-    def test_witness_is_lex_min_without_symmetry(self):
-        value = min_mod2_cover(2, 2, 3).value
-        inst = build_search_instance(2, 2, 3)
-        best = None
-        for sup in combinations(range(inst.num_columns), value):
-            acc = 0
-            for j in sup:
-                acc ^= inst.columns[j]
-            if acc == inst.target:
-                best = sup
-                break
-        assert _search_weight_level(inst, inst.target, value) == best
 
+class TestSliceLevel:
+    GRIDS = [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]
 
-def _xor(cols, support):
-    acc = 0
-    for j in support:
-        acc ^= cols[j]
-    return acc
+    @staticmethod
+    def check(k, n, target):
+        """The cover of the first nonempty level of a target over the k-grid,
+        searched from level 0: as many products as the least sum of catalog
+        products, and summing to the target."""
+        inst = replace(build_search_instance(k, 2, n), slices=slices_of(target, k, n))
+        want = reference_distances(k, n)[target]
+        cover = first_level(inst, want)
+        assert cover is not None and len(cover) == want
+        assert cover_mask(cover) == target
+        return cover
 
-
-def _columns_instance(cols, b=0):
-    """A search instance over bare column masks on a grid of 20 cells."""
-    return SearchInstance(0, 0, 0, ((),) * 20, ((),) * len(cols), tuple(cols), b)
-
-
-def _mitm_level(cols, b, w):
-    """``_exhaust_level`` at w = 4 or 5, the meet-in-the-middle route, over bare columns."""
-    return _exhaust_level(_columns_instance(cols, b), w)
-
-
-def _spy_probe(mp):
-    """Record how many values every probe walks."""
-    probes, real = [], search._probe_least_common
-
-    def probe(values, offsets):
-        probes.append(values.size)
-        return real(values, offsets)
-
-    mp.setattr(search, "_probe_least_common", probe)
-    return probes
-
-
-def _level_reference(cols, b, w):
-    """The level pass by plain enumeration: with h = 2, the smallest value
-    shared by the (w-h)-sums and the h-sums shifted by b, joined from the
-    lexicographically first supports of both sums."""
-    h = 2
-    first = {}
-    for size in (h, w - h):
-        for sup in combinations(range(len(cols)), size):
-            first.setdefault((size, _xor(cols, sup)), sup)
-    common = [v for (size, v) in first if size == w - h and (h, v ^ b) in first]
-    if not common:
-        return None
-    v = min(common)
-    return tuple(sorted(first[(w - h, v)] + first[(h, v ^ b)]))
-
-
-class TestWeightLevel:
-    @settings(max_examples=400, deadline=None)
-    @given(
-        st.one_of(
-            st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=14, unique=True),
-            st.lists(st.integers(0, 7), min_size=1, max_size=14),  # repeated columns
-        ),
-        st.sampled_from([1, 2, 3]),
-        st.data(),
-    )
-    def test_lex_first_support(self, cols, w, data):
-        indices = range(len(cols))
-        b = data.draw(st.one_of(
-            st.integers(0, 2**12 - 1),
-            st.lists(st.sampled_from(indices), max_size=w).map(lambda sup: _xor(cols, sup)),
-        ))
-        firsts = sorted(data.draw(st.sets(st.sampled_from(indices))))
-        inst = _columns_instance(cols, b)
-        for first_columns in (None, firsts):
-            want = next((
-                sup for sup in combinations(indices, w)
-                if _xor(cols, sup) == b and (first_columns is None or sup[0] in first_columns)
-            ), None)
-            assert _search_weight_level(inst, b, w, first_columns) == want, first_columns
-
-    def test_lookups_stop_at_level_three(self):
-        inst = _columns_instance([1, 2, 4, 8, 16], 15)
-        for w in (4, 5):  # levels the lookups do not search
-            with pytest.raises(InternalCheckError, match="past the lookups"):
-                _search_weight_level(inst, 15, w)
-        assert _search_weight_level(inst, 15, 6) is None  # w > m: no support
-
-
-def _engine_reference(m, cells, w):
-    """The route of level w checked step by step, the MITM guards spelled out."""
-    if w == 0 or w > m:
-        return "lookup"
-    if cells > 64:
-        return None
-    if w <= 3:
-        return "lookup"
-    if w > 5 or (w == 5 and comb(m, 3) > search._MITM_TRIPLE_CAP):
-        return None
-    return "mitm"
-
-
-class TestLevelEngine:
-    EDGES = [  # (m, cells, w, engine)
-        (4_000_001, 64, 1, "lookup"),  # every level up to 3 is lookups, whatever m is
-        (4_000_001, 64, 2, "lookup"),
-        (4_000_001, 64, 3, "lookup"),
-        (4_000_001, 65, 2, None),  # past 64 cells no level is searched
-        (364, 64, 5, "mitm"),  # C(364, 3) = 7,971,964 triple sums
-        (365, 64, 5, None),  # C(365, 3) = 8,038,030
-        (365, 64, 4, "mitm"),
-        (365, 64, 6, None),
-        (5, 65, 6, "lookup"),  # w > m: no support, answered at once
-        (0, 65, 1, "lookup"),
-        (5, 65, 0, "lookup"),
-    ]
-
-    @pytest.mark.parametrize("m,cells,w,engine", EDGES)
-    def test_edges(self, m, cells, w, engine):
-        assert search._level_engine(m, cells, w) == engine
-        assert _engine_reference(m, cells, w) == engine
-
-    def test_matches_reference(self):
-        ms = [*range(13), 343, 364, 365, 2401, 2828, 2829, 3375, 4_000_000, 4_000_001]
-        for m in ms:
-            for cells in (1, 63, 64, 65):
-                for w in range(9):
-                    assert search._level_engine(m, cells, w) == _engine_reference(m, cells, w)
-
-    @pytest.mark.parametrize("m,w", [(30, 3), (343, 4), (364, 5), (365, 5), (3375, 4)])
-    def test_caps_are_inclusive(self, monkeypatch, m, w):
-        # a triple cap equal to C(m, 3) admits level 5, one below it does not;
-        # the levels below 5 never consult it
-        def check(triples, want):
-            monkeypatch.setattr(search, "_MITM_TRIPLE_CAP", triples)
-            assert search._level_engine(m, 64, w) == _engine_reference(m, 64, w) == want
-
-        engine = "lookup" if w <= 3 else "mitm"
-        check(comb(m, 3), engine)
-        check(comb(m, 3) - 1, engine if w < 5 else None)
-
-    def test_exhaust_level_dispatch(self):
-        assert _exhaust_level(_columns_instance([1, 2, 3], 0), 0) == ()
-        assert _exhaust_level(_columns_instance([1, 2, 3], 5), 0) is None
-        assert _exhaust_level(_columns_instance([1, 2, 3], 0), 4) is None  # w > m
-        assert _exhaust_level(_columns_instance([1, 2, 4, 8], 7), 3) == (0, 1, 2)  # lookups
-        assert _exhaust_level(_columns_instance([1, 2, 4, 8, 16], 15), 4) == (0, 1, 2, 3)  # the pass
-        wide = SearchInstance(0, 0, 0, ((),) * 65, ((),) * 4, (1, 2, 4, 8), 7)
-        with pytest.raises(InternalCheckError, match="out of reach"):
-            _exhaust_level(wide, 3)
-
-
-class TestMeetInTheMiddle:
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.integers(1, 2**16 - 1), min_size=6, max_size=10, unique=True),
-        st.sampled_from([4, 5]),
-        st.data(),
-    )
-    def test_level_pass_matches_reference(self, cols, w, data):
-        def index_sets(size):
-            return st.sets(st.sampled_from(range(len(cols))), min_size=size, max_size=size)
+    @given(st.sampled_from(GRIDS), st.data())
+    def test_matches_enumeration_on_random_targets(self, grid, data):
+        k, n = grid
+        self.check(k, n, data.draw(st.integers(0, (1 << n**k) - 1)))
 
-        # plant a zero-sum 4-set, so that a filled level often has two supports
-        *rest, last = sorted(data.draw(index_sets(4)))
-        cols[last] = _xor(cols, rest)
-        if cols[last] == 0 or len(set(cols)) < len(cols):
-            return
-        if data.draw(st.booleans()):
-            b = _xor(cols, data.draw(index_sets(w)))
-        else:
-            b = data.draw(st.integers(1, 2**16 - 1))
-        # the vectorized pass needs every lower level to be empty
-        lower = (sup for size in range(1, w) for sup in combinations(range(len(cols)), size))
-        if b == 0 or any(_xor(cols, sup) == b for sup in lower):
-            return
-        want = _level_reference(cols, b, w)
-        assert _mitm_level(cols, b, w) == want
-        # probe steps of 1, 3 and 20 rows at w = 4, and of 1 to 3 rows at
-        # w = 5 (6 to 10 offsets): each ends inside the 15 to 45 values of H
-        for queries in (1, 3, 20):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_PROBE_QUERIES", queries)
-                assert _mitm_level(cols, b, w) == want, queries
+    @pytest.mark.parametrize("k,t,n", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2)])
+    def test_matches_enumeration_on_targets(self, k, t, n):
+        cover = self.check(k, n, target_mask(n, k, t, all_cells(n, k)))
+        assert len(cover) == min_mod2_cover(k, t, n).value
+        assert verify_mod2_cover(cover).valid
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 63), max_size=40), st.lists(st.integers(0, 63), max_size=6))
-    def test_probe_matches_first_hit(self, values, offsets):
-        values, held = sorted(values), set(values)
-        want = next((
-            (h, hits) for h in values
-            if (hits := [j for j, c in enumerate(offsets) if h ^ c in held])
-        ), None)
-        values, offsets = np.array(values, dtype=np.uint64), np.array(offsets, dtype=np.uint64)
-        for queries in (1, 5, 16):  # steps of 1 to 16 rows, by the number of offsets
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_PROBE_QUERIES", queries)
-                assert search._probe_least_common(values, offsets) == want, queries
+    def test_triple_target(self):
+        # no sum of at most 4 of the 343 catalog products is the (3,3,3)
+        # target, and the slice-span search finds a 5-cover
+        target = target_mask(3, 3, 3, all_cells(3, 3))
+        assert not within_sum_of(reference_catalog(3, 3), target, 4)
+        cover = first_level(build_search_instance(3, 3, 3), 5)
+        assert len(cover) == 5 and cover_mask(cover) == target
+        assert verify_mod2_cover(cover).valid
 
-    @pytest.mark.parametrize("cols,b,want", [
-        ([37, 105, 83, 216, 30, 52, 153, 175], 255, (0, 3, 5, 6, 7)),  # not (0, 1, 4, 5, 6)
-        ([233, 40, 194, 231, 115, 142, 10, 162], 116, (1, 2, 3, 4, 6)),  # not (0, 2, 4, 5, 7)
-    ])
-    def test_level_pass_block_edges(self, cols, b, want):
-        # each level has two supports; the least common value, which the probe
-        # finds, picks the one that is not lexicographically first
-        assert _level_reference(cols, b, 5) == want
-        assert _mitm_level(cols, b, 5) == want
+    def test_levels_below_the_span(self):
+        # fewer products than the slices' dimension d never cover
+        inst = build_search_instance(2, 2, 4)
+        assert len(inst.span) == 4
+        assert [_slice_level(inst, r) for r in range(4)] == [None] * 4
+        assert len(_slice_level(inst, 4)) == 4
+        # the empty target: level 0 holds the empty cover, so searching level
+        # 1 out of order finds a product that no slice uses
+        empty = build_search_instance(3, 3, 2)
+        assert len(_slice_level(empty, 0)) == 0
+        with pytest.raises(InternalCheckError, match="unused product"):
+            _slice_level(empty, 1)
 
-    def test_level_four_probe_reads_every_pair_sum(self, monkeypatch):
-        # the empty level 4 of (3,3,3): the probe reads all 58,653 shifted
-        # pair sums, 8,192 rows a step against the one offset, and misses;
-        # level 5 then probes the same sorted array
-        probes, real = [], search._probe_least_common
-        steps, real_membership = [], search._np_membership
-
-        def probe(values, offsets):
-            probes.append(values)
-            return real(values, offsets)
-
-        def membership(sorted_vals, queries):
-            steps.append(queries.shape)
-            return real_membership(sorted_vals, queries)
-
-        monkeypatch.setattr(search, "_probe_least_common", probe)
-        monkeypatch.setattr(search, "_np_membership", membership)
-        inst = build_search_instance(3, 3, 3)
-        assert _exhaust_level(inst, 4) is None
-        assert [v.size for v in probes] == [comb(inst.num_columns, 2)] == [58_653]
-        assert steps == [(8_192, 1)] * 7 + [(58_653 - 7 * 8_192, 1)]
-        assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
-        assert probes[1] is probes[0] is inst.shifted_pair_sums
-
-    def test_level_five_probe_settles_the_level(self, monkeypatch):
-        # at (3,3,3) the least common value is the 11th shifted pair sum: the
-        # probe finds it with its columns, which start the triple lookup
-        inst = build_search_instance(3, 3, 3)
-        shifted = inst.shifted_pair_sums
-        v, hit_columns = search._probe_least_common(shifted, inst.words ^ np.uint64(inst.target))
-        assert v == shifted[10] and hit_columns == [47, 74, 129]
-        lookups, real = [], search._search_weight_level
-
-        def lookup(instance, b_mask, weight, first_columns=None):
-            lookups.append((weight, first_columns))
-            return real(instance, b_mask, weight, first_columns)
-
-        monkeypatch.setattr(search, "_search_weight_level", lookup)
-        assert _exhaust_level(inst, 5) == (47, 74, 129, 156, 211)
-        assert lookups == [(2, None), (3, [47, 74, 129])]
-
-    def test_empty_level_five_on_bare_columns(self, monkeypatch):
-        # random 64-bit columns: the probe walks all of the C(120, 2) shifted
-        # pair sums, 68 rows a step against the 120 offsets, and misses
-        rng = np.random.default_rng(5)
-        cols = rng.integers(0, 2**64, 120, dtype=np.uint64, endpoint=False).tolist()
-        b = int(rng.integers(0, 2**64, dtype=np.uint64, endpoint=False))
-        probes = _spy_probe(monkeypatch)
-        inst = _columns_instance(cols, b)
-        assert _exhaust_level(inst, 5) is None
-        assert probes == [comb(120, 2)] == [inst.shifted_pair_sums.size]
+    def test_reach_is_inclusive(self, monkeypatch):
+        # a level costs R * C(R, r - d): (3,3,4) at level 5, 225 * C(225, 2)
+        work = 225 * comb(225, 2)
+        monkeypatch.setattr(search, "_SLICE_MAX_WORK", work)
+        assert search._level_in_reach(225, 2)
+        monkeypatch.setattr(search, "_SLICE_MAX_WORK", work - 1)
+        assert not search._level_in_reach(225, 2)
+        assert search._level_in_reach(225, 0) and search._level_in_reach(3, 7)  # C(3, 7) = 0
 
     def test_level_search_traffic(self, monkeypatch):
-        # every level the search reaches on the grids that fit it (n^k <= 64;
-        # past k = 6 that leaves n <= 1, where no cell has t distinct entries)
-        # at a generous budget and cap.  The MITM pass serves (3,3,3) alone:
-        # its w = 4 level is empty and its w = 5 level is settled by the
-        # probe.  (3,3,4) searches again the (3,3,3) levels its lower end is
-        # carried from, the last two calls, and starts at its out-of-reach
-        # level 5.  An empty w = 5 level would make the probe walk every
-        # shifted pair sum.
-        calls, real = [], search._exhaust_level
+        # every level the search reaches on the grids of at most 64 cells
+        # (past k = 6 that leaves n <= 1, where no cell has t distinct
+        # entries) at a generous budget: (3,2,2) at w = 2, (3,3,3) at
+        # w = 4 and 5, and (3,3,4) at w = 5 after searching again the
+        # (3,3,3) levels its lower end is carried from.  (3,2,2) stops below
+        # its 3-product construction
+        calls, real = [], search._slice_level
 
-        def spy(instance, w):
-            calls.append((instance.k, instance.t, instance.n, w))
-            return real(instance, w)
+        def spy(instance, r):
+            calls.append((instance.k, instance.t, instance.n, r))
+            return real(instance, r)
 
-        monkeypatch.setattr(search, "_exhaust_level", spy)
+        monkeypatch.setattr(search, "_slice_level", spy)
         grids = [(k, t, n) for k in range(2, 7) for t in range(2, k + 1)
                  for n in range(9) if n**k <= 64]
         for k, t, n in grids:
-            min_mod2_cover(k, t, n, budget=64, cap=10**6)
-        assert calls == [(3, 2, 2, 2), (3, 3, 3, 4), (3, 3, 3, 5), (3, 3, 3, 4), (3, 3, 3, 5)]
-
-    def test_membership_empty_sorted_side(self):
-        empty = np.array([], dtype=np.uint64)
-        got = _np_membership(empty, np.array([0, 7], dtype=np.uint64))
-        assert got.dtype == bool and got.tolist() == [False, False]
+            min_mod2_cover(k, t, n, budget=64)
+        assert calls == [(3, 2, 2, 2), (3, 3, 3, 4), (3, 3, 3, 5),
+                         (3, 3, 3, 4), (3, 3, 3, 5), (3, 3, 4, 5)]
 
 
 class TestExactB:
@@ -703,16 +561,25 @@ class TestExactB:
         assert not res.exact and res.value is None
         assert res.at_least == 2  # the edgeless grounds are certified
 
+    def test_triple_at_five_products(self, capsys):
+        # f(3,3,4) = 5 is certified by search and the (3,3,5) bound 6 passes m
+        res = exact_b(3, 3, 5)
+        assert res.exact and res.value == 4
+        assert main(["search", "--k", "3", "--t", "3", "--m", "5"]) == 0
+        assert capsys.readouterr().out == "exact-b k=3 t=3 m=5 b=4\n"
+
     def test_cap_with_rank_bound_too_low(self):
-        # (3,3,5) is over the cap and its flattening bound 6 does not exceed
-        # m = 13, the size of the (3,3,4) construction
+        # (3,3,5) ends in the interval [7, 16], which holds m = 13, the size
+        # of the (3,3,4) construction: its level 7 is past the work limit
         res = exact_b(3, 3, 13)
         assert not res.exact and res.at_least == 4
 
     @pytest.mark.parametrize("k,t,m,built", [
         (2, 2, 4, [6, 5]),  # the deciding n inside the search, then the certifying cover
         (3, 2, 4, [4, 3]),
-        (3, 3, 5, [3, 4, 3]),  # the search certifies n = 3 itself; n = 4 carries n = 3's lower end
+        # the search certifies n = 3 and n = 4 itself, n = 4 carrying n = 3's
+        # lower end; n = 5 is decided by its bound 6 > m, after its construction
+        (3, 3, 5, [3, 4, 3, 5]),
         (2, 2, 0, [2, 1]),
     ])
     def test_each_ground_size_built_once(self, k, t, m, built, monkeypatch):
@@ -877,9 +744,9 @@ class TestBestConstructive:
 
 class TestPublicSearchApi:
     @pytest.mark.parametrize("function,params", [
-        (min_mod2_cover, ("k", "t", "n", "budget", "cap")),
-        (exact_b, ("k", "t", "m", "budget", "cap")),
-        (bounds_table, ("k", "t", "n_values", "budget", "cap")),
+        (min_mod2_cover, ("k", "t", "n", "budget")),
+        (exact_b, ("k", "t", "m", "budget")),
+        (bounds_table, ("k", "t", "n_values", "budget")),
     ])
     def test_signatures(self, function, params):
         # a new option fails here and needs a record in CHANGES.md
