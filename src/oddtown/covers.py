@@ -32,6 +32,7 @@ from .setsystems import (
     TupleSystem,
     VerifyReport,
     _SCAN_BLOCK_ENTRIES,
+    _check_scan_power,
     _check_scan_size,
     _Collector,
     _distinct_target,
@@ -204,7 +205,7 @@ def _cover_rows(parts: np.ndarray, n: int) -> np.ndarray:
 
 def verify_mod2_cover(cover: Mod2Cover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Exhaustive parity check over all n^k cells: edges odd, non-edges even."""
-    _check_scan_size(cover.n**cover.k, f"{cover.n}^{cover.k} index tuples")  # before the rows
+    _check_scan_power(cover.n, cover.k)  # before the rows
     rows = _cover_rows(cover.parts, cover.n)
     mismatches = _parity_scan(rows, _distinct_target(cover.n, cover.t))
     return _scan_report(mismatches, max_violations, "coverage")
@@ -218,7 +219,7 @@ def parity_functions_equal(a: Mod2Cover, b: Mod2Cover) -> bool:
     """
     if (a.k, a.n) != (b.k, b.n):
         return False
-    _check_scan_size(a.n**a.k, f"{a.n}^{a.k} index tuples")  # before the rows
+    _check_scan_power(a.n, a.k)  # before the rows
     rows = _cover_rows(np.concatenate([a.parts, b.parts]), a.n)
     return next(_parity_scan(rows, lambda left, right: 0), None) is None
 
@@ -226,7 +227,8 @@ def parity_functions_equal(a: Mod2Cover, b: Mod2Cover) -> bool:
 def verify_exact_gp_cover(cover: GpCover, max_violations: int = DEFAULT_VIOLATION_CAP) -> VerifyReport:
     """Each k-subset of [n] covered exactly once (one vertex in each part)."""
     subsets, products = comb(cover.n, cover.k), len(cover)
-    _check_scan_size(subsets * products, f"{subsets} subsets x {products} products")
+    # the walk visits every subset even when there are no products
+    _check_scan_size(subsets * max(1, products), f"{subsets} subsets x {products} products")
     col = _Collector(max_violations)
     walk = combinations(range(cover.n), cover.k)
     step = max(1, _SCAN_BLOCK_ENTRIES // max(1, products * cover.k**2))
@@ -249,7 +251,7 @@ def cover_to_tuple(cover: Mod2Cover) -> TupleSystem:
     input verifies as a cover.  A grid past the scan limit is refused first: no
     verifier could check the tuple, whose m^k index grid is the cover's n^k.
     """
-    _check_scan_size(cover.n**cover.k, f"{cover.n}^{cover.k} index tuples")
+    _check_scan_power(cover.n, cover.k)
     return TupleSystem(cover.k, cover.t, cover.n, len(cover), rows=_cover_rows(cover.parts, cover.n))
 
 
@@ -322,7 +324,7 @@ def verify_ok_biclique_cover(
     up with even coverage.
     """
     nv = perm(cover.n, cover.k)
-    _check_scan_size(nv**2, f"{nv}^2 index tuples")
+    _check_scan_power(nv, 2)
     graph = OrderedKneserView(cover.n, cover.k)
     vertices = graph.vertices  # lexicographic
     index = {v: i for i, v in enumerate(vertices)}

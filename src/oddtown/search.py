@@ -10,9 +10,8 @@ Levels are searched in ascending order while ``_SLICE_MAX_WORK`` bounds
 them, and the first nonempty one yields the witness.  A presolve certifies
 the levels below the search-free lower bounds: the closed forms, and the
 largest Koszul flattening bound of the target, since each product is a
-rank-one tensor.  Before a level is searched, the lower end at n - 1 raises
-the start, since a cover restricts to a smaller ground set.  Every
-certificate that backs a reported value is recorded on the outcome.
+rank-one tensor.  Each (k, t, n) is searched on its own, from those bounds.
+Every certificate that backs a reported value is recorded on the outcome.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from . import constructions
 from .covers import Mod2Cover, permute_gp_cover, verify_mod2_cover
 from .gf2 import Gf2Matrix, InternalCheckError, _rank_bitrows, _row_bytes, rank_gf2
 from .ranks import MAX_DIRECT_ENTRIES, cover_size_lower_bound
+from .setsystems import _exceeds
 
 DEFAULT_BUDGET = 8
 _RANK_MAX_CELLS = 65536  # largest target tensor the flattening bound builds
@@ -91,17 +91,6 @@ def _check_search_args(k: int, t: int, n: int) -> None:
         raise ValueError("need 2 <= t <= k")
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-
-def _exceeds(base: int, exp: int, limit: int) -> bool:
-    """base^exp > limit, for base >= 0 and limit >= 1, multiplied out no
-    further than one factor past the limit."""
-    power = 1
-    for _ in range(exp if base > 1 else 0):
-        power *= base
-        if power > limit:
-            return True
-    return False
 
 
 def _target_tensor(k: int, t: int, n: int) -> np.ndarray:
@@ -321,9 +310,8 @@ class SearchOutcome:
     larger of ``flattening_rank_bound`` and ``_formula_lower``; ``constructive`` is
     the size of the smallest explicit construction (None when it is too
     large to verify); ``levels_exhausted`` is the inclusive range of weights
-    the search of this (k, t, n) itself proved empty (or None if none were);
-    levels refuted by the outcome at n - 1, which raised its start, are not
-    in it.
+    the search proved empty (or None if none were), which always starts at
+    the search-free lower end max(1, ``rank_bound``).
     """
 
     k: int
@@ -354,11 +342,10 @@ def min_mod2_cover(k: int, t: int, n: int, budget: int = DEFAULT_BUDGET) -> Sear
     searched.  Otherwise levels from the lower bound up to ``budget`` and
     below the upper bound are searched in ascending order by
     ``_slice_level``, while each costs at most ``_SLICE_MAX_WORK``; the slice
-    span's dimension d, which that cost needs, is computed only for a level
-    within the budget and below the upper bound.  Before the first level is
-    searched, the lower end of the outcome at n - 1 raises the start level
-    (a cover restricts to a smaller ground set).  A witness the search
-    returns is verified.  The result is deterministic.
+    span's dimension d, which that cost needs, is computed only when the
+    first level is within the budget and below the upper bound.  No other
+    instance is consulted.  A witness the search returns is verified.  The
+    result is deterministic.
     """
     _check_search_args(k, t, n)
     if n < t:  # no cell has t distinct entries
@@ -369,31 +356,15 @@ def min_mod2_cover(k: int, t: int, n: int, budget: int = DEFAULT_BUDGET) -> Sear
     upper = len(construction) if construction is not None else None
     if upper is not None and rank_bound > upper:
         raise InternalCheckError(f"lower bound {rank_bound} exceeds a verified cover of size {upper}")
-    # R, the number of rank-one tensors, or None past the work limit; n > 64
-    # is rejected before 2^n is formed
-    if n > 64 or _exceeds((1 << n) - 1, k - 1, _SLICE_MAX_WORK):
-        size = None
-    else:
-        size = ((1 << n) - 1) ** (k - 1)
-    d = None
-
-    def searched(level: int) -> bool:
-        nonlocal d
-        if level > budget or level == upper or size is None:
-            return False
-        if d is None:
-            d = _rank_bitrows(_target_slices(k, t, n), n ** (k - 1))[0]
-        return _level_in_reach(size, level - d)
-
     start = w = max(1, rank_bound)
-    cover = instance = None
-    if searched(start):
-        start = w = max(start, min_mod2_cover(k, t, n - 1, budget).lower)
-        if upper is not None and start > upper:
-            raise InternalCheckError(
-                f"lower bound {start} carried from n - 1 exceeds a verified cover of size {upper}"
-            )
-        while searched(w):
+    cover = None
+    # R, the number of rank-one tensors, is formed only once the work limit
+    # bounds it; n > 64 is rejected before 2^n is formed
+    if (start <= budget and start != upper and n <= 64
+            and not _exceeds((1 << n) - 1, k - 1, _SLICE_MAX_WORK)):
+        size, instance = ((1 << n) - 1) ** (k - 1), None
+        d = _rank_bitrows(_target_slices(k, t, n), n ** (k - 1))[0]
+        while w <= budget and w != upper and _level_in_reach(size, w - d):
             instance = instance or build_search_instance(k, t, n)
             if (cover := _slice_level(instance, w)) is not None:
                 break
@@ -463,6 +434,8 @@ def best_constructive_cover(k: int, t: int, n: int) -> Optional[Mod2Cover]:
     smallest candidate by closed-form size is built."""
     if n < t:
         return Mod2Cover(k, t, n, ())  # no cell has t distinct entries
+    if _exceeds(n, k, VERIFY_MAX_WORDS):  # before any size: every cover here has a product
+        return None
     size, build = _smallest_construction(k, t, n)
     if _verify_words(k, n, size) > VERIFY_MAX_WORDS:
         return None
@@ -511,7 +484,10 @@ def exact_b(k: int, t: int, m: int, budget: Optional[int] = None) -> ExactBResul
     best, best_verified = 0, True
     n = 1
     while True:
-        size = _smallest_construction(k, t, n)[0] if n >= t else 0
+        if n < t:
+            size = 0
+        else:  # n^k decides first, as in ``best_constructive_cover``
+            size = inf if _exceeds(n, k, VERIFY_MAX_WORDS) else _smallest_construction(k, t, n)[0]
         if size <= m and _verify_words(k, n, size) <= VERIFY_MAX_WORDS:
             best_verified = False
         else:
@@ -585,12 +561,13 @@ def bounds_table(
         out = min_mod2_cover(k, t, n, budget=budget)
         lower, exact, constructive = out.lower, out.value, out.constructive
         if constructive is None:
-            size, _ = _smallest_construction(k, t, n)
-            raise ValueError(
-                f"the smallest construction at (k,t,n)=({k},{t},{n}) has {size} products "
-                f"on n^k = {n**k} cells, above the verification limit of "
-                f"{VERIFY_MAX_WORDS} words"
-            )
+            if _exceeds(n, k, VERIFY_MAX_WORDS):
+                what = f"every cover at (k,t,n)=({k},{t},{n}) lies on n^k = {n}^{k} cells"
+            else:
+                size, _ = _smallest_construction(k, t, n)
+                what = (f"the smallest construction at (k,t,n)=({k},{t},{n}) has {size} "
+                        f"products on n^k = {n**k} cells")
+            raise ValueError(f"{what}, above the verification limit of {VERIFY_MAX_WORDS} words")
         upper = _formula_upper(k, t, n)
         if constructive > upper:
             raise InternalCheckError(

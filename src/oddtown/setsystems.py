@@ -278,6 +278,23 @@ def _check_scan_size(count: int, what: str) -> None:
         raise ValueError(f"{what} exceed the scan limit of {MAX_SCAN_CELLS}")
 
 
+def _exceeds(base: int, exp: int, limit: int) -> bool:
+    """base^exp > limit, for base >= 0 and limit >= 1, multiplied out no
+    further than one factor past the limit."""
+    power = 1
+    for _ in range(exp if base > 1 else 0):
+        power *= base
+        if power > limit:
+            return True
+    return False
+
+
+def _check_scan_power(base: int, exp: int) -> None:
+    """``_check_scan_size`` on base^exp index tuples, decided by ``_exceeds``."""
+    if _exceeds(base, exp, MAX_SCAN_CELLS):
+        raise ValueError(f"{base}^{exp} index tuples exceed the scan limit of {MAX_SCAN_CELLS}")
+
+
 def _tuples(lo: int, hi: int, m: int, width: int) -> np.ndarray:
     """The index tuples lo, ..., hi-1 of [m]^width in lexicographic order, one per row."""
     return np.stack(np.unravel_index(np.arange(lo, hi), (m,) * width), axis=1)
@@ -426,7 +443,7 @@ def _parity_scan(
     most ``_SCAN_BLOCK_CELLS`` cells and ``_SCAN_BLOCK_BYTES`` bytes.
     """
     k, m, _ = rows.shape
-    _check_scan_size(m**k, f"{m}^{k} index tuples")
+    _check_scan_power(m, k)
     if m == 0:
         return
     h = (k + 1) // 2
@@ -504,7 +521,7 @@ def verify_oddtown(family: SetFamily, max_violations: int = DEFAULT_VIOLATION_CA
     itself, whose target on the diagonal is each set's own parity.
     """
     m = len(family)
-    _check_scan_size(m**2, f"{m}^2 index tuples")
+    _check_scan_power(m, 2)
     col = _Collector(max_violations)
     sizes = _BYTE_SIZES[family.rows].sum(axis=1, dtype=np.int64)
     for i in np.flatnonzero(sizes % 2 == 0).tolist():

@@ -615,6 +615,14 @@ class TestScanSizeGuard:
         with pytest.raises(ValueError, match="^3 subsets x 3 products exceed the scan limit of 8$"):
             verify_exact_gp_cover(c)
 
+    def test_empty_gp_cover_walk_size(self, monkeypatch):
+        # with no products the walk still visits every subset: C(5, 2) of them
+        monkeypatch.setattr(setsystems, "MAX_SCAN_CELLS", 10)
+        assert not verify_exact_gp_cover(GpCover(2, 5, ())).valid
+        monkeypatch.setattr(setsystems, "MAX_SCAN_CELLS", 9)
+        with pytest.raises(ValueError, match="^10 subsets x 0 products exceed the scan limit of 9$"):
+            verify_exact_gp_cover(GpCover(2, 5, ()))
+
     def test_oversized_parity_difference_refused(self):
         big = Mod2Cover(6, 2, 100, ())
         with pytest.raises(ValueError, match="scan limit"):

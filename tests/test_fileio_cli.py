@@ -160,6 +160,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert out == "error: 100^6 index tuples exceed the scan limit of 100000000\n"
 
+    def test_cover_grid_power_refused_quickly(self, tmp_path):
+        # 3^(10^9) cells: the guard stops multiplying once past the limit
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 3, "k": 1000000000, "t": 3, "products": []}\n')
+        proc = self._run_within(["verify", "--kind", "cover", "--file", str(path)], 2)
+        assert proc.returncode == 2
+        assert proc.stdout == "error: 3^1000000000 index tuples exceed the scan limit of 100000000\n"
+
     def test_oversized_tuple_grid_refused(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"n": 1, "k": 6, "t": 2, "m": 100,
@@ -201,6 +209,15 @@ class TestCli:
         assert main(["verify", "--kind", "gp-cover", "--file", str(path)]) == 2
         out = capsys.readouterr().out
         assert out == "error: 76904685 subsets x 2 products exceed the scan limit of 100000000\n"
+
+    def test_empty_gp_cover_walk_refused(self, tmp_path):
+        # no products, but the walk would still visit C(10^12, 2) subsets
+        path = tmp_path / "gp.json"
+        path.write_text(json.dumps({"n": 10**12, "k": 2, "products": []}))
+        proc = self._run_within(["verify", "--kind", "gp-cover", "--file", str(path)], 2)
+        assert proc.returncode == 2
+        assert proc.stdout == ("error: 499999999999500000000000 subsets x 0 products"
+                               " exceed the scan limit of 100000000\n")
 
     def test_rank_verdict(self, capsys):
         assert main(["rank", "--n", "5", "--k", "2", "--l", "3", "--p", "2"]) == 0
@@ -302,6 +319,16 @@ class TestCli:
             "n^k = 2985984 cells, above the verification limit of 1000000000 words\n"
         )
 
+    def test_table_row_past_the_grid_refused(self):
+        # 3^100000 cells: refused on n^k alone, before any construction size
+        # (a Stirling number of k) is formed or printed
+        proc = self._run_within(["table", "--k", "100000", "--t", "3", "--n-min", "2", "--n-max", "3"], 2)
+        assert proc.returncode == 2
+        assert proc.stdout == (
+            "error: every cover at (k,t,n)=(100000,3,3) lies on n^k = 3^100000 cells, "
+            "above the verification limit of 1000000000 words\n"
+        )
+
     @pytest.mark.parametrize("k,t,n,verdict", [
         (6, 6, 12, "interval k=6 t=6 n=12 lower=104 upper=?"),
         # 2^15 bipartitions, but the symmetric target has one unfolding per size
@@ -311,9 +338,14 @@ class TestCli:
         (12, 12, 12, "interval k=12 t=12 n=12 lower=462 upper=?"),
         # (2^n - 1)^2 rank-one tensors: the work limit is decided without the power
         (3, 3, 10**8, "interval k=3 t=3 n=100000000 lower=99999998 upper=?"),
+        # n^k past the construction limit, decided before any closed-form size;
+        # the second runs exact_b, with n as --m
+        (10**8, 2, 3, "interval k=100000000 t=2 n=3 lower=2 upper=?"),
+        (10**8, 2, 3, "interval-b k=100000000 t=2 m=3 at-least=1"),
     ])
     def test_search_past_the_cap_is_quick(self, k, t, n, verdict):
-        proc = self._run_within(["search", "--k", str(k), "--t", str(t), "--n", str(n)], 2)
+        flag = "--m" if verdict.startswith("interval-b") else "--n"
+        proc = self._run_within(["search", "--k", str(k), "--t", str(t), flag, str(n)], 2)
         assert proc.returncode == 0
         assert proc.stdout == verdict + "\n"
 

@@ -96,10 +96,9 @@ def test_level_three_certified_without_catalog(tmp_path, monkeypatch, capsys):
     assert written == FILES["table33.rows"]
 
 
-# The full budget: (3,3,4) takes the lower end 5 of (3,3,3), whose search
-# refutes level 4, and its own level 5 holds a cover: f(3,3,4) = 5.  At
-# (3,2,4) the flattening bound meets the construction, so no level is
-# searched.
+# The full budget: the search of (3,3,4) refutes its level 4, and its level
+# 5 holds a cover: f(3,3,4) = 5.  At (3,2,4) the flattening bound meets the
+# construction, so no level is searched.
 LEVEL_FOUR_COMMANDS = [
     ("search --k 3 --t 3 --n 4", "exact k=3 t=3 n=4 f=5 rank-bound=4\n"),
     ("search --k 3 --t 2 --n 4 --out w324.json", "exact k=3 t=2 n=4 f=5 rank-bound=5\n"),
@@ -132,11 +131,11 @@ def _outcome_record(k, t, n):
 
 
 # One digest over the 105 outcomes of 2 <= t <= k <= 6, 0 <= n <= 6.  It
-# covers (3,3,3) at w = 4 and 5, (3,3,4), whose lower end 5 is carried from
-# (3,3,3) and whose level 5 holds a cover, and (3,3,5), whose level 6 is
-# empty; a change of the search that moves any verdict, bound, certificate
-# or witness byte fails here.
-OUTCOME_DIGEST = "9d3827f6cc6328d7c5c778ebfdb0c2e44b3935a02d7fedc82dfcc1ea8b9b5aa2"
+# covers (3,3,3) and (3,3,4) at w = 4 and 5, each refuting level 4 and
+# filling level 5, and (3,3,5), whose level 6 is empty; a change of the
+# search that moves any verdict, bound, certificate or witness byte fails
+# here.
+OUTCOME_DIGEST = "6dc88581166a0005f7c1f16a8e4237d9b30b974d1226cb98a7d6d91205e146ed"
 
 
 def test_outcome_digest():

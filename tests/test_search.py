@@ -334,30 +334,18 @@ class TestMinMod2Cover:
         assert calls == [(3, 3, 3)]
         assert support_of(out) == ((1, 6), (7, 5), (27, 3), (33, 2), (39, 1))
 
-    def test_lower_end_carried_from_n_minus_one(self, monkeypatch):
-        # f(3,3,3) = 5 raises the start of (3,3,4) from its flattening bound 4
-        # to level 5, which holds a cover: f(3,3,4) = 5
-        calls = _spy_catalogs(monkeypatch)
-        out = min_mod2_cover(3, 3, 4)
-        assert (out.status, out.value, out.upper, out.levels_exhausted) == ("exact", 5, 5, None)
-        assert out.rank_bound == 4 and out.constructive == 13
-        assert verify_mod2_cover(out.cover).valid
-        assert calls == [(3, 3, 3), (3, 3, 4)]
+    def test_instance_consults_no_other(self, monkeypatch):
+        # (3,3,5) searches its own levels from its own lower end: no smaller
+        # instance is solved first
+        calls, real = [], search.min_mod2_cover
 
-    def test_carried_lower_end_above_the_construction_raises(self, monkeypatch, capsys):
-        # an n - 1 outcome whose lower end passes the 13-product (3,3,4)
-        # construction is a broken certificate
-        real = search.min_mod2_cover
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-        def carried(k, t, n, budget=search.DEFAULT_BUDGET):
-            out = real(k, t, n, budget)
-            return replace(out, lower=14) if n == 3 else out
-
-        monkeypatch.setattr(search, "min_mod2_cover", carried)
-        with pytest.raises(InternalCheckError, match="lower bound 14 carried from n - 1 exceeds"):
-            search.min_mod2_cover(3, 3, 4)
-        assert main(["search", "--k", "3", "--t", "3", "--n", "4"]) == 3
-        assert capsys.readouterr().out.startswith("internal inconsistency")
+        monkeypatch.setattr(search, "min_mod2_cover", spy)
+        search.min_mod2_cover(3, 3, 5)
+        assert calls == [(3, 3, 5)]
 
     def test_edgeless_target(self):
         out = min_mod2_cover(3, 3, 2)
@@ -440,12 +428,12 @@ class TestMinMod2Cover:
         assert out.levels_exhausted == (4, 4)
 
     def test_triple_n4_interval(self):
-        # the flattening bound certifies w=3, and f(3,3,3) = 5 carries up to
-        # refute w=4; level 5 of (3,3,4) holds a cover, so f(3,3,4) = 5
+        # the flattening bound certifies w=3, the search refutes w=4, and
+        # level 5 holds a cover, so f(3,3,4) = 5
         out = min_mod2_cover(3, 3, 4)
         assert out.status == "exact"
         assert out.lower == out.value == out.upper == 5
-        assert out.levels_exhausted is None
+        assert out.levels_exhausted == (4, 4)
         assert support_of(out) == ((38, 12), (74, 10), (86, 9), (122, 6), (170, 3))
 
     def test_triple_n5_interval(self):
@@ -524,10 +512,9 @@ class TestSliceLevel:
     def test_level_search_traffic(self, monkeypatch):
         # every level the search reaches on the grids of at most 64 cells
         # (past k = 6 that leaves n <= 1, where no cell has t distinct
-        # entries) at a generous budget: (3,2,2) at w = 2, (3,3,3) at
-        # w = 4 and 5, and (3,3,4) at w = 5 after searching again the
-        # (3,3,3) levels its lower end is carried from.  (3,2,2) stops below
-        # its 3-product construction
+        # entries) at a generous budget: (3,2,2) at w = 2, and (3,3,3) and
+        # (3,3,4) at w = 4 and 5, each on its own instance.  (3,2,2) stops
+        # below its 3-product construction
         calls, real = [], search._slice_level
 
         def spy(instance, r):
@@ -539,8 +526,7 @@ class TestSliceLevel:
                  for n in range(9) if n**k <= 64]
         for k, t, n in grids:
             min_mod2_cover(k, t, n, budget=64)
-        assert calls == [(3, 2, 2, 2), (3, 3, 3, 4), (3, 3, 3, 5),
-                         (3, 3, 3, 4), (3, 3, 3, 5), (3, 3, 4, 5)]
+        assert calls == [(3, 2, 2, 2), (3, 3, 3, 4), (3, 3, 3, 5), (3, 3, 4, 4), (3, 3, 4, 5)]
 
 
 class TestExactB:
@@ -577,9 +563,9 @@ class TestExactB:
     @pytest.mark.parametrize("k,t,m,built", [
         (2, 2, 4, [6, 5]),  # the deciding n inside the search, then the certifying cover
         (3, 2, 4, [4, 3]),
-        # the search certifies n = 3 and n = 4 itself, n = 4 carrying n = 3's
-        # lower end; n = 5 is decided by its bound 6 > m, after its construction
-        (3, 3, 5, [3, 4, 3, 5]),
+        # the search certifies n = 3 and n = 4 itself; n = 5 is decided by its
+        # bound 6 > m, after its construction
+        (3, 3, 5, [3, 4, 5]),
         (2, 2, 0, [2, 1]),
     ])
     def test_each_ground_size_built_once(self, k, t, m, built, monkeypatch):
@@ -660,9 +646,8 @@ class TestBoundsTable:
         assert [r.fields()[3:] for r in rows] == [
             (0, 0, 0, 0), (lower, 6, 6, ""), (lower, 13, 13, "")
         ]
-        # one call per row at most, none on the edgeless (3,3,2); with the
-        # search on, (3,3,4) carries its lower end from (3,3,3), one more call
-        assert calls == [2, 3, 4, 5, 6, 3, 4] + ([3] if run_search else [])
+        # one call per row, none on the edgeless (3,3,2)
+        assert calls == [2, 3, 4, 5, 6, 3, 4]
 
     def test_formats(self):
         rows, notes = bounds_table(2, 2, [2, 3], budget=0)

@@ -477,6 +477,15 @@ class TestParityScanCallers:
         with pytest.raises(ValueError, match="100\\^6 index tuples exceed the scan limit"):
             verify_bollobas_tuple(system)
 
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 10**9))
+    def test_exceeds_matches_the_power(self, base, exp, limit):
+        assert setsystems._exceeds(base, exp, limit) == (base**exp > limit)
+
+    def test_exceeds_stops_past_the_limit(self):
+        # 3^(10^9) has about 4.8e8 digits; the answer comes after 17 factors
+        assert setsystems._exceeds(3, 10**9, MAX_SCAN_CELLS)
+        assert not setsystems._exceeds(1, 10**18, 1) and not setsystems._exceeds(0, 10**18, 1)
+
 
 @st.composite
 def mixed_rows(draw, n):
